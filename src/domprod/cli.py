@@ -172,15 +172,25 @@ class ResultCache:
 
 
 def _cached_verified(record: dict, desc: Descriptor) -> bool:
-    """Re-verify a cached witness before trusting the entry."""
+    """Re-verify a cached optimal entry before trusting it: value, lo, hi
+    and the witness size must agree, and the witness must pass its
+    checker."""
     checker = _CHECKER.get(record.get("quantity"))
     if checker is None:
+        return False
+    witness = record.get("witness")
+    if not isinstance(witness, list):
+        return False
+    if not record.get("value") == record.get("lo") == record.get("hi") == len(witness):
         return False
     try:
         graph = desc.build()
     except CapExceededError:
         return False
-    return checker(graph, record.get("witness", ()))
+    try:
+        return checker(graph, witness)
+    except ValueError:  # a witness vertex outside the graph
+        return False
 
 
 # ==== solve / bounds / conjecture ====
@@ -510,14 +520,7 @@ def cmd_scan(args) -> int:
     budget = _budget(args)
     total = gamma_total_exact if args.target == "Mt" else gamma_exact
     for n in range(lo, hi + 1):
-        run = jacobsthal_run(n)
-        g = run.value
-        record: dict = {
-            "n": n,
-            "target": args.target,
-            "g": g,
-            "tool_version": __version__,
-        }
+        record: dict = {"n": n, "target": args.target, "tool_version": __version__}
         try:
             graph = unitary_cayley(n)
         except CapExceededError as exc:
@@ -525,6 +528,7 @@ def cmd_scan(args) -> int:
             record["reason"] = str(exc)
             _emit(record, args.table)
             continue
+        g = record["g"] = jacobsthal_run(n).value
         result = total(graph, budget)
         record["lo"] = result.lo
         record["hi"] = result.hi

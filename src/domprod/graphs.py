@@ -48,14 +48,22 @@ class Graph:
 
     adj[v] is an int whose bit u is set iff u ~ v.  Labels, when present,
     are pairwise distinct and positional.
+
+    transitive is a promise that the graph is vertex-transitive, which
+    lets the exact solvers assume vertex 0 is in an optimal set.  Only
+    builders whose output is vertex-transitive by construction set it;
+    it is never inferred, and a false promise gives wrong answers.
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj", "labels", "transitive")
 
-    def __init__(self, adj: list[int] | tuple[int, ...], labels=None):
+    def __init__(
+        self, adj: list[int] | tuple[int, ...], labels=None, *, transitive: bool = False
+    ):
         self.n = len(adj)
         self.adj = tuple(adj)
         self.labels = None if labels is None else tuple(labels)
+        self.transitive = transitive
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label list length must equal vertex count")
 
@@ -179,7 +187,7 @@ def multipartite(a: int, b: int, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         class_mask[v % b] |= 1 << v
     full = (1 << n) - 1
     adj = [full & ~class_mask[v % b] for v in range(n)]
-    return Graph(adj, labels=range(n))
+    return Graph(adj, labels=range(n), transitive=True)
 
 
 def complete_graph(n: int, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -188,14 +196,15 @@ def complete_graph(n: int, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
     _check_cap(n, cap)
     full = (1 << n) - 1
-    return Graph([full ^ (1 << v) for v in range(n)], labels=range(n))
+    return Graph([full ^ (1 << v) for v in range(n)], labels=range(n), transitive=True)
 
 
 def direct_product(g: Graph, h: Graph, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Direct (tensor) product: (u1,u2) ~ (v1,v2) iff u1~v1 and u2~v2.
 
     Vertex order is row-major: index = u1 * |V(h)| + u2.  Labels are
-    coordinate pairs.
+    coordinate pairs.  A product of vertex-transitive graphs is
+    vertex-transitive.
     """
     if g.n == 0 or h.n == 0:
         raise ValueError("direct product factors must be nonempty")
@@ -213,7 +222,7 @@ def direct_product(g: Graph, h: Graph, *, cap: int = DEFAULT_VERTEX_CAP) -> Grap
     glab = g.labels if g.labels is not None else tuple(range(g.n))
     hlab = h.labels if h.labels is not None else tuple(range(h.n))
     labels = [(glab[ug], hlab[uh]) for ug in range(g.n) for uh in range(h.n)]
-    return Graph(adj, labels=labels)
+    return Graph(adj, labels=labels, transitive=g.transitive and h.transitive)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -244,7 +253,7 @@ def unitary_cayley(n: int, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     for v in range(n):
         rot = ((base << v) | (base >> (n - v))) & full if v else base
         adj.append(rot)
-    return Graph(adj, labels=range(n))
+    return Graph(adj, labels=range(n), transitive=True)
 
 
 def product_spec_graph(spec: ProductSpec, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -266,7 +275,7 @@ def product_spec_graph(spec: ProductSpec, *, cap: int = DEFAULT_VERTEX_CAP) -> G
             digits.append(rest % size)
             rest //= size
         labels.append(tuple(reversed(digits)))
-    return Graph(graph.adj, labels=labels)
+    return Graph(graph.adj, labels=labels, transitive=graph.transitive)
 
 
 def ucg_product_spec(n: int) -> ProductSpec:

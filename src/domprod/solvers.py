@@ -16,6 +16,16 @@ chosen vertex must still be able to end up lonely or privately
 neighbored) and, when the caller supplies the clique size b of a clique
 partition, by the packing inequality b*l + 2*s <= n.
 
+Every graph a descriptor builds is vertex-transitive, so for all three
+invariants some optimal set contains vertex 0.  When a graph carries
+Graph.transitive (set only by builders whose output is vertex-transitive
+by construction, never inferred) the searches use this: each decision
+probe of gamma_exact, and of gamma_total_exact off its bipartite split,
+looks only for sets through vertex 0, and gamma_upper_exact never
+branches on leaving vertex 0 out.  The bipartite split of gamma_total
+stays unrooted: its one-sided instances are transitive only per
+connected side, which is not known by construction.
+
 gamma_oracle is an independent brute force over subsets, used as ground
 truth in tests; it shares nothing with the branch-and-bound code paths
 except the checkers.
@@ -99,12 +109,14 @@ class _SearchState:
         )
 
     def tick(self) -> None:
+        # the clock is read on every node: one node can cost milliseconds
+        # (a refuter node on a large graph), so any stride between reads
+        # multiplies into seconds of overshoot past the time limit
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetExhausted
-        if self.deadline is not None and self.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExhausted
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExhausted
 
 
 # ==== checkers ====
@@ -377,31 +389,35 @@ def _min_cover(
     state: _SearchState,
     *,
     refuter=None,
-    lb_floor: int = 0,
+    root: int | None = None,
 ) -> tuple[list[int], int, bool]:
     """Minimum cover by descending decision probes.
 
     Returns (best set positions, proven lower bound, optimal).  The
     refuter, when given, may prove "no k-cover" cheaply; returning False
-    just falls through to the exact search.
+    just falls through to the exact search.  root, when given, is a set
+    position that some minimum cover is known to contain, so each probe
+    only searches the covers through it.
     """
     if inst.universe == 0:
         return [], 0, True
     best = _greedy_cover(inst)
     maxgain = max(c.bit_count() for c in inst.covers)
     need = inst.universe.bit_count()
-    lb = max(lb_floor, -(-need // maxgain), _packing_lower(inst))
+    lb = max(-(-need // maxgain), _packing_lower(inst))
+    prefix = [] if root is None else [root]
+    rest = inst.universe if root is None else inst.universe & ~inst.covers[root]
     try:
         while len(best) > lb:
             k = len(best) - 1
             if refuter is not None and refuter(k):
                 lb = len(best)
                 break
-            found = _exists_cover(inst, k, state)
+            found = _exists_cover(inst, k - len(prefix), state, remaining=rest)
             if found is None:
                 lb = len(best)
                 break
-            best = found
+            best = prefix + found
         return best, lb, True
     except BudgetExhausted:
         return best, lb, False
@@ -519,7 +535,9 @@ def gamma_exact(
     inst = _CoverInstance(g.full_mask(), [g.closed(v) for v in range(g.n)], range(g.n))
     sides = bipartition(g)
     refuter = _bipartite_gamma_refuter(g, sides, state) if sides else None
-    best, lb, complete = _min_cover(inst, state, refuter=refuter)
+    best, lb, complete = _min_cover(
+        inst, state, refuter=refuter, root=0 if g.transitive else None
+    )
     if deterministic and complete:
         try:
             best = _lexmin_cover(inst, len(best), state)
@@ -561,7 +579,7 @@ def gamma_total_exact(
         return _finish("gamma_total", ids, lo_a + lo_b, ok_a and ok_b,
                        "reduction", state, start)
     inst = _CoverInstance(g.full_mask(), list(g.adj), range(g.n))
-    best, lb, complete = _min_cover(inst, state)
+    best, lb, complete = _min_cover(inst, state, root=0 if g.transitive else None)
     if deterministic and complete:
         try:
             best = _lexmin_cover(inst, len(best), state)
@@ -665,14 +683,17 @@ def gamma_upper_exact(
 
     optimal = True
     try:
-        rec(0, 0, 0, 0)
+        if g.transitive:  # some maximum minimal dominating set contains 0
+            rec(1, 1, 0, closed[0])
+        else:
+            rec(0, 0, 0, 0)
     except _Done:
         pass
     except BudgetExhausted:
         optimal = False
     if deterministic and optimal:
         try:
-            best_mask = _lexmin_minimal_of_size(g, best_size, state, clique_size)
+            best_mask = _lexmin_minimal_of_size(g, best_size, state)
         except BudgetExhausted:
             pass
     witness = tuple(iter_bits(best_mask))
@@ -725,9 +746,7 @@ def _exists_minimal_of_size(
     return rec(start_idx, prefix_in, prefix_out, covered)
 
 
-def _lexmin_minimal_of_size(
-    g: Graph, size: int, state: _SearchState, clique_size: int | None
-) -> int:
+def _lexmin_minimal_of_size(g: Graph, size: int, state: _SearchState) -> int:
     """Lexicographically smallest minimal dominating set of the given
     (known-achievable) size, by forced-decision probes in index order."""
     in_mask = 0

@@ -136,6 +136,33 @@ def test_corrupt_cached_witness_forces_recompute(capsys, cache_file):
     assert ucg_is_dominating(105, fresh["witness"])
 
 
+@pytest.mark.parametrize(
+    "edit, served",
+    [
+        ({}, True),
+        ({"value": 3, "lo": 3, "hi": 3}, False),  # witness has 4 vertices
+        ({"lo": 3}, False),
+        ({"hi": 5}, False),
+        ({"witness": [0, 3, 5, 30]}, False),  # 30 is not a vertex of X_30
+        ({"witness": None}, False),
+    ],
+)
+def test_self_contradicting_cache_line_forces_recompute(capsys, cache_file, edit, served):
+    line = {
+        "descriptor": "ucg:30", "quantity": "gamma", "value": 4, "lo": 4, "hi": 4,
+        "witness": [0, 3, 5, 8], "optimal": True, "method": "branch-and-bound",
+        "nodes": -1, "elapsed_ms": 0, "tool_version": cli.__version__,
+    }
+    line.update(edit)
+    cache_file.write_text(json.dumps(line) + "\n")
+    code, out, _ = run(capsys, "solve", "gamma", "ucg:30")
+    assert code == EXIT_OK
+    (rec,) = records(out)
+    assert (rec["nodes"] == -1) == served  # -1 marks the hand-written line
+    assert rec["value"] == rec["lo"] == rec["hi"] == len(rec["witness"]) == 4
+    assert ucg_is_dominating(30, rec["witness"])
+
+
 def test_cache_tolerates_garbage_lines(capsys, cache_file):
     cache_file.write_text("not json\n{\"half\": 1\n")
     code, out, _ = run(capsys, "solve", "gamma", "ucg:105")
@@ -353,7 +380,11 @@ def test_scan_mt_small_range_is_empty(capsys):
     assert all(r["status"] == "non-member" for r in records(out))
 
 
-def test_scan_skips_over_cap(capsys):
+def test_scan_skips_over_cap(capsys, monkeypatch):
+    def no_jacobsthal(n):
+        raise AssertionError(f"g({n}) computed for an n that is skipped")
+
+    monkeypatch.setattr(cli, "jacobsthal_run", no_jacobsthal)
     _, out, _ = run(capsys, "scan", "M", "--min", "4849845", "--max", "4849845")
     (rec,) = records(out)
     assert rec["status"] == "skipped" and "cap" in rec["reason"]

@@ -24,7 +24,7 @@ from domprod import (
 )
 from domprod.graphs import iter_bits
 
-from helpers import random_spec
+from helpers import random_bipartite_graph, random_graph, random_spec
 
 
 # ==== BASIC GRAPH TYPE ====
@@ -116,6 +116,26 @@ def test_product_spec_graph_labels():
     spec = ProductSpec.from_pairs([(1, 2), (1, 3)])
     g = product_spec_graph(spec)
     assert g.labels == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+
+
+def test_transitive_flag_only_by_construction():
+    # vertex-transitive by construction: the solvers may root at vertex 0
+    assert multipartite(2, 3).transitive
+    assert complete_graph(4).transitive and complete_graph(1).transitive
+    assert unitary_cayley(12).transitive
+    assert product_spec_graph(ProductSpec.from_pairs([(2, 2), (1, 3)])).transitive
+    assert direct_product(multipartite(1, 2), unitary_cayley(5)).transitive
+    assert Descriptor.parse("ucg:30").build().transitive
+    assert Descriptor.parse("K[1,3]xK[2,2]").build().transitive
+    # raw adjacency and anything built from it is never assumed transitive
+    k3 = complete_graph(3)
+    assert not Graph(k3.adj).transitive
+    assert not disjoint_union(k3, k3).transitive
+    assert not direct_product(Graph(k3.adj), k3).transitive
+    assert not direct_product(k3, Graph(k3.adj)).transitive
+    rng = random.Random(31)
+    assert not random_graph(rng, 6).transitive
+    assert not random_bipartite_graph(rng, 6).transitive
 
 
 def test_spec_canonical_order():

@@ -4,6 +4,7 @@ import pytest
 
 from domprod import (
     Budget,
+    Descriptor,
     NoTotalDominationError,
     NotMinimalError,
     OracleCapError,
@@ -22,8 +23,9 @@ from domprod import (
     shrink_to_minimal,
     unitary_cayley,
 )
+from domprod.cli import _enum_small_specs
 from domprod.graphs import Graph
-from domprod.solvers import bipartition
+from domprod.solvers import ORACLE_CAP, bipartition
 
 from helpers import minimality_by_deletion, random_bipartite_graph, random_graph
 
@@ -174,20 +176,38 @@ def test_upper_matches_oracle_random():
 
 
 def test_solver_matches_oracle_on_small_specs():
-    shapes = [
-        [(1, 2)], [(2, 2)], [(1, 3)], [(1, 2), (1, 2)], [(1, 2), (1, 3)],
-        [(1, 3), (1, 3)], [(2, 2), (1, 3)], [(1, 2), (1, 2), (1, 2)],
-        [(1, 2), (1, 2), (1, 3)], [(1, 2), (1, 7)], [(5, 3)], [(4, 2), (1, 2)],
+    # every graph here is transitive, so each solver runs rooted at 0
+    descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 21)] + [
+        Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
+        for pairs in _enum_small_specs(20, 4)
     ]
-    for pairs in shapes:
-        spec = ProductSpec.from_pairs(pairs).canonical()
-        g = product_spec_graph(spec)
-        assert gamma_exact(g).value == gamma_oracle(g, "gamma").value, pairs
-        assert gamma_total_exact(g).value == gamma_oracle(g, "gamma_total").value, pairs
-        assert (
-            gamma_upper_exact(g, clique_size=spec.b1).value
-            == gamma_oracle(g, "upper").value
-        ), pairs
+    checks = 0
+    for desc in descs:
+        g = desc.build()
+        assert g.transitive
+        got = gamma_exact(g)
+        assert got.optimal and got.value == gamma_oracle(g, "gamma").value, desc
+        assert 0 in got.witness and is_dominating(g, got.witness)
+        got = gamma_total_exact(g)
+        assert got.optimal and got.value == gamma_oracle(g, "gamma_total").value, desc
+        assert is_total_dominating(g, got.witness)
+        assert got.method == "reduction" or 0 in got.witness
+        checks += 2
+        if g.n <= ORACLE_CAP["upper"]:
+            got = gamma_upper_exact(g, clique_size=desc.clique_size())
+            assert got.optimal and got.value == gamma_oracle(g, "upper").value, desc
+            assert 0 in got.witness and is_minimal_dominating(g, got.witness)
+            checks += 1
+    assert len(descs) == 101 and checks == 275
+
+
+def test_root_fixing_cuts_the_search():
+    # searches that do not fix vertex 0 need over 130,000 and 490,000 nodes
+    got = gamma_total_exact(unitary_cayley(165))
+    assert got.optimal and got.value == 5 and got.nodes < 10_000
+    k3 = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 3))
+    got = gamma_upper_exact(k3, clique_size=3)
+    assert got.optimal and got.value == 9 and got.nodes < 200_000
 
 
 # ==== KNOWN VALUES ====
@@ -238,6 +258,13 @@ def test_budget_time_limit():
     g = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 3), (1, 3)]))
     r = gamma_upper_exact(g, Budget(max_nodes=10**12, time_limit=0.01), clique_size=3)
     assert not r.optimal
+
+
+def test_time_limit_overshoot_is_bounded():
+    # about a millisecond per node, and far from solved after 90 s
+    r = gamma_exact(unitary_cayley(1155), Budget(max_nodes=10**12, time_limit=1.0))
+    assert not r.optimal
+    assert r.elapsed < 1.0 + 0.5
 
 
 # ==== DETERMINISTIC WITNESSES ====
