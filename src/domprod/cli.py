@@ -423,8 +423,7 @@ def _suite_thm1(limit: int, budget: Budget):
         if not formula.exact:
             continue
         solved = gamma_exact(product_spec_graph(spec), budget)
-        desc = "x".join(f"K[1,{b}]" for b in shape)
-        yield desc, formula.lo, solved
+        yield spec.descriptor(), formula.lo, solved
 
 
 def _suite_thm4(limit: int, budget: Budget):
@@ -472,8 +471,7 @@ def _suite_upperdom(limit: int, budget: Budget):
         solved = gamma_upper_exact(
             product_spec_graph(spec), budget, clique_size=spec.factors[0].b
         )
-        desc = "x".join(f"K[{a},{b}]" for a, b in pairs)
-        yield desc, conjectured, solved
+        yield spec.descriptor(), conjectured, solved
 
 
 _SUITES = {

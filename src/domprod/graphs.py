@@ -161,6 +161,11 @@ class ProductSpec:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((f.a, f.b) for f in self.factors)
 
+    def descriptor(self) -> str:
+        """Descriptor text with the factors in stored order, e.g.
+        K[1,2]xK[2,3]."""
+        return "x".join(f"K[{f.a},{f.b}]" for f in self.factors)
+
     @property
     def b1(self) -> int:
         return min(f.b for f in self.factors)
@@ -444,8 +449,7 @@ class Descriptor:
         """Bit-exact canonical rendering used as the cache key."""
         if self.kind == "ucg":
             return f"ucg:{self.ucg_n}"
-        cspec = self.spec.canonical()
-        return "x".join(f"K[{f.a},{f.b}]" for f in cspec.factors)
+        return self.spec.canonical().descriptor()
 
     @property
     def n_vertices(self) -> int:

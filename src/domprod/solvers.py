@@ -5,16 +5,24 @@ gamma_exact and gamma_total_exact treat the problem as minimum set cover
 (universe = vertices, sets = closed / open neighborhoods) and run a
 descending sequence of decision searches: a greedy incumbent first, then
 "is there a cover one smaller?" until a search completes with no cover.
-On bipartite graphs two shortcuts apply: total domination splits into
-two independent one-sided covers, and a domination refutation can often
-dismiss all ways of splitting k vertices across the two sides by
-max-coverage counting, far faster than raw branching.
+A cover instance is the graph's adjacency itself: set positions are
+vertex ids, a mask says which vertices may be chosen, and because
+closed and open adjacency are symmetric, the sets containing element e
+are just row e masked to the allowed vertices.  So setup costs O(n)
+bigint operations and witnesses need no translation.  On bipartite
+graphs two shortcuts apply: total domination splits into two
+independent one-sided covers (side B covered by rows of side A, and the
+reverse), and a domination refutation can often dismiss all ways of
+splitting k vertices across the two sides by max-coverage counting, far
+faster than raw branching.
 
 gamma_upper_exact maximizes |D| over minimal dominating sets with an
-in/out decision search in index order, pruned by Ore feasibility (every
-chosen vertex must still be able to end up lonely or privately
-neighbored) and, when the caller supplies the clique size b of a clique
-partition, by the packing inequality b*l + 2*s <= n.
+in/out search in index order, pruned by Ore feasibility (every chosen
+vertex must still be able to end up lonely or privately neighbored)
+and, when the caller supplies the clique size b of a clique partition,
+by the packing inequality b*l + 2*s <= n.  The same search, asked for
+the first set of the optimal size, gives the lexicographically smallest
+witness, because it tries "in" before "out" at every vertex.
 
 Every graph a descriptor builds is vertex-transitive, so for all three
 invariants some optimal set contains vertex 0.  When a graph carries
@@ -237,21 +245,18 @@ def gamma_oracle(g: Graph, kind: str = "gamma") -> SolveResult:
 
 
 class _CoverInstance:
-    """A min-cover problem: cover `universe` with the given bit-vector
-    sets.  ids maps set positions back to vertex indices."""
+    """A min-cover problem on a graph: cover `universe` with the sets
+    covers[v] for v in `allowed`.  Set positions are vertex ids, and
+    covers is a symmetric relation (closed or open adjacency), so the
+    sets that contain element e are covers[e] & allowed."""
 
-    __slots__ = ("universe", "covers", "ids", "elem")
+    __slots__ = ("universe", "covers", "allowed", "positions")
 
-    def __init__(self, universe: int, covers: Sequence[int], ids: Sequence[int]):
+    def __init__(self, universe: int, covers: Sequence[int], allowed: int):
         self.universe = universe
-        self.covers = list(covers)
-        self.ids = list(ids)
-        # elem[e] = bitmask over set positions whose cover contains e
-        elem: dict[int, int] = {}
-        for i, c in enumerate(self.covers):
-            for e in iter_bits(c & universe):
-                elem[e] = elem.get(e, 0) | (1 << i)
-        self.elem = elem
+        self.covers = covers
+        self.allowed = allowed
+        self.positions = list(iter_bits(allowed))
 
 
 def _greedy_cover(inst: _CoverInstance) -> list[int]:
@@ -260,8 +265,8 @@ def _greedy_cover(inst: _CoverInstance) -> list[int]:
     while remaining:
         best_i = -1
         best_gain = 0
-        for i, c in enumerate(inst.covers):
-            gain = (c & remaining).bit_count()
+        for i in inst.positions:
+            gain = (inst.covers[i] & remaining).bit_count()
             if gain > best_gain:
                 best_gain, best_i = gain, i
         if best_gain == 0:
@@ -274,13 +279,17 @@ def _greedy_cover(inst: _CoverInstance) -> list[int]:
 def _packing_lower(inst: _CoverInstance) -> int:
     """Count elements whose candidate sets are pairwise disjoint; each
     needs its own set in any cover."""
-    order = sorted(inst.elem, key=lambda e: inst.elem[e].bit_count())
+    cands = {e: inst.covers[e] & inst.allowed for e in iter_bits(inst.universe)}
+    # fewest candidates first; ties by lowest candidate position, then e
+    order = sorted(
+        cands, key=lambda e: (cands[e].bit_count(), (cands[e] & -cands[e]).bit_length())
+    )
     blocked = 0
     lb = 0
     for e in order:
-        if inst.elem[e] & blocked == 0:
+        if cands[e] & blocked == 0:
             lb += 1
-            blocked |= inst.elem[e]
+            blocked |= cands[e]
     return lb
 
 
@@ -295,10 +304,12 @@ def _exists_cover(
     """Find set positions (at most k) covering `remaining`, or prove none
     exist among the non-banned sets.  Exact decision search."""
     covers = inst.covers
-    elem = inst.elem
+    allowed = inst.allowed
+    positions = inst.positions
 
     def rec(remaining: int, banned: int, k: int, chosen: list[int]):
         state.tick()
+        avail = allowed & ~banned
         # unit propagation, zero-candidate pruning, branch-element choice
         while True:
             if not remaining:
@@ -309,7 +320,7 @@ def _exists_cover(
             best_cnt = 1 << 30
             forced = -1
             for e in iter_bits(remaining):
-                cands = elem[e] & ~banned
+                cands = covers[e] & avail
                 cnt = cands.bit_count()
                 if cnt == 0:
                     return None
@@ -328,7 +339,7 @@ def _exists_cover(
         gains = sorted(
             (
                 (covers[i] & remaining).bit_count()
-                for i in range(len(covers))
+                for i in positions
                 if not banned >> i & 1
             ),
             reverse=True,
@@ -402,7 +413,7 @@ def _min_cover(
     if inst.universe == 0:
         return [], 0, True
     best = _greedy_cover(inst)
-    maxgain = max(c.bit_count() for c in inst.covers)
+    maxgain = max(inst.covers[i].bit_count() for i in inst.positions)
     need = inst.universe.bit_count()
     lb = max(-(-need // maxgain), _packing_lower(inst))
     prefix = [] if root is None else [root]
@@ -431,7 +442,7 @@ def _lexmin_cover(
     chosen: list[int] = []
     remaining = inst.universe
     banned = 0
-    for i in range(len(inst.covers)):
+    for i in inst.positions:
         if len(chosen) == size:
             break
         if banned >> i & 1:
@@ -456,25 +467,26 @@ def _lexmin_cover(
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:
-    """(side0 mask, side1 mask) from BFS 2-coloring, or None if an odd
-    cycle exists.  Isolated vertices land on side 0."""
-    color = [-1] * g.n
+    """(side0 mask, side1 mask) from a layered BFS 2-coloring of each
+    component from its smallest vertex, or None if an odd cycle exists.
+    Isolated vertices land on side 0."""
     side = [0, 0]
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        side[0] |= 1 << start
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in iter_bits(g.adj[v]):
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    side[color[u]] |= 1 << u
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
+    unseen = g.full_mask()
+    while unseen:
+        frontier = unseen & -unseen
+        parity = 0
+        while frontier:
+            unseen &= ~frontier
+            side[parity] |= frontier
+            reach = 0
+            for v in iter_bits(frontier):
+                reach |= g.adj[v]
+            frontier = reach & unseen
+            parity ^= 1
+    for s in side:
+        for v in iter_bits(s):
+            if g.adj[v] & s:
+                return None  # an edge inside a BFS side closes an odd cycle
     return side[0], side[1]
 
 
@@ -508,18 +520,33 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
 # ==== gamma and gamma_total ====
 
 
-def _finish(quantity, best_ids, lo, optimal, method, state, start):
-    value = len(best_ids)
+def _solve_covers(quantity, method, parts, state, start, deterministic) -> SolveResult:
+    """Minimum covers of independent instances, reported as one set.
+
+    parts holds (instance, refuter, root) triples for _min_cover; the
+    witness is the union of their covers and lo the sum of their bounds.
+    deterministic swaps each cover for the lexicographically smallest
+    one of its size once every instance is proven optimal.
+    """
+    chosen: list[list[int]] = []
+    lo = 0
+    complete = True
+    for inst, refuter, root in parts:
+        best, lb, ok = _min_cover(inst, state, refuter=refuter, root=root)
+        chosen.append(best)
+        lo += lb
+        complete = complete and ok
+    if deterministic and complete:
+        try:
+            for j, (inst, _, _) in enumerate(parts):
+                chosen[j] = _lexmin_cover(inst, len(chosen[j]), state)
+        except BudgetExhausted:
+            pass  # value stays proven; witness just is not the lex-min one
+    witness = tuple(sorted(v for part in chosen for v in part))
+    value = len(witness)
     return SolveResult(
-        quantity,
-        value,
-        tuple(sorted(best_ids)),
-        optimal and lo == value,
-        method,
-        lo=lo,
-        hi=value,
-        nodes=state.nodes,
-        elapsed=time.monotonic() - start,
+        quantity, value, witness, complete and lo == value, method,
+        lo=lo, hi=value, nodes=state.nodes, elapsed=time.monotonic() - start,
     )
 
 
@@ -532,18 +559,13 @@ def gamma_exact(
         raise ValueError("empty graph")
     start = time.monotonic()
     state = _SearchState(budget or Budget())
-    inst = _CoverInstance(g.full_mask(), [g.closed(v) for v in range(g.n)], range(g.n))
+    full = g.full_mask()
+    inst = _CoverInstance(full, [g.closed(v) for v in range(g.n)], full)
     sides = bipartition(g)
     refuter = _bipartite_gamma_refuter(g, sides, state) if sides else None
-    best, lb, complete = _min_cover(
-        inst, state, refuter=refuter, root=0 if g.transitive else None
-    )
-    if deterministic and complete:
-        try:
-            best = _lexmin_cover(inst, len(best), state)
-        except BudgetExhausted:
-            pass  # value stays proven; witness just is not the lex-min one
-    return _finish("gamma", best, lb, complete, "branch-and-bound", state, start)
+    root = 0 if g.transitive else None
+    return _solve_covers("gamma", "branch-and-bound", [(inst, refuter, root)],
+                         state, start, deterministic)
 
 
 def gamma_total_exact(
@@ -560,32 +582,17 @@ def gamma_total_exact(
     start = time.monotonic()
     state = _SearchState(budget or Budget())
     sides = bipartition(g)
-    if sides is not None:
-        mask_a, mask_b = sides
-        ids_a = list(iter_bits(mask_a))
-        ids_b = list(iter_bits(mask_b))
-        # D-members on side A are the only open coverage side B can get
-        inst_b = _CoverInstance(mask_b, [g.adj[v] for v in ids_a], ids_a)
-        inst_a = _CoverInstance(mask_a, [g.adj[v] for v in ids_b], ids_b)
-        got_b, lo_b, ok_b = _min_cover(inst_b, state)
-        got_a, lo_a, ok_a = _min_cover(inst_a, state)
-        if deterministic and ok_a and ok_b:
-            try:
-                got_b = _lexmin_cover(inst_b, len(got_b), state)
-                got_a = _lexmin_cover(inst_a, len(got_a), state)
-            except BudgetExhausted:
-                pass
-        ids = [ids_a[i] for i in got_b] + [ids_b[i] for i in got_a]
-        return _finish("gamma_total", ids, lo_a + lo_b, ok_a and ok_b,
-                       "reduction", state, start)
-    inst = _CoverInstance(g.full_mask(), list(g.adj), range(g.n))
-    best, lb, complete = _min_cover(inst, state, root=0 if g.transitive else None)
-    if deterministic and complete:
-        try:
-            best = _lexmin_cover(inst, len(best), state)
-        except BudgetExhausted:
-            pass
-    return _finish("gamma_total", best, lb, complete, "branch-and-bound", state, start)
+    if sides is None:
+        full = g.full_mask()
+        root = 0 if g.transitive else None
+        return _solve_covers("gamma_total", "branch-and-bound",
+                             [(_CoverInstance(full, g.adj, full), None, root)],
+                             state, start, deterministic)
+    mask_a, mask_b = sides
+    # D-members on side A are the only open coverage side B can get
+    parts = [(_CoverInstance(mask_b, g.adj, mask_a), None, None),
+             (_CoverInstance(mask_a, g.adj, mask_b), None, None)]
+    return _solve_covers("gamma_total", "reduction", parts, state, start, deterministic)
 
 
 # ==== upper domination ====
@@ -639,8 +646,11 @@ def gamma_upper_exact(
                            elapsed=time.monotonic() - start)
 
     surcharge = clique_size - 2 if clique_size is not None else 0
+    # (idx, in, out, covered); some maximum minimal dominating set
+    # of a transitive graph contains 0
+    prefix = (1, 1, 0, closed[0]) if g.transitive else (0, 0, 0, 0)
 
-    def feasible(in_mask: int, out_mask: int) -> bool:
+    def feasible(in_mask: int) -> bool:
         # every chosen vertex must still be able to satisfy Ore: pools
         # only shrink as IN grows, so a failure here is permanent
         for d in iter_bits(in_mask):
@@ -654,48 +664,56 @@ def gamma_upper_exact(
                 return False
         return True
 
-    def rec(idx: int, in_mask: int, out_mask: int, covered: int) -> None:
-        nonlocal best_mask, best_size
-        state.tick()
-        in_cnt = in_mask.bit_count()
-        if in_cnt + (n - idx) <= best_size:
-            return
-        if surcharge:
-            perm_lonely = sum(
-                1 for d in iter_bits(in_mask) if adj[d] & ~out_mask == 0
-            )
-            if (n - surcharge * perm_lonely) // 2 <= best_size:
-                return
-        for u in iter_bits(full & ~covered):
-            if closed[u] & ~out_mask == 0:
-                return  # u can never be dominated now
-        if not feasible(in_mask, out_mask):
-            return
-        if idx == n:
-            if covered == full and in_cnt > best_size:
-                best_mask, best_size = in_mask, in_cnt
-                if best_size >= global_ub:
-                    raise _Done
-            return
-        bit = 1 << idx
-        rec(idx + 1, in_mask | bit, out_mask, covered | closed[idx])
-        rec(idx + 1, in_mask, out_mask | bit, covered)
+    def search(floor: int, goal: int) -> tuple[int, int, bool]:
+        """In/out search in index order, from the prefix, for the largest
+        minimal dominating set with more than floor members; it stops at
+        the first one with goal members.  Returns (set, size, complete);
+        a budget cut keeps the best set found before it (0 if none)."""
+        found, found_size = 0, floor
 
-    optimal = True
-    try:
-        if g.transitive:  # some maximum minimal dominating set contains 0
-            rec(1, 1, 0, closed[0])
-        else:
-            rec(0, 0, 0, 0)
-    except _Done:
-        pass
-    except BudgetExhausted:
-        optimal = False
-    if deterministic and optimal:
+        def rec(idx: int, in_mask: int, out_mask: int, covered: int) -> None:
+            nonlocal found, found_size
+            state.tick()
+            in_cnt = in_mask.bit_count()
+            if in_cnt + (n - idx) <= found_size:
+                return
+            if surcharge:
+                perm_lonely = sum(
+                    1 for d in iter_bits(in_mask) if adj[d] & ~out_mask == 0
+                )
+                if (n - surcharge * perm_lonely) // 2 <= found_size:
+                    return
+            for u in iter_bits(full & ~covered):
+                if closed[u] & ~out_mask == 0:
+                    return  # u can never be dominated now
+            if not feasible(in_mask):
+                return
+            if idx == n:
+                if covered == full and in_cnt > found_size:
+                    found, found_size = in_mask, in_cnt
+                    if found_size >= goal:
+                        raise _Done
+                return
+            bit = 1 << idx
+            rec(idx + 1, in_mask | bit, out_mask, covered | closed[idx])
+            rec(idx + 1, in_mask, out_mask | bit, covered)
+
         try:
-            best_mask = _lexmin_minimal_of_size(g, best_size, state)
-        except BudgetExhausted:
+            rec(*prefix)
+        except _Done:
             pass
+        except BudgetExhausted:
+            return found, found_size, False
+        return found, found_size, True
+
+    found, size, optimal = search(best_size, global_ub)
+    if size > best_size:
+        best_mask, best_size = found, size
+    if deterministic and optimal:
+        # in-first order reaches the lexicographically smallest set first
+        found, _, complete = search(best_size - 1, best_size)
+        if complete:  # a budget cut keeps the witness found above
+            best_mask = found
     witness = tuple(iter_bits(best_mask))
     hi = best_size if optimal else min(global_ub, n)
     return SolveResult(
@@ -703,63 +721,3 @@ def gamma_upper_exact(
         "branch-and-bound", lo=best_size, hi=hi,
         nodes=state.nodes, elapsed=time.monotonic() - start,
     )
-
-
-def _exists_minimal_of_size(
-    g: Graph, size: int, prefix_in: int, prefix_out: int, start_idx: int,
-    state: _SearchState,
-) -> bool:
-    """Decision probe: can the prefix decisions extend to a minimal
-    dominating set with exactly `size` members?"""
-    n = g.n
-    adj = g.adj
-    closed = [g.closed(v) for v in range(n)]
-    full = g.full_mask()
-
-    def rec(idx: int, in_mask: int, out_mask: int, covered: int) -> bool:
-        state.tick()
-        in_cnt = in_mask.bit_count()
-        if in_cnt > size or in_cnt + (n - idx) < size:
-            return False
-        for u in iter_bits(full & ~covered):
-            if closed[u] & ~out_mask == 0:
-                return False
-        for d in iter_bits(in_mask):
-            if adj[d] & in_mask == 0:
-                continue
-            bit_d = 1 << d
-            for p in iter_bits(adj[d] & ~in_mask):
-                if adj[p] & in_mask == bit_d:
-                    break
-            else:
-                return False
-        if idx == n:
-            return covered == full and in_cnt == size
-        bit = 1 << idx
-        return rec(idx + 1, in_mask | bit, out_mask, covered | closed[idx]) or rec(
-            idx + 1, in_mask, out_mask | bit, covered
-        )
-
-    covered = 0
-    for v in iter_bits(prefix_in):
-        covered |= closed[v]
-    return rec(start_idx, prefix_in, prefix_out, covered)
-
-
-def _lexmin_minimal_of_size(g: Graph, size: int, state: _SearchState) -> int:
-    """Lexicographically smallest minimal dominating set of the given
-    (known-achievable) size, by forced-decision probes in index order."""
-    in_mask = 0
-    out_mask = 0
-    for v in range(g.n):
-        if in_mask.bit_count() == size:
-            out_mask |= ((1 << g.n) - 1) & ~in_mask & ~out_mask
-            break
-        bit = 1 << v
-        if _exists_minimal_of_size(g, size, in_mask | bit, out_mask, v + 1, state):
-            in_mask |= bit
-        else:
-            out_mask |= bit
-    if in_mask.bit_count() != size:
-        raise AssertionError("lexmin pass lost the known witness size")
-    return in_mask

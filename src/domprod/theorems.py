@@ -213,7 +213,7 @@ def diagonal_set(spec: ProductSpec, m: int = 0, *, verify: bool = True) -> Const
         if not is_total_dominating(graph, dset):
             raise InternalConsistencyError("diagonal set failed its checker")
         verified = True
-    return ConstructionResult(_spec_descriptor(spec), dset, "total_dominating", verified)
+    return ConstructionResult(spec.descriptor(), dset, "total_dominating", verified)
 
 
 def t_plus_two_set(spec: ProductSpec, *, verify: bool = True) -> ConstructionResult:
@@ -239,7 +239,7 @@ def t_plus_two_set(spec: ProductSpec, *, verify: bool = True) -> ConstructionRes
         if not is_dominating(graph, dset):
             raise InternalConsistencyError("t+2 construction failed its checker")
         verified = True
-    return ConstructionResult(_spec_descriptor(spec), dset, "dominating", verified)
+    return ConstructionResult(spec.descriptor(), dset, "dominating", verified)
 
 
 _CORNERS3 = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
@@ -264,7 +264,7 @@ def cube_corner_set(spec: ProductSpec, *, verify: bool = True) -> ConstructionRe
         if not is_dominating(graph, dset):
             raise InternalConsistencyError("cube-corner set failed its checker")
         verified = True
-    return ConstructionResult(_spec_descriptor(spec), dset, "dominating", verified)
+    return ConstructionResult(spec.descriptor(), dset, "dominating", verified)
 
 
 def partite_column_set(spec: ProductSpec, *, verify: bool = True) -> ConstructionResult:
@@ -289,11 +289,7 @@ def partite_column_set(spec: ProductSpec, *, verify: bool = True) -> Constructio
         if not is_minimal_dominating(graph, dset):
             raise InternalConsistencyError("partite column failed its checker")
         verified = True
-    return ConstructionResult(_spec_descriptor(spec), dset, "minimal_dominating", verified)
-
-
-def _spec_descriptor(spec: ProductSpec) -> str:
-    return "x".join(f"K[{f.a},{f.b}]" for f in spec.factors)
+    return ConstructionResult(spec.descriptor(), dset, "minimal_dominating", verified)
 
 
 # ==== piecewise formulas and single-theorem bounds ====

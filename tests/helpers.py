@@ -3,6 +3,7 @@ implementations used to cross-check the package."""
 
 from __future__ import annotations
 
+from collections import deque
 from math import gcd
 
 from domprod import Graph, ProductSpec, is_dominating
@@ -50,6 +51,33 @@ def random_spec(rng, max_vertices: int, max_t: int = 4) -> ProductSpec:
     if not pairs:
         pairs = [(1, 2)]
     return ProductSpec.from_pairs(pairs).canonical()
+
+
+def two_coloring(g: Graph) -> tuple[int, int] | None:
+    """Reference bipartition: each component colored by the parity of
+    its BFS distance from its smallest vertex, one edge at a time.
+    Returns (color-0 mask, color-1 mask), or None when an edge joins two
+    vertices of the same color."""
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in range(g.n):
+                if g.has_edge(v, u) and color[u] < 0:
+                    color[u] = 1 - color[v]
+                    queue.append(u)
+    for v in range(g.n):
+        for u in range(v + 1, g.n):
+            if g.has_edge(u, v) and color[u] == color[v]:
+                return None
+    sides = [0, 0]
+    for v in range(g.n):
+        sides[color[v]] |= 1 << v
+    return sides[0], sides[1]
 
 
 def minimality_by_deletion(g: Graph, d: tuple[int, ...]) -> bool:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from domprod import (
     ProductSpec,
     classify,
     complete_graph,
+    disjoint_union,
     gamma_exact,
     gamma_oracle,
     gamma_total_exact,
@@ -25,9 +27,14 @@ from domprod import (
 )
 from domprod.cli import _enum_small_specs
 from domprod.graphs import Graph
-from domprod.solvers import ORACLE_CAP, bipartition
+from domprod.solvers import ORACLE_CAP, _greedy_independent, bipartition
 
-from helpers import minimality_by_deletion, random_bipartite_graph, random_graph
+from helpers import (
+    minimality_by_deletion,
+    random_bipartite_graph,
+    random_graph,
+    two_coloring,
+)
 
 
 # ==== CHECKERS ====
@@ -94,6 +101,46 @@ def test_shrink_to_minimal():
         assert is_minimal_dominating(g, d)
     with pytest.raises(ValueError):
         shrink_to_minimal(complete_graph(3), ())
+
+
+# ==== BIPARTITION ====
+
+
+def _cycle(n):
+    return Graph([(1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)])
+
+
+def test_bipartition_fixed_cases():
+    c4, c5, k1 = _cycle(4), _cycle(5), Graph([0])
+    assert bipartition(c4) == (0b0101, 0b1010)
+    assert bipartition(c5) is None
+    assert bipartition(disjoint_union(c4, c5)) is None
+    assert bipartition(disjoint_union(c5, c4)) is None
+    # isolated vertices sit on side 0; each component starts at its
+    # smallest vertex on side 0
+    g = disjoint_union(disjoint_union(k1, c4), disjoint_union(k1, k1))
+    assert bipartition(g) == (0b1101011, 0b0010100)
+
+
+def test_bipartition_matches_reference_coloring():
+    rng = random.Random(97)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        p = rng.uniform(0.05, 0.5)
+        odd = rng.random() < 0.3  # allow edges inside a side
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (side[u] != side[v] or odd) and rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        g = Graph(adj)
+        want = two_coloring(g)
+        assert bipartition(g) == want
+        outcomes.add((want is None, any(a == 0 for a in adj)))
+    assert len(outcomes) == 4  # bipartite or not, with or without isolated
 
 
 # ==== ORACLE ====
@@ -265,6 +312,25 @@ def test_time_limit_overshoot_is_bounded():
     r = gamma_exact(unitary_cayley(1155), Budget(max_nodes=10**12, time_limit=1.0))
     assert not r.optimal
     assert r.elapsed < 1.0 + 0.5
+
+
+def test_large_graph_setup_fits_the_time_limit():
+    # a cover setup that transposed the adjacency bit by bit spent
+    # seconds on this graph before its first search node
+    g = unitary_cayley(3125)
+    t0 = time.monotonic()
+    r = gamma_exact(g, Budget(max_nodes=10**12, time_limit=1.0))
+    assert time.monotonic() - t0 < 1.5
+    assert r.optimal and r.value == 2
+
+
+def test_upper_budget_cut_keeps_best_set_found():
+    g = random_graph(random.Random(4), 18)
+    greedy = _greedy_independent(g).bit_count()
+    r = gamma_upper_exact(g, Budget(max_nodes=50, time_limit=None))
+    assert not r.optimal
+    assert r.value == len(r.witness) > greedy
+    assert is_minimal_dominating(g, r.witness)
 
 
 # ==== DETERMINISTIC WITNESSES ====
