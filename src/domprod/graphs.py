@@ -1,11 +1,12 @@
 """Graph families: balanced complete multipartite factors, their direct
-products, disjoint unions, and unitary Cayley graphs.
+products, and unitary Cayley graphs.
 
 Vertices are always indices 0..n-1.  Adjacency is stored as one dense
 bit-vector (a Python int) per vertex, which is the representation the
-solvers consume.  Labels track the mathematical identity of a vertex: an
-integer residue for single factors and unitary Cayley graphs, a tuple of
-per-factor residues for products.
+solvers consume.  A vertex of a product is numbered row-major in the
+spec's factor order: ProductSpec.coords(v) gives its tuple of per-factor
+residues, and ProductSpec.index maps the tuple back.  A vertex of a
+single factor or of a unitary Cayley graph is its own residue.
 
 The descriptor mini-language used by the CLI and the result cache lives
 here too: `K[a,b]` for one factor, `x`-separated products, and `ucg:<n>`
@@ -46,8 +47,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple graph with dense bit-vector adjacency.
 
-    adj[v] is an int whose bit u is set iff u ~ v.  Labels, when present,
-    are pairwise distinct and positional.
+    adj[v] is an int whose bit u is set iff u ~ v.
 
     transitive is a promise that the graph is vertex-transitive, which
     lets the exact solvers assume vertex 0 is in an optimal set.  Only
@@ -55,23 +55,15 @@ class Graph:
     it is never inferred, and a false promise gives wrong answers.
     """
 
-    __slots__ = ("n", "adj", "labels", "transitive")
+    __slots__ = ("n", "adj", "transitive")
 
-    def __init__(
-        self, adj: list[int] | tuple[int, ...], labels=None, *, transitive: bool = False
-    ):
+    def __init__(self, adj: list[int] | tuple[int, ...], *, transitive: bool = False):
         self.n = len(adj)
         self.adj = tuple(adj)
-        self.labels = None if labels is None else tuple(labels)
         self.transitive = transitive
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label list length must equal vertex count")
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -86,7 +78,7 @@ class Graph:
         return self.adj[v] | (1 << v)
 
     def validate(self) -> None:
-        """Full invariant scan: symmetry, irreflexivity, distinct labels."""
+        """Full invariant scan: symmetry and irreflexivity."""
         for v in range(self.n):
             if self.adj[v] >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
@@ -96,8 +88,6 @@ class Graph:
             for u in iter_bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}->{u}")
-        if self.labels is not None and len(set(self.labels)) != self.n:
-            raise ValueError("labels not pairwise distinct")
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -170,77 +160,51 @@ class ProductSpec:
     def b1(self) -> int:
         return min(f.b for f in self.factors)
 
+    def index(self, coords) -> int:
+        """Row-major vertex number of a tuple of per-factor residues, in
+        stored factor order: the last factor varies fastest."""
+        idx = 0
+        for f, c in zip(self.factors, coords):
+            idx = idx * f.size + c
+        return idx
+
+    def coords(self, v: int) -> tuple[int, ...]:
+        """Per-factor residues of vertex v; the inverse of index."""
+        out = [0] * len(self.factors)
+        rest = v
+        for i in range(len(out) - 1, -1, -1):
+            rest, out[i] = divmod(rest, self.factors[i].size)
+        if rest:  # v < 0 or v >= n_vertices
+            raise ValueError(f"vertex {v} out of range for {self.descriptor()}")
+        return tuple(out)
+
 
 # ==== constructions ====
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(f"graph with {n} vertices exceeds cap {cap}")
+def _check_cap(n: int) -> None:
+    if n > DEFAULT_VERTEX_CAP:
+        raise CapExceededError(f"graph with {n} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
 
 
-def multipartite(a: int, b: int, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def multipartite(a: int, b: int) -> Graph:
     """K[a,b] on vertices 0..ab-1; x ~ y iff x and y differ mod b.
 
     The partite sets are the residue classes mod b.
     """
-    f = Factor(a, b)  # validates a >= 1, b >= 2
-    n = f.size
-    _check_cap(n, cap)
-    class_mask = [0] * b
-    for v in range(n):
-        class_mask[v % b] |= 1 << v
-    full = (1 << n) - 1
-    adj = [full & ~class_mask[v % b] for v in range(n)]
-    return Graph(adj, labels=range(n), transitive=True)
+    return product_spec_graph(ProductSpec.from_pairs([(a, b)]))
 
 
-def complete_graph(n: int, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def complete_graph(n: int) -> Graph:
     """K_n; n = 1 gives the single vertex with no edges."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    _check_cap(n, cap)
+    _check_cap(n)
     full = (1 << n) - 1
-    return Graph([full ^ (1 << v) for v in range(n)], labels=range(n), transitive=True)
+    return Graph([full ^ (1 << v) for v in range(n)], transitive=True)
 
 
-def direct_product(g: Graph, h: Graph, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Direct (tensor) product: (u1,u2) ~ (v1,v2) iff u1~v1 and u2~v2.
-
-    Vertex order is row-major: index = u1 * |V(h)| + u2.  Labels are
-    coordinate pairs.  A product of vertex-transitive graphs is
-    vertex-transitive.
-    """
-    if g.n == 0 or h.n == 0:
-        raise ValueError("direct product factors must be nonempty")
-    n = g.n * h.n
-    _check_cap(n, cap)
-    adj = []
-    for ug in range(g.n):
-        # the h-row pattern repeats at each g-neighbor's block
-        for uh in range(h.n):
-            row = 0
-            hrow = h.adj[uh]
-            for vg in iter_bits(g.adj[ug]):
-                row |= hrow << (vg * h.n)
-            adj.append(row)
-    glab = g.labels if g.labels is not None else tuple(range(g.n))
-    hlab = h.labels if h.labels is not None else tuple(range(h.n))
-    labels = [(glab[ug], hlab[uh]) for ug in range(g.n) for uh in range(h.n)]
-    return Graph(adj, labels=labels, transitive=g.transitive and h.transitive)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union; vertices of h are shifted by |V(g)|."""
-    shift = g.n
-    adj = list(g.adj) + [row << shift for row in h.adj]
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        labels = [(0, lab) for lab in g.labels] + [(1, lab) for lab in h.labels]
-    return Graph(adj, labels=labels)
-
-
-def unitary_cayley(n: int, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def unitary_cayley(n: int) -> Graph:
     """X_n on residues 0..n-1; x ~ y iff gcd(x - y, n) = 1.
 
     Dense adjacency costs n^2/8 bytes; callers needing very large n
@@ -248,7 +212,7 @@ def unitary_cayley(n: int, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """
     if n < 2:
         raise ValueError(f"unitary Cayley graph needs n >= 2, got {n}")
-    _check_cap(n, cap)
+    _check_cap(n)
     full = (1 << n) - 1
     base = 0
     for d in range(1, n):
@@ -258,29 +222,39 @@ def unitary_cayley(n: int, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     for v in range(n):
         rot = ((base << v) | (base >> (n - v))) & full if v else base
         adj.append(rot)
-    return Graph(adj, labels=range(n), transitive=True)
+    return Graph(adj, transitive=True)
 
 
-def product_spec_graph(spec: ProductSpec, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Iterated direct product of the spec's multipartite factors.
+def product_spec_graph(spec: ProductSpec) -> Graph:
+    """Direct product of the spec's multipartite factors: u ~ v iff in
+    every factor their residues lie in different partite sets.
 
-    Labels are flat t-tuples of factor residues; vertex order is
-    row-major in the given factor order.
+    Vertices are numbered by spec.coords.  A product of Cayley graphs is
+    a Cayley graph, so the result is vertex-transitive.
     """
-    _check_cap(spec.n_vertices, cap)
-    graph = multipartite(spec.factors[0].a, spec.factors[0].b, cap=cap)
-    for f in spec.factors[1:]:
-        graph = direct_product(graph, multipartite(f.a, f.b, cap=cap), cap=cap)
-    sizes = [f.size for f in spec.factors]
-    labels = []
-    for v in range(spec.n_vertices):
-        digits = []
-        rest = v
-        for size in reversed(sizes):
-            digits.append(rest % size)
-            rest //= size
-        labels.append(tuple(reversed(digits)))
-    return Graph(graph.adj, labels=labels, transitive=graph.transitive)
+    n = spec.n_vertices
+    _check_cap(n)
+    full = (1 << n) - 1
+    # same[i][r]: the vertices whose residue in factor i lies in partite
+    # set r, i.e. is r mod b_i.  In row-major order, residue c of factor
+    # i fills bits c*stride..(c+1)*stride-1 of every period-bit period.
+    same = []
+    stride = n
+    for f in spec.factors:
+        period, stride = stride, stride // f.size
+        repeat = full // ((1 << period) - 1)  # a 1 at the start of each period
+        block = (1 << stride) - 1
+        same.append([
+            repeat * sum(block << (c * stride) for c in range(r, f.size, f.b))
+            for r in range(f.b)
+        ])
+    adj = []
+    for v in range(n):
+        blocked = 0
+        for masks, c, f in zip(same, spec.coords(v), spec.factors):
+            blocked |= masks[c % f.b]
+        adj.append(full & ~blocked)
+    return Graph(adj, transitive=True)
 
 
 def ucg_product_spec(n: int) -> ProductSpec:
@@ -302,8 +276,8 @@ def ucg_product_spec(n: int) -> ProductSpec:
 class CrtIsomorphism:
     """The residue <-> coordinate bijection behind X_n = prod K[p^(e-1), p].
 
-    to_tuple[x] is (x mod p_1^e_1, ..., x mod p_k^e_k); to_index[x] is the
-    row-major vertex index of that tuple in product_spec_graph(spec).
+    to_tuple[x] is (x mod p_1^e_1, ..., x mod p_k^e_k); to_index[x] is
+    spec.index of that tuple, its vertex in product_spec_graph(spec).
     """
 
     n: int
@@ -323,19 +297,8 @@ def crt_isomorphism(n: int) -> CrtIsomorphism:
         raise ValueError(f"need n >= 2, got {n}")
     spec = ucg_product_spec(n)
     moduli = [f.size for f in spec.factors]
-    strides = []
-    acc = 1
-    for size in reversed(moduli):
-        strides.append(acc)
-        acc *= size
-    strides.reverse()
-    tuples = []
-    indices = []
-    for x in range(n):
-        coords = tuple(x % m for m in moduli)
-        tuples.append(coords)
-        indices.append(sum(c * s for c, s in zip(coords, strides)))
-    return CrtIsomorphism(n, spec, tuple(tuples), tuple(indices))
+    tuples = tuple(tuple(x % m for m in moduli) for x in range(n))
+    return CrtIsomorphism(n, spec, tuples, tuple(spec.index(c) for c in tuples))
 
 
 # ==== clique partition and K_2 reduction ====
@@ -371,25 +334,27 @@ class CliquePartition:
 def clique_partition(spec: ProductSpec) -> CliquePartition:
     """Partition prod K[a_i,b_i] into n/b_1 cliques of size b_1.
 
-    Built factor by factor: consecutive blocks of b_1 vertices partition
-    the first factor; appending a factor of size s turns each clique C
-    into s shifted copies {(u_j, (l+j) mod s)}.  Requires canonical order
-    so that b_1 is minimal.
+    Built factor by factor on coordinate tuples: consecutive blocks of
+    b_1 residues partition the first factor; appending a factor of size s
+    turns each clique C into s shifted copies {(u_j, (l+j) mod s)}.
+    Requires canonical order so that b_1 is minimal.
     """
     if not spec.canonical_order:
         raise ValueError("clique partition needs canonical factor order")
     b1 = spec.factors[0].b
-    cliques: list[tuple[int, ...]] = [
-        tuple(range(m * b1, (m + 1) * b1)) for m in range(spec.factors[0].a)
+    cliques = [
+        [(c,) for c in range(m * b1, (m + 1) * b1)] for m in range(spec.factors[0].a)
     ]
     for f in spec.factors[1:]:
         s = f.size
         cliques = [
-            tuple(u * s + (shift + j) % s for j, u in enumerate(c))
+            [u + ((shift + j) % s,) for j, u in enumerate(c)]
             for c in cliques
             for shift in range(s)
         ]
-    return CliquePartition(spec, tuple(cliques))
+    return CliquePartition(
+        spec, tuple(tuple(spec.index(u) for u in c) for c in cliques)
+    )
 
 
 def k2_reduction(spec: ProductSpec) -> tuple[int, ProductSpec | None]:
@@ -455,12 +420,12 @@ class Descriptor:
     def n_vertices(self) -> int:
         return self.ucg_n if self.kind == "ucg" else self.spec.n_vertices
 
-    def build(self, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+    def build(self) -> Graph:
         """Materialize the graph; specs are built in canonical order so
         witnesses always refer to the canonical vertex numbering."""
         if self.kind == "ucg":
-            return unitary_cayley(self.ucg_n, cap=cap)
-        return product_spec_graph(self.spec.canonical(), cap=cap)
+            return unitary_cayley(self.ucg_n)
+        return product_spec_graph(self.spec.canonical())
 
     def clique_size(self) -> int:
         """Size b_1 of the cliques in the graph's clique partition.

@@ -12,6 +12,7 @@ gamma_t(X_n) can undercut Jacobsthal's g(n).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -147,13 +148,6 @@ def _noncoprime_run(n: int, start: int, length: int) -> bool:
 # ==== explicit constructions ====
 
 
-def _spec_index(spec: ProductSpec, coords) -> int:
-    idx = 0
-    for f, c in zip(spec.factors, coords):
-        idx = idx * f.size + c
-    return idx
-
-
 def _require_all_single(spec: ProductSpec) -> tuple[int, ...]:
     if any(f.a != 1 for f in spec.factors):
         raise ValueError("construction needs complete-graph factors (all a_i = 1)")
@@ -163,9 +157,7 @@ def _require_all_single(spec: ProductSpec) -> tuple[int, ...]:
     return bs
 
 
-def consecutive_residue_set(
-    n: int, *, verify_cap: int = DEFAULT_VERTEX_CAP
-) -> ConstructionResult:
+def consecutive_residue_set(n: int) -> ConstructionResult:
     """{0, ..., g(n)-1} as a total dominating set of X_n.
 
     Any window of g(n) consecutive integers contains a coprime to n, so
@@ -176,7 +168,7 @@ def consecutive_residue_set(
     g = jacobsthal(n)
     dset = tuple(range(g))
     verified = False
-    if n <= verify_cap:
+    if n <= DEFAULT_VERTEX_CAP:
         if not ucg_is_total_dominating(n, dset):
             raise InternalConsistencyError(
                 f"consecutive residues 0..{g - 1} failed to totally dominate X_{n}"
@@ -185,7 +177,15 @@ def consecutive_residue_set(
     return ConstructionResult(f"ucg:{n}", dset, "total_dominating", verified)
 
 
-def diagonal_set(spec: ProductSpec, m: int = 0, *, verify: bool = True) -> ConstructionResult:
+def _checked(spec: ProductSpec, dset, kind: str, check, name: str) -> ConstructionResult:
+    """Run the checker for `kind` on the built product; a construction
+    that fails it is a bug, not an input error."""
+    if not check(product_spec_graph(spec), dset):
+        raise InternalConsistencyError(f"{name} failed its checker")
+    return ConstructionResult(spec.descriptor(), dset, kind, True)
+
+
+def diagonal_set(spec: ProductSpec, m: int = 0) -> ConstructionResult:
     """Total dominating set {(r mod n_1, ..., r mod n_t) : 0 <= r <= t+m}
     of prod K_{n_i}, of size t+m+1.
 
@@ -205,18 +205,12 @@ def diagonal_set(spec: ProductSpec, m: int = 0, *, verify: bool = True) -> Const
     if t + m >= bs[1]:
         raise ValueError(f"hypothesis t+m < n_2 fails: {t}+{m} >= {bs[1]}")
     dset = tuple(
-        sorted(_spec_index(spec, [r % b for b in bs]) for r in range(t + m + 1))
+        sorted(spec.index([r % b for b in bs]) for r in range(t + m + 1))
     )
-    verified = False
-    if verify:
-        graph = product_spec_graph(spec)
-        if not is_total_dominating(graph, dset):
-            raise InternalConsistencyError("diagonal set failed its checker")
-        verified = True
-    return ConstructionResult(spec.descriptor(), dset, "total_dominating", verified)
+    return _checked(spec, dset, "total_dominating", is_total_dominating, "diagonal set")
 
 
-def t_plus_two_set(spec: ProductSpec, *, verify: bool = True) -> ConstructionResult:
+def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
     """Dominating set of size t+2 for prod K_{n_i} when n_1 = t: the t
     diagonal vertices plus (0,1,t,...,t) and (1,0,t,...,t)."""
     bs = _require_all_single(spec)
@@ -232,20 +226,14 @@ def t_plus_two_set(spec: ProductSpec, *, verify: bool = True) -> ConstructionRes
     vertices = [[r % b for b in bs] for r in range(t)]
     vertices.append([0, 1] + [t] * (t - 2))
     vertices.append([1, 0] + [t] * (t - 2))
-    dset = tuple(sorted(_spec_index(spec, v) for v in vertices))
-    verified = False
-    if verify:
-        graph = product_spec_graph(spec)
-        if not is_dominating(graph, dset):
-            raise InternalConsistencyError("t+2 construction failed its checker")
-        verified = True
-    return ConstructionResult(spec.descriptor(), dset, "dominating", verified)
+    dset = tuple(sorted(spec.index(v) for v in vertices))
+    return _checked(spec, dset, "dominating", is_dominating, "t+2 construction")
 
 
 _CORNERS3 = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
-def cube_corner_set(spec: ProductSpec, *, verify: bool = True) -> ConstructionResult:
+def cube_corner_set(spec: ProductSpec) -> ConstructionResult:
     """The 8-vertex dominating set {0,1} x {(0,0,0),(0,1,1),(1,0,1),(1,1,0)}
     of K_2 x K_{n_2} x K_{n_3} x K_{n_4}."""
     bs = _require_all_single(spec)
@@ -254,42 +242,22 @@ def cube_corner_set(spec: ProductSpec, *, verify: bool = True) -> ConstructionRe
     if bs[0] != 2:
         raise ValueError(f"need n_1 = 2, got {bs[0]}")
     dset = tuple(
-        sorted(
-            _spec_index(spec, (x,) + corner) for x in (0, 1) for corner in _CORNERS3
-        )
+        sorted(spec.index((x,) + corner) for x in (0, 1) for corner in _CORNERS3)
     )
-    verified = False
-    if verify:
-        graph = product_spec_graph(spec)
-        if not is_dominating(graph, dset):
-            raise InternalConsistencyError("cube-corner set failed its checker")
-        verified = True
-    return ConstructionResult(spec.descriptor(), dset, "dominating", verified)
+    return _checked(spec, dset, "dominating", is_dominating, "cube-corner set")
 
 
-def partite_column_set(spec: ProductSpec, *, verify: bool = True) -> ConstructionResult:
+def partite_column_set(spec: ProductSpec) -> ConstructionResult:
     """All vertices whose first coordinate lies in one partite set of the
     first factor: a minimal dominating set of size n/b_1 (every member is
     lonely)."""
     if not spec.canonical_order:
         raise ValueError("needs canonical factor order (b_1 minimal)")
     b1 = spec.factors[0].b
-    stride = spec.n_vertices // spec.factors[0].size
-    dset = tuple(
-        sorted(
-            f * stride + r
-            for f in range(spec.factors[0].size)
-            if f % b1 == 0
-            for r in range(stride)
-        )
+    dset = tuple(v for v in range(spec.n_vertices) if spec.coords(v)[0] % b1 == 0)
+    return _checked(
+        spec, dset, "minimal_dominating", is_minimal_dominating, "partite column"
     )
-    verified = False
-    if verify:
-        graph = product_spec_graph(spec)
-        if not is_minimal_dominating(graph, dset):
-            raise InternalConsistencyError("partite column failed its checker")
-        verified = True
-    return ConstructionResult(spec.descriptor(), dset, "minimal_dominating", verified)
 
 
 # ==== piecewise formulas and single-theorem bounds ====
@@ -540,7 +508,7 @@ def conjecture_check(spec: ProductSpec, budget: Budget | None = None) -> Conject
 # ==== certificate builders for M and M_t ====
 
 
-def mt_witness(j: int, *, verify_cap: int = DEFAULT_VERTEX_CAP) -> WitnessN:
+def mt_witness(j: int) -> WitnessN:
     """Build n with at least j prime factors and a total dominating set
     of X_n smaller than g(n).
 
@@ -593,7 +561,7 @@ def mt_witness(j: int, *, verify_cap: int = DEFAULT_VERTEX_CAP) -> WitnessN:
     dset = tuple(range(q + 2)) + (y,)
 
     verified = False
-    if n <= verify_cap:
+    if n <= DEFAULT_VERTEX_CAP:
         if not ucg_is_total_dominating(n, dset):
             raise InternalConsistencyError("witness set is not total dominating")
         verified = True
@@ -604,9 +572,7 @@ def mt_witness(j: int, *, verify_cap: int = DEFAULT_VERTEX_CAP) -> WitnessN:
     )
 
 
-def m_family_witness(
-    family: int, p1: int, p2: int, *, verify_cap: int = DEFAULT_VERTEX_CAP
-) -> MWitness:
+def m_family_witness(family: int, p1: int, p2: int) -> MWitness:
     """Certificates for membership in M.
 
     Family 1: n = 2*p1*p2 with 3 <= p1 < p2; a 4-vertex dominating set
@@ -645,7 +611,7 @@ def m_family_witness(
     if len(dset) != len(corners):
         raise InternalConsistencyError("lifted dominating set lost vertices")
     verified = False
-    if n <= verify_cap:
+    if n <= DEFAULT_VERTEX_CAP:
         if not ucg_is_dominating(n, dset):
             raise InternalConsistencyError("lifted corner set is not dominating")
         verified = True
@@ -664,13 +630,5 @@ def column_multiplicity_ok(spec: ProductSpec, witness) -> bool:
     """True when no coordinate value appears more than twice among the
     witness vertices, per coordinate position.  A structural property of
     minimum dominating sets of size t+2 in complete-graph products."""
-    labels = product_spec_graph(spec).labels
-    t = spec.t
-    for pos in range(t):
-        counts: dict[int, int] = {}
-        for v in witness:
-            c = labels[v][pos]
-            counts[c] = counts.get(c, 0) + 1
-            if counts[c] > 2:
-                return False
-    return True
+    columns = zip(*(spec.coords(v) for v in witness))
+    return all(max(Counter(column).values()) <= 2 for column in columns)

@@ -21,6 +21,11 @@ def random_graph(rng, n: int, p: float | None = None) -> Graph:
     return Graph(adj)
 
 
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """Disjoint union; vertices of h are shifted by |V(g)|."""
+    return Graph(list(g.adj) + [row << g.n for row in h.adj])
+
+
 def random_bipartite_graph(rng, n: int, p: float | None = None) -> Graph:
     if p is None:
         p = rng.uniform(0.2, 0.8)

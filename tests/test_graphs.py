@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,8 +13,6 @@ from domprod import (
     clique_partition,
     complete_graph,
     crt_isomorphism,
-    direct_product,
-    disjoint_union,
     euler_phi,
     factorize,
     k2_reduction,
@@ -22,9 +21,10 @@ from domprod import (
     ucg_product_spec,
     unitary_cayley,
 )
+from domprod.cli import _enum_small_specs
 from domprod.graphs import iter_bits
 
-from helpers import random_bipartite_graph, random_graph, random_spec
+from helpers import disjoint_union, random_bipartite_graph, random_graph, random_spec
 
 
 # ==== BASIC GRAPH TYPE ====
@@ -47,7 +47,7 @@ def test_graph_accessors():
     assert g.n == 4
     assert g.edge_count() == 6
     assert g.degree(2) == 3
-    assert g.neighbors(0) == (1, 2, 3)
+    assert list(iter_bits(g.adj[0])) == [1, 2, 3]
     assert g.has_edge(1, 3) and not g.has_edge(2, 2)
     assert g.closed(1) == g.full_mask()
     g.validate()
@@ -87,35 +87,55 @@ def test_factor_validation():
         Factor(1, 1)
 
 
-def test_direct_product_adjacency():
-    rng = random.Random(23)
-    g = multipartite(2, 2)
-    h = complete_graph(3)
-    p = direct_product(g, h)
-    assert p.n == 12
-    for _ in range(200):
-        ug, uh = rng.randrange(4), rng.randrange(3)
-        vg, vh = rng.randrange(4), rng.randrange(3)
-        want = g.has_edge(ug, vg) and h.has_edge(uh, vh)
-        assert p.has_edge(ug * 3 + uh, vg * 3 + vh) == want
-    p.validate()
+def test_product_spec_graph_adjacency_rule():
+    # u ~ v iff, in every factor, their residues lie in different
+    # partite sets; stored and reversed factor orders both follow it
+    for pairs in _enum_small_specs(40, 4):
+        for order in (pairs, pairs[::-1]):
+            spec = ProductSpec.from_pairs(order)
+            g = product_spec_graph(spec)
+            g.validate()
+            assert g.n == spec.n_vertices
+            coords = [spec.coords(v) for v in range(g.n)]
+            for u in range(g.n):
+                for v in range(g.n):
+                    want = all(
+                        (x - y) % f.b != 0
+                        for x, y, f in zip(coords[u], coords[v], spec.factors)
+                    )
+                    assert g.has_edge(u, v) == want
 
 
-def test_direct_product_degree_identity():
-    rng = random.Random(29)
-    for _ in range(10):
-        g = multipartite(rng.randint(1, 2), rng.randint(2, 4))
-        h = multipartite(rng.randint(1, 2), rng.randint(2, 3))
-        p = direct_product(g, h)
-        for vg in range(g.n):
-            for vh in range(h.n):
-                assert p.degree(vg * h.n + vh) == g.degree(vg) * h.degree(vh)
-
-
-def test_product_spec_graph_labels():
+def test_product_spec_coords_index_roundtrip():
     spec = ProductSpec.from_pairs([(1, 2), (1, 3)])
-    g = product_spec_graph(spec)
-    assert g.labels == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+    assert [spec.coords(v) for v in range(6)] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
+    ]
+    for v in (-1, 6):
+        with pytest.raises(ValueError):
+            spec.coords(v)
+    rng = random.Random(37)
+    for _ in range(50):
+        spec = random_spec(rng, 500)
+        for v in range(spec.n_vertices):
+            c = spec.coords(v)
+            assert all(0 <= x < f.size for x, f in zip(c, spec.factors))
+            assert spec.index(c) == v
+
+
+def test_large_product_build_matches_unitary_cayley():
+    # 30,030 vertices: one pass takes well under a second, while a chain
+    # of pairwise products with a relabel pass takes over 10 s
+    start = time.perf_counter()
+    h = product_spec_graph(ucg_product_spec(30030))
+    assert time.perf_counter() - start < 3.0
+    g = unitary_cayley(30030)
+    iso = crt_isomorphism(30030)
+    rng = random.Random(41)
+    for _ in range(2000):
+        u, v = rng.randrange(30030), rng.randrange(30030)
+        assert g.has_edge(u, v) == h.has_edge(iso.index_of(u), iso.index_of(v))
+    assert h.degree(iso.index_of(1)) == g.degree(1) == euler_phi(30030)
 
 
 def test_transitive_flag_only_by_construction():
@@ -124,15 +144,12 @@ def test_transitive_flag_only_by_construction():
     assert complete_graph(4).transitive and complete_graph(1).transitive
     assert unitary_cayley(12).transitive
     assert product_spec_graph(ProductSpec.from_pairs([(2, 2), (1, 3)])).transitive
-    assert direct_product(multipartite(1, 2), unitary_cayley(5)).transitive
     assert Descriptor.parse("ucg:30").build().transitive
     assert Descriptor.parse("K[1,3]xK[2,2]").build().transitive
     # raw adjacency and anything built from it is never assumed transitive
     k3 = complete_graph(3)
     assert not Graph(k3.adj).transitive
     assert not disjoint_union(k3, k3).transitive
-    assert not direct_product(Graph(k3.adj), k3).transitive
-    assert not direct_product(k3, Graph(k3.adj)).transitive
     rng = random.Random(31)
     assert not random_graph(rng, 6).transitive
     assert not random_bipartite_graph(rng, 6).transitive

@@ -12,7 +12,6 @@ from domprod import (
     ProductSpec,
     classify,
     complete_graph,
-    disjoint_union,
     gamma_exact,
     gamma_oracle,
     gamma_total_exact,
@@ -30,6 +29,7 @@ from domprod.graphs import Graph
 from domprod.solvers import ORACLE_CAP, _greedy_independent, bipartition
 
 from helpers import (
+    disjoint_union,
     minimality_by_deletion,
     random_bipartite_graph,
     random_graph,
@@ -322,6 +322,17 @@ def test_large_graph_setup_fits_the_time_limit():
     r = gamma_exact(g, Budget(max_nodes=10**12, time_limit=1.0))
     assert time.monotonic() - t0 < 1.5
     assert r.optimal and r.value == 2
+
+
+def test_greedy_incumbent_stops_at_the_time_limit():
+    # the largest-gain greedy pass alone takes seconds on this graph; past
+    # the deadline it finishes with each uncovered vertex's lowest candidate
+    g = unitary_cayley(30030)
+    t0 = time.monotonic()
+    r = gamma_exact(g, Budget(max_nodes=10**12, time_limit=1.0))
+    assert time.monotonic() - t0 < 2.0
+    assert not r.optimal and r.nodes == 0
+    assert is_dominating(g, r.witness) and r.value == len(r.witness) == r.hi
 
 
 def test_upper_budget_cut_keeps_best_set_found():
