@@ -41,7 +41,6 @@ from .solvers import (
 )
 from .theorems import (
     InternalConsistencyError,
-    complete_product_gamma,
     conjecture_check,
     consecutive_residue_set,
     cube_corner_set,
@@ -419,7 +418,7 @@ def _suite_thm1(limit: int, budget: Budget):
                 shapes.append((n1, n2, n3))
     for shape in shapes:
         spec = ProductSpec.from_pairs([(1, b) for b in shape])
-        formula = complete_product_gamma(spec)
+        formula = gamma_bounds(spec)
         if not formula.exact:
             continue
         solved = gamma_exact(product_spec_graph(spec), budget)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
 from .numbertheory import factorize
@@ -204,25 +203,35 @@ def complete_graph(n: int) -> Graph:
     return Graph([full ^ (1 << v) for v in range(n)], transitive=True)
 
 
+def ucg_rows(n: int, residues) -> Iterator[int]:
+    """The neighbourhood in X_n of each residue (taken mod n), as a mask
+    whose bit u is set iff gcd(u - v, n) = 1.
+
+    This is the one implementation of X_n adjacency.  The unit mask is
+    built once: clearing full // (2^p - 1), which has a 1 at every
+    multiple of p, for each prime p | n leaves exactly the residues
+    coprime to n.  Row v is that mask rotated by v.
+    """
+    full = (1 << n) - 1
+    units = full
+    for p, _ in factorize(n):
+        units &= ~(full // ((1 << p) - 1))
+    for v in residues:
+        v %= n
+        yield ((units << v) | (units >> (n - v))) & full
+
+
 def unitary_cayley(n: int) -> Graph:
     """X_n on residues 0..n-1; x ~ y iff gcd(x - y, n) = 1.
 
-    Dense adjacency costs n^2/8 bytes; callers needing very large n
-    should use implicit gcd adjacency instead of materializing.
+    Dense adjacency costs n^2/8 bytes; to check a vertex set of X_n
+    for large n, use theorems.ucg_is_dominating or
+    ucg_is_total_dominating, which build only the rows of the set.
     """
     if n < 2:
         raise ValueError(f"unitary Cayley graph needs n >= 2, got {n}")
     _check_cap(n)
-    full = (1 << n) - 1
-    base = 0
-    for d in range(1, n):
-        if gcd(d, n) == 1:
-            base |= 1 << d
-    adj = []
-    for v in range(n):
-        rot = ((base << v) | (base >> (n - v))) & full if v else base
-        adj.append(rot)
-    return Graph(adj, transitive=True)
+    return Graph(list(ucg_rows(n, range(n))), transitive=True)
 
 
 def product_spec_graph(spec: ProductSpec) -> Graph:

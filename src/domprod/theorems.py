@@ -8,6 +8,10 @@ explicit dominating sets (diagonals, cube corners, partite columns,
 consecutive residues), interval reports whose sides carry provenance
 tags, and congruence-built certificates showing gamma(X_n) or
 gamma_t(X_n) can undercut Jacobsthal's g(n).
+
+Certificates on X_n are checked by ucg_is_dominating and
+ucg_is_total_dominating, which build only the rows of the set
+(graphs.ucg_rows), not the whole graph.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     Factor,
@@ -26,6 +28,7 @@ from .graphs import (
     k2_reduction,
     product_spec_graph,
     ucg_product_spec,
+    ucg_rows,
 )
 from .numbertheory import crt_solve, factorize, is_prime, jacobsthal, primes_from
 from .solvers import (
@@ -121,24 +124,37 @@ class ConjectureCheck:
 # ==== implicit unitary Cayley checks (no graph materialization) ====
 
 
-def _ucg_open_coverage(n: int, dset) -> np.ndarray:
-    arr = np.arange(n, dtype=np.int64)
-    covered = np.zeros(n, dtype=bool)
-    for d in dset:
-        covered |= np.gcd((arr - d) % n, n) == 1
+def _ucg_open_coverage(n: int, dset) -> int:
+    covered = 0
+    for row in ucg_rows(n, dset):
+        covered |= row
     return covered
 
 
 def ucg_is_dominating(n: int, dset) -> bool:
-    """gcd-arithmetic domination check on X_n without building the graph."""
+    """Domination check on X_n that builds only the rows of dset (members
+    are taken mod n), never the whole graph."""
     covered = _ucg_open_coverage(n, dset)
     for d in dset:
-        covered[d % n] = True
-    return bool(covered.all())
+        covered |= 1 << d % n
+    return covered == (1 << n) - 1
 
 
 def ucg_is_total_dominating(n: int, dset) -> bool:
-    return bool(_ucg_open_coverage(n, dset).all())
+    """Total domination check on X_n that builds only the rows of dset
+    (members are taken mod n), never the whole graph."""
+    return _ucg_open_coverage(n, dset) == (1 << n) - 1
+
+
+def _ucg_certified(n: int, dset, check, failure: str) -> bool:
+    """Run check(n, dset) when X_n is within the vertex cap and report
+    whether it ran; a certificate that fails it is a bug, not an input
+    error."""
+    if n > DEFAULT_VERTEX_CAP:
+        return False
+    if not check(n, dset):
+        raise InternalConsistencyError(failure)
+    return True
 
 
 def _noncoprime_run(n: int, start: int, length: int) -> bool:
@@ -167,13 +183,10 @@ def consecutive_residue_set(n: int) -> ConstructionResult:
         raise ValueError(f"need n >= 2, got {n}")
     g = jacobsthal(n)
     dset = tuple(range(g))
-    verified = False
-    if n <= DEFAULT_VERTEX_CAP:
-        if not ucg_is_total_dominating(n, dset):
-            raise InternalConsistencyError(
-                f"consecutive residues 0..{g - 1} failed to totally dominate X_{n}"
-            )
-        verified = True
+    verified = _ucg_certified(
+        n, dset, ucg_is_total_dominating,
+        f"consecutive residues 0..{g - 1} failed to totally dominate X_{n}",
+    )
     return ConstructionResult(f"ucg:{n}", dset, "total_dominating", verified)
 
 
@@ -290,37 +303,6 @@ def repeated_factor_lower(n: int) -> Fraction:
         raise ValueError(f"need omega <= 3, got {len(fac)}")
     p1 = fac[0][0]
     return Fraction(p1 * len(fac), p1 - 1)
-
-
-def complete_product_gamma(spec: ProductSpec) -> BoundReport:
-    """Known gamma values and bounds for prod K_{n_i}: exact for t = 2
-    (2 when n_1 = 2, else 3) and t = 3 (always 4); for t >= 4 at least
-    t+1, exactly t+1 once n_1 >= t+1."""
-    bs = _require_all_single(spec)
-    t = spec.t
-    if t < 2:
-        raise ValueError(f"need at least 2 factors, got {t}")
-    tag = "complete-product"
-    if t == 2:
-        v = 2 if bs[0] == 2 else 3
-        return _compose("gamma", [(v, tag)], [(v, tag)])
-    if t == 3:
-        return _compose("gamma", [(4, tag)], [(4, tag)])
-    lows = [(t + 1, tag)]
-    his = [(t + 1, tag)] if bs[0] >= t + 1 else [(spec.n_vertices, "all-vertices")]
-    return _compose("gamma", lows, his)
-
-
-def small_first_factor_lower(spec: ProductSpec) -> int:
-    """gamma(prod K_{n_i}) >= t + 1 + floor((t-1)/(n_1-1)) for t >= 4
-    factors with n_2 >= 3."""
-    bs = _require_all_single(spec)
-    t = spec.t
-    if t < 4:
-        raise ValueError(f"need t >= 4, got {t}")
-    if bs[1] < 3:
-        raise ValueError(f"need n_2 >= 3, got {bs[1]}")
-    return t + 1 + (t - 1) // (bs[0] - 1)
 
 
 def _diagonal_upper(bs: tuple[int, ...]) -> tuple[int, int] | None:
@@ -560,11 +542,9 @@ def mt_witness(j: int) -> WitnessN:
         raise InternalConsistencyError(f"y = {y} collides with the base segment")
     dset = tuple(range(q + 2)) + (y,)
 
-    verified = False
-    if n <= DEFAULT_VERTEX_CAP:
-        if not ucg_is_total_dominating(n, dset):
-            raise InternalConsistencyError("witness set is not total dominating")
-        verified = True
+    verified = _ucg_certified(
+        n, dset, ucg_is_total_dominating, "witness set is not total dominating"
+    )
     return WitnessN(
         n=n, q=q, k=k, primes=primes, D=dset, y=y, z=z,
         run_length=q + 3, a_sequence=tuple(a_seq), g_lower=q + 4,
@@ -610,11 +590,9 @@ def m_family_witness(family: int, p1: int, p2: int) -> MWitness:
     )
     if len(dset) != len(corners):
         raise InternalConsistencyError("lifted dominating set lost vertices")
-    verified = False
-    if n <= DEFAULT_VERTEX_CAP:
-        if not ucg_is_dominating(n, dset):
-            raise InternalConsistencyError("lifted corner set is not dominating")
-        verified = True
+    verified = _ucg_certified(
+        n, dset, ucg_is_dominating, "lifted corner set is not dominating"
+    )
     if not len(dset) < run_length + 1:
         raise InternalConsistencyError("certificate does not separate gamma from g")
     return MWitness(

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +266,22 @@ def test_witness_thm6(capsys):
     (rec,) = records(out)
     assert rec["n"] == 969969 and rec["verified"] is True
     assert rec["size"] == len(rec["D"]) == 10 < rec["g_lower"]
+
+
+def test_witness_runs_without_numpy():
+    # a None entry in sys.modules makes any import of numpy fail
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from domprod.cli import main; "
+        "sys.exit(main(['witness', 'thm6', '--j', '6']))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert '"verified": true' in proc.stdout
 
 
 def test_witness_prop1(capsys):

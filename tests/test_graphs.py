@@ -187,10 +187,18 @@ def test_unitary_cayley_regular_and_symmetric():
 def test_unitary_cayley_adjacency_rule():
     from math import gcd
 
-    g = unitary_cayley(24)
-    for u in range(24):
-        for v in range(24):
-            assert g.has_edge(u, v) == (u != v and gcd(u - v, 24) == 1)
+    for n in range(2, 151):
+        g = unitary_cayley(n)
+        for u in range(n):
+            for v in range(n):
+                assert g.has_edge(u, v) == (gcd(u - v, n) == 1), (n, u, v)
+    # prime powers: the unit mask must clear every multiple of p
+    rng = random.Random(29)
+    for n in (2048, 2187, 3125):
+        g = unitary_cayley(n)
+        for _ in range(200):
+            u, v = rng.randrange(n), rng.randrange(n)
+            assert g.has_edge(u, v) == (gcd(u - v, n) == 1), (n, u, v)
 
 
 def test_ucg_product_spec():

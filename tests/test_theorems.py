@@ -6,11 +6,11 @@ import pytest
 from domprod import (
     Budget,
     ProductSpec,
-    complete_product_gamma,
     conjecture_check,
     consecutive_residue_set,
     cube_corner_set,
     diagonal_set,
+    factorize,
     gamma_bounds,
     gamma_exact,
     is_dominating,
@@ -23,7 +23,6 @@ from domprod import (
     partite_column_set,
     product_spec_graph,
     repeated_factor_lower,
-    small_first_factor_lower,
     squarefree_gamma_value,
     t_plus_two_set,
     ucg_gamma_bounds,
@@ -55,24 +54,31 @@ def test_squarefree_gamma_value():
         squarefree_gamma_value(210)  # four prime factors
 
 
-def test_complete_product_gamma():
-    assert complete_product_gamma(spec_of(2, 9)).lo == 2
-    assert complete_product_gamma(spec_of(2, 9)).exact
-    assert complete_product_gamma(spec_of(3, 4, 5)).lo == 4
-    r = complete_product_gamma(spec_of(6, 6, 6, 6, 6))
+def test_gamma_bounds_complete_product():
+    r = gamma_bounds(spec_of(2, 9))
+    assert r.exact and r.lo == 2
+    assert ("complete-product", "lo 2") in r.provenance
+    assert ("complete-product", "hi 2") in r.provenance
+    r = gamma_bounds(spec_of(3, 4, 5))
+    assert r.exact and r.lo == 4
+    assert ("complete-product", "lo 4") in r.provenance
+    r = gamma_bounds(spec_of(6, 6, 6, 6, 6))
     assert r.exact and r.lo == 6
-    r = complete_product_gamma(spec_of(2, 3, 3, 3))
-    assert r.lo == 5 and not r.exact
+    assert ("complete-product", "hi 6") in r.provenance  # n_1 >= t+1
+    r = gamma_bounds(spec_of(2, 3, 3, 3))  # n_1 < t+1: only the lower side
+    assert ("complete-product", "lo 5") in r.provenance
+    assert ("complete-product", "hi 5") not in r.provenance
 
 
-def test_small_first_factor_lower():
-    assert small_first_factor_lower(spec_of(2, 3, 3, 3)) == 8
-    assert small_first_factor_lower(spec_of(3, 3, 3, 3)) == 6
-    assert small_first_factor_lower(spec_of(5, 5, 5, 5)) == 5
-    with pytest.raises(ValueError):
-        small_first_factor_lower(spec_of(3, 3, 3))  # t < 4
-    with pytest.raises(ValueError):
-        small_first_factor_lower(spec_of(2, 2, 3, 3))  # n_2 < 3
+def test_gamma_bounds_small_first_factor_lower():
+    # t + 1 + floor((t-1)/(n_1-1)) for t >= 4 factors with n_2 >= 3
+    for bs, want in (((2, 3, 3, 3), 8), ((3, 3, 3, 3), 6), ((5, 5, 5, 5), 5)):
+        r = gamma_bounds(spec_of(*bs))
+        assert ("small-first-factor-lower", f"lo {want}") in r.provenance, bs
+        assert r.lo >= want
+    for bs in ((3, 3, 3), (2, 2, 3, 3)):  # t < 4, n_2 < 3
+        tags = {tag for tag, _ in gamma_bounds(spec_of(*bs)).provenance}
+        assert "small-first-factor-lower" not in tags, bs
 
 
 def test_repeated_factor_lower():
@@ -281,6 +287,18 @@ def test_implicit_checkers_match_graph_checkers():
         d = [v for v in range(n) if rng.random() < 0.2] or [0]
         assert ucg_is_dominating(n, d) == is_dominating(g, d)
         assert ucg_is_total_dominating(n, d) == is_total_dominating(g, d)
+        # members are residues: outside [0, n), negative, repeated; the
+        # multiples of the least prime p | n dominate, yet none of them
+        # has a neighbour in the set, so each must count itself
+        column = list(range(0, n, factorize(n)[0][0]))
+        assert ucg_is_dominating(n, column) and not ucg_is_total_dominating(n, column)
+        for base in (d, column):
+            e = [v + n * rng.choice((-2, -1, 1, 2)) for v in base]
+            e += [-v - n for v in base]
+            e += rng.sample(e, len(e) // 2)
+            reduced = [v % n for v in e]
+            assert ucg_is_dominating(n, e) == is_dominating(g, reduced)
+            assert ucg_is_total_dominating(n, e) == is_total_dominating(g, reduced)
 
 
 # ==== CERTIFICATES ====
