@@ -208,15 +208,11 @@ def cmd_solve(args) -> int:
     graph = desc.build()
     budget = _budget(args)
     if quantity == "gamma":
-        result = gamma_exact(graph, budget, deterministic=args.deterministic)
+        result = gamma_exact(graph, budget)
     elif quantity == "gamma_total":
-        result = gamma_total_exact(graph, budget, deterministic=args.deterministic)
+        result = gamma_total_exact(graph, budget)
     else:
-        result = gamma_upper_exact(
-            graph, budget,
-            clique_size=desc.clique_size(),
-            deterministic=args.deterministic,
-        )
+        result = gamma_upper_exact(graph, budget, clique_size=desc.clique_size())
     record = _solve_record(canonical, result)
     if cache is not None:
         cache.put(record)
@@ -554,8 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search node budget (default 10^7)")
     common.add_argument("--time-limit", type=float, default=None,
                         help="per-instance wall clock budget in seconds (default 60)")
-    common.add_argument("--deterministic", action="store_true",
-                        help="canonicalize witnesses (lexicographically smallest)")
     common.add_argument("--no-cache", action="store_true",
                         help="bypass the result cache")
     common.add_argument("--table", action="store_true",

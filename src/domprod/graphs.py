@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numbertheory import factorize
+from .numbertheory import factorize, unit_mask
 
 DEFAULT_VERTEX_CAP = 2_000_000
 
@@ -48,18 +48,35 @@ class Graph:
 
     adj[v] is an int whose bit u is set iff u ~ v.
 
-    transitive is a promise that the graph is vertex-transitive, which
-    lets the exact solvers assume vertex 0 is in an optimal set.  Only
-    builders whose output is vertex-transitive by construction set it;
-    it is never inferred, and a false promise gives wrong answers.
+    factors, when not None, is a promise that the graph is a direct
+    product of balanced complete multipartite factors, given as one
+    (stride, size, b) triple per factor: vertex v has residue
+    (v // stride) % size in that factor, its partite set is that residue
+    mod b, and u ~ v iff their partite sets differ in every factor.  So
+    every product of per-factor permutations that map partite sets to
+    partite sets is an automorphism, and the exact solvers use that
+    symmetry.  Only builders whose output has this form by construction
+    set it; it is never inferred, and a false promise gives wrong
+    answers.
     """
 
-    __slots__ = ("n", "adj", "transitive")
+    __slots__ = ("n", "adj", "factors")
 
-    def __init__(self, adj: list[int] | tuple[int, ...], *, transitive: bool = False):
+    def __init__(
+        self,
+        adj: list[int] | tuple[int, ...],
+        *,
+        factors: tuple[tuple[int, int, int], ...] | None = None,
+    ):
         self.n = len(adj)
         self.adj = tuple(adj)
-        self.transitive = transitive
+        self.factors = factors
+
+    @property
+    def transitive(self) -> bool:
+        """Vertex-transitive by construction: the factor symmetry moves
+        any vertex to any other."""
+        return self.factors is not None
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -200,22 +217,18 @@ def complete_graph(n: int) -> Graph:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
     _check_cap(n)
     full = (1 << n) - 1
-    return Graph([full ^ (1 << v) for v in range(n)], transitive=True)
+    return Graph([full ^ (1 << v) for v in range(n)], factors=((1, n, n),))
 
 
 def ucg_rows(n: int, residues) -> Iterator[int]:
     """The neighbourhood in X_n of each residue (taken mod n), as a mask
     whose bit u is set iff gcd(u - v, n) = 1.
 
-    This is the one implementation of X_n adjacency.  The unit mask is
-    built once: clearing full // (2^p - 1), which has a 1 at every
-    multiple of p, for each prime p | n leaves exactly the residues
-    coprime to n.  Row v is that mask rotated by v.
+    This is the one implementation of X_n adjacency: row v is the unit
+    mask of numbertheory.unit_mask, built once, rotated by v.
     """
     full = (1 << n) - 1
-    units = full
-    for p, _ in factorize(n):
-        units &= ~(full // ((1 << p) - 1))
+    units = unit_mask(n)
     for v in residues:
         v %= n
         yield ((units << v) | (units >> (n - v))) & full
@@ -231,15 +244,17 @@ def unitary_cayley(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"unitary Cayley graph needs n >= 2, got {n}")
     _check_cap(n)
-    return Graph(list(ucg_rows(n, range(n))), transitive=True)
+    # by CRT, residue x is the vertex (x mod p^e)_p of prod K[p^(e-1), p]
+    factors = tuple((1, p**e, p) for p, e in factorize(n))
+    return Graph(list(ucg_rows(n, range(n))), factors=factors)
 
 
 def product_spec_graph(spec: ProductSpec) -> Graph:
     """Direct product of the spec's multipartite factors: u ~ v iff in
     every factor their residues lie in different partite sets.
 
-    Vertices are numbered by spec.coords.  A product of Cayley graphs is
-    a Cayley graph, so the result is vertex-transitive.
+    Vertices are numbered by spec.coords, so the stride of factor i is
+    the product of the sizes of the factors after it.
     """
     n = spec.n_vertices
     _check_cap(n)
@@ -248,9 +263,11 @@ def product_spec_graph(spec: ProductSpec) -> Graph:
     # set r, i.e. is r mod b_i.  In row-major order, residue c of factor
     # i fills bits c*stride..(c+1)*stride-1 of every period-bit period.
     same = []
+    factors = []
     stride = n
     for f in spec.factors:
         period, stride = stride, stride // f.size
+        factors.append((stride, f.size, f.b))
         repeat = full // ((1 << period) - 1)  # a 1 at the start of each period
         block = (1 << stride) - 1
         same.append([
@@ -263,7 +280,7 @@ def product_spec_graph(spec: ProductSpec) -> Graph:
         for masks, c, f in zip(same, spec.coords(v), spec.factors):
             blocked |= masks[c % f.b]
         adj.append(full & ~blocked)
-    return Graph(adj, transitive=True)
+    return Graph(adj, factors=tuple(factors))
 
 
 def ucg_product_spec(n: int) -> ProductSpec:

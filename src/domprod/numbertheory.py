@@ -4,8 +4,8 @@ Jacobsthal's function, and Chinese-remainder solving.
 Everything works on plain Python integers.  Inputs are human-scale, so
 factorize() uses trial division; it rejects n above 2**63 - 1 so a
 pathological input cannot wedge a scan.  Jacobsthal's function is computed
-by a cyclic residue scan on the radical, which keeps it exact and fast for
-n up to a few million.
+exactly from the bit mask of the residues of the radical that are not
+coprime to it, in omega + g(n) bigint operations on a radical-bit int.
 """
 
 from __future__ import annotations
@@ -104,36 +104,47 @@ def primes_from(start: int) -> Iterator[int]:
         p += 1
 
 
+def unit_mask(n: int) -> int:
+    """The residues mod n coprime to n, as a mask: bit x is set iff
+    0 <= x < n and gcd(x, n) = 1.
+
+    Start from all n bits and, for each prime p | n, clear
+    full // (2^p - 1), which has a 1 at every multiple of p below n
+    (exactly, because p divides n): omega(n) bigint operations in place
+    of n gcd calls.
+    """
+    full = (1 << n) - 1
+    units = full
+    for p, _ in factorize(n):
+        units &= ~(full // ((1 << p) - 1))
+    return units
+
+
 def jacobsthal_run(n: int) -> JacobsthalRun:
     """Jacobsthal's g(n) with the extremal run that attains it.
 
     g(n) is the least m such that every m consecutive integers contain one
     coprime to n.  Computed as L + 1 where L is the longest cyclic run of
-    residues mod n sharing a factor with n; only the radical matters, so
-    the scan runs over radical(n) residues.
+    residues mod n sharing a factor with n; only the radical r matters.
+    r - 1 is coprime to r, so no run wraps past r - 1 and the runs are
+    those of the non-coprime mask of r.  After m rounds of
+    x &= x >> 1 on that mask, bit i survives iff residues i..i+m are all
+    non-coprime, so L is one more than the number of rounds that leave a
+    bit, and the lowest surviving bit is the smallest start of a longest
+    run.
     """
     if n < 1:
         raise ValueError(f"jacobsthal needs n >= 1, got {n}")
     if n == 1:
         return JacobsthalRun(1, 0, 0)
     r = radical(n)
-    coprime_positions = [i for i in range(r) if gcd(i, r) == 1]
-    # 1 is always coprime, so the list is nonempty and every non-coprime
-    # run lies between two coprime positions (cyclically).
-    best_len = 0
-    best_start = 0
-    m = len(coprime_positions)
-    for idx in range(m):
-        cur = coprime_positions[idx]
-        nxt = coprime_positions[(idx + 1) % m]
-        length = (nxt - cur - 1) % r if m > 1 else r - 1
-        start = (cur + 1) % r
-        if length > best_len or (length == best_len and length > 0 and start < best_start):
-            best_len = length
-            best_start = start
-    if best_len == 0:
-        best_start = 0
-    return JacobsthalRun(best_len + 1, best_start, best_len)
+    run = ((1 << r) - 1) & ~unit_mask(r)  # nonzero: 0 shares every factor
+    length = 1
+    while run & (run >> 1):
+        run &= run >> 1
+        length += 1
+    start = (run & -run).bit_length() - 1
+    return JacobsthalRun(length + 1, start, length)
 
 
 def jacobsthal(n: int) -> int:

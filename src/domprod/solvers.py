@@ -20,19 +20,29 @@ gamma_upper_exact maximizes |D| over minimal dominating sets with an
 in/out search in index order, pruned by Ore feasibility (every chosen
 vertex must still be able to end up lonely or privately neighbored)
 and, when the caller supplies the clique size b of a clique partition,
-by the packing inequality b*l + 2*s <= n.  The same search, asked for
-the first set of the optimal size, gives the lexicographically smallest
-witness, because it tries "in" before "out" at every vertex.
+by the packing inequality b*l + 2*s <= n.
 
-Every graph a descriptor builds is vertex-transitive, so for all three
-invariants some optimal set contains vertex 0.  When a graph carries
-Graph.transitive (set only by builders whose output is vertex-transitive
-by construction, never inferred) the searches use this: each decision
+Symmetry comes only from Graph.factors, which only builders set: the
+graph is a product of balanced complete multipartite factors, so every
+product of per-factor residue permutations that keep partite sets
+together is an automorphism (_orbit_key names the orbits of its
+pointwise stabilizers).  Such a graph is vertex-transitive, so for all
+three invariants some optimal set contains vertex 0: each decision
 probe of gamma_exact, and of gamma_total_exact off its bipartite split,
-looks only for sets through vertex 0, and gamma_upper_exact never
-branches on leaving vertex 0 out.  The bipartite split of gamma_total
-stays unrooted: its one-sided instances are transitive only per
-connected side, which is not known by construction.
+looks only for sets through 0, and gamma_upper_exact never leaves 0
+out.  Beyond the root:
+  - a probe skips, and bans, a branching candidate in the same orbit as
+    a refuted sibling under the stabilizer of the chosen vertices; an
+    automorphism fixing them maps its covers to the sibling's, of which
+    there are none;
+  - gamma_upper_exact, leaving vertex i out, also leaves out the later
+    vertices in its orbit under the stabilizer of 0..i-1; each set so
+    dropped is the image of a set of the same size through i, which the
+    "in" branch has already searched.
+Both rules only drop subtrees that hold no better answer than one
+already met, so values and witnesses are those of the search without
+them, found in fewer nodes.  The bipartite split of gamma_total uses no
+symmetry: its one-sided instances are not the whole graph.
 
 gamma_oracle is an independent brute force over subsets, used as ground
 truth in tests; it shares nothing with the branch-and-bound code paths
@@ -249,15 +259,57 @@ class _CoverInstance:
     """A min-cover problem on a graph: cover `universe` with the sets
     covers[v] for v in `allowed`.  Set positions are vertex ids, and
     covers is a symmetric relation (closed or open adjacency), so the
-    sets that contain element e are covers[e] & allowed."""
+    sets that contain element e are covers[e] & allowed.
 
-    __slots__ = ("universe", "covers", "allowed", "positions")
+    factors, when given, is the graph's Graph.factors and the instance
+    is the whole graph (every vertex to cover, every vertex allowed), so
+    the factor symmetry maps covers to covers of the same size."""
 
-    def __init__(self, universe: int, covers: Sequence[int], allowed: int):
+    __slots__ = ("universe", "covers", "allowed", "positions", "factors")
+
+    def __init__(
+        self, universe: int, covers: Sequence[int], allowed: int, factors=None
+    ):
         self.universe = universe
         self.covers = covers
         self.allowed = allowed
         self.positions = list(iter_bits(allowed))
+        self.factors = factors
+
+
+def _orbit_key(factors, fixed: Iterable[int]):
+    """Key function whose equal values are vertices in one orbit of the
+    pointwise stabilizer of `fixed` in the factor symmetry group, or
+    None when that stabilizer is trivial (every orbit is one vertex).
+
+    The group is the product over factors of the residue permutations
+    that map partite sets to partite sets, and fixing a vertex fixes its
+    residue in every factor.  So per factor a residue that some member
+    of `fixed` has is its own orbit, the other residues of a partite set
+    that holds such a member form one orbit, and every residue of the
+    untouched partite sets forms one more.  The key is the tuple of
+    those per-factor labels: the residue r, the partite set s as -1 - s,
+    or None.
+    """
+    fixed = list(fixed)
+    parts = []
+    trivial = True
+    for stride, size, b in factors:
+        residues = {v // stride % size for v in fixed}
+        sets = {r % b for r in residues}
+        labels = [
+            r if r in residues else -1 - r % b if r % b in sets else None
+            for r in range(size)
+        ]
+        trivial = trivial and len(set(labels)) == size
+        parts.append((stride, size, labels))
+    if trivial:
+        return None
+
+    def key(v: int) -> tuple:
+        return tuple([labels[v // stride % size] for stride, size, labels in parts])
+
+    return key
 
 
 def _greedy_cover(inst: _CoverInstance, state: _SearchState) -> list[int]:
@@ -303,20 +355,23 @@ def _packing_lower(inst: _CoverInstance) -> int:
 
 
 def _exists_cover(
-    inst: _CoverInstance,
-    k: int,
-    state: _SearchState,
-    *,
-    remaining: int | None = None,
-    banned: int = 0,
+    inst: _CoverInstance, k: int, state: _SearchState, chosen: Sequence[int] = ()
 ) -> list[int] | None:
-    """Find set positions (at most k) covering `remaining`, or prove none
-    exist among the non-banned sets.  Exact decision search."""
+    """Find set positions (at most k, starting with `chosen`) covering
+    the universe, or prove none exist.  Exact decision search.
+
+    A position is banned at a node once no cover of at most k sets
+    contains it together with the node's chosen positions.  With
+    inst.factors, a candidate in the same orbit as a refuted sibling
+    under the pointwise stabilizer of the chosen positions is banned
+    without a search: an automorphism fixing them maps its covers onto
+    the sibling's, and the sibling has none.
+    """
     covers = inst.covers
     allowed = inst.allowed
     positions = inst.positions
 
-    def rec(remaining: int, banned: int, k: int, chosen: list[int]):
+    def rec(remaining: int, banned: int, k: int, chosen: list[int], factors):
         state.tick()
         avail = allowed & ~banned
         # unit propagation, zero-candidate pruning, branch-element choice
@@ -363,14 +418,27 @@ def _exists_cover(
         order = sorted(
             iter_bits(best_cands), key=lambda i: -(covers[i] & remaining).bit_count()
         )
+        # a trivial stabilizer stays trivial below: children fix more
+        key = None if factors is None else _orbit_key(factors, chosen)
+        if key is None:
+            factors = None
+        refuted = set()  # orbit keys of the refuted siblings
         for i in order:
-            res = rec(remaining & ~covers[i], banned, k - 1, chosen + [i])
+            if refuted and key(i) in refuted:
+                banned |= 1 << i
+                continue
+            res = rec(remaining & ~covers[i], banned, k - 1, chosen + [i], factors)
             if res is not None:
                 return res
             banned |= 1 << i  # anything through i is now fully refuted
+            if key is not None:
+                refuted.add(key(i))
         return None
 
-    return rec(inst.universe if remaining is None else remaining, banned, k, [])
+    remaining = inst.universe
+    for i in chosen:
+        remaining &= ~covers[i]
+    return rec(remaining, 0, k - len(chosen), list(chosen), inst.factors)
 
 
 def _max_cover_atleast(
@@ -405,19 +473,15 @@ def _max_cover_atleast(
 
 
 def _min_cover(
-    inst: _CoverInstance,
-    state: _SearchState,
-    *,
-    refuter=None,
-    root: int | None = None,
+    inst: _CoverInstance, state: _SearchState, refuter=None
 ) -> tuple[list[int], int, bool]:
     """Minimum cover by descending decision probes.
 
     Returns (best set positions, proven lower bound, optimal).  The
     refuter, when given, may prove "no k-cover" cheaply; returning False
-    just falls through to the exact search.  root, when given, is a set
-    position that some minimum cover is known to contain, so each probe
-    only searches the covers through it.
+    just falls through to the exact search.  With inst.factors the graph
+    is vertex-transitive, so some minimum cover contains position 0 and
+    each probe only searches the covers through it.
     """
     if inst.universe == 0:
         return [], 0, True
@@ -427,51 +491,21 @@ def _min_cover(
     if state.expired():  # the greedy pass used up the time limit
         return best, lb, len(best) == lb
     lb = max(lb, _packing_lower(inst))
-    prefix = [] if root is None else [root]
-    rest = inst.universe if root is None else inst.universe & ~inst.covers[root]
+    root = [] if inst.factors is None else [0]
     try:
         while len(best) > lb:
             k = len(best) - 1
             if refuter is not None and refuter(k):
                 lb = len(best)
                 break
-            found = _exists_cover(inst, k - len(prefix), state, remaining=rest)
+            found = _exists_cover(inst, k, state, root)
             if found is None:
                 lb = len(best)
                 break
-            best = prefix + found
+            best = found
         return best, lb, True
     except BudgetExhausted:
         return best, lb, False
-
-
-def _lexmin_cover(
-    inst: _CoverInstance, size: int, state: _SearchState
-) -> list[int]:
-    """Lexicographically smallest cover of exactly `size` sets, found by
-    forced-inclusion decision probes in position order."""
-    chosen: list[int] = []
-    remaining = inst.universe
-    banned = 0
-    for i in inst.positions:
-        if len(chosen) == size:
-            break
-        if banned >> i & 1:
-            continue
-        probe = _exists_cover(
-            inst, size - len(chosen) - 1, state,
-            remaining=remaining & ~inst.covers[i], banned=banned | (1 << i),
-        )
-        # position i itself is banned in the probe so the completion
-        # cannot reuse it; the probe only checks the rest is finishable
-        if probe is not None:
-            chosen.append(i)
-            remaining &= ~inst.covers[i]
-        else:
-            banned |= 1 << i
-    if remaining or len(chosen) != size:
-        raise AssertionError("lexmin pass lost the known cover size")
-    return chosen
 
 
 # ==== bipartite structure ====
@@ -531,28 +565,20 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
 # ==== gamma and gamma_total ====
 
 
-def _solve_covers(quantity, method, parts, state, start, deterministic) -> SolveResult:
+def _solve_covers(quantity, method, parts, state, start) -> SolveResult:
     """Minimum covers of independent instances, reported as one set.
 
-    parts holds (instance, refuter, root) triples for _min_cover; the
-    witness is the union of their covers and lo the sum of their bounds.
-    deterministic swaps each cover for the lexicographically smallest
-    one of its size once every instance is proven optimal.
+    parts holds (instance, refuter) pairs for _min_cover; the witness is
+    the union of their covers and lo the sum of their bounds.
     """
     chosen: list[list[int]] = []
     lo = 0
     complete = True
-    for inst, refuter, root in parts:
-        best, lb, ok = _min_cover(inst, state, refuter=refuter, root=root)
+    for inst, refuter in parts:
+        best, lb, ok = _min_cover(inst, state, refuter)
         chosen.append(best)
         lo += lb
         complete = complete and ok
-    if deterministic and complete:
-        try:
-            for j, (inst, _, _) in enumerate(parts):
-                chosen[j] = _lexmin_cover(inst, len(chosen[j]), state)
-        except BudgetExhausted:
-            pass  # value stays proven; witness just is not the lex-min one
     witness = tuple(sorted(v for part in chosen for v in part))
     value = len(witness)
     return SolveResult(
@@ -561,9 +587,7 @@ def _solve_covers(quantity, method, parts, state, start, deterministic) -> Solve
     )
 
 
-def gamma_exact(
-    g: Graph, budget: Budget | None = None, *, deterministic: bool = False
-) -> SolveResult:
+def gamma_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Exact domination number with witness; optimal=False only on budget
     exhaustion, in which case the witness is the best cover found."""
     if g.n == 0:
@@ -571,17 +595,13 @@ def gamma_exact(
     start = time.monotonic()
     state = _SearchState(budget or Budget())
     full = g.full_mask()
-    inst = _CoverInstance(full, [g.closed(v) for v in range(g.n)], full)
+    inst = _CoverInstance(full, [g.closed(v) for v in range(g.n)], full, g.factors)
     sides = bipartition(g)
     refuter = _bipartite_gamma_refuter(g, sides, state) if sides else None
-    root = 0 if g.transitive else None
-    return _solve_covers("gamma", "branch-and-bound", [(inst, refuter, root)],
-                         state, start, deterministic)
+    return _solve_covers("gamma", "branch-and-bound", [(inst, refuter)], state, start)
 
 
-def gamma_total_exact(
-    g: Graph, budget: Budget | None = None, *, deterministic: bool = False
-) -> SolveResult:
+def gamma_total_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Exact total domination number.  Errors on isolated vertices.  On
     bipartite graphs the problem splits into two independent one-sided
     covers, solved separately (method "reduction")."""
@@ -595,15 +615,14 @@ def gamma_total_exact(
     sides = bipartition(g)
     if sides is None:
         full = g.full_mask()
-        root = 0 if g.transitive else None
         return _solve_covers("gamma_total", "branch-and-bound",
-                             [(_CoverInstance(full, g.adj, full), None, root)],
-                             state, start, deterministic)
+                             [(_CoverInstance(full, g.adj, full, g.factors), None)],
+                             state, start)
     mask_a, mask_b = sides
     # D-members on side A are the only open coverage side B can get
-    parts = [(_CoverInstance(mask_b, g.adj, mask_a), None, None),
-             (_CoverInstance(mask_a, g.adj, mask_b), None, None)]
-    return _solve_covers("gamma_total", "reduction", parts, state, start, deterministic)
+    parts = [(_CoverInstance(mask_b, g.adj, mask_a), None),
+             (_CoverInstance(mask_a, g.adj, mask_b), None)]
+    return _solve_covers("gamma_total", "reduction", parts, state, start)
 
 
 # ==== upper domination ====
@@ -624,11 +643,7 @@ def _greedy_independent(g: Graph) -> int:
 
 
 def gamma_upper_exact(
-    g: Graph,
-    budget: Budget | None = None,
-    *,
-    clique_size: int | None = None,
-    deterministic: bool = False,
+    g: Graph, budget: Budget | None = None, *, clique_size: int | None = None
 ) -> SolveResult:
     """Maximum size of a minimal dominating set.
 
@@ -660,6 +675,20 @@ def gamma_upper_exact(
     # (idx, in, out, covered); some maximum minimal dominating set
     # of a transitive graph contains 0
     prefix = (1, 1, 0, closed[0]) if g.transitive else (0, 0, 0, 0)
+    mates: dict[int, int] = {}
+
+    def orbit_mates(idx: int) -> int:
+        # the later vertices in the orbit of idx under the pointwise
+        # stabilizer of 0..idx-1: each set through one of them is the
+        # image of a set through idx, searched on the "in" branch of idx
+        if idx not in mates:
+            key = _orbit_key(g.factors, range(idx))
+            mask = 0
+            if key is not None:
+                mine = key(idx)
+                mask = sum(1 << w for w in range(idx + 1, n) if key(w) == mine)
+            mates[idx] = mask
+        return mates[idx]
 
     def feasible(in_mask: int) -> bool:
         # every chosen vertex must still be able to satisfy Ore: pools
@@ -675,56 +704,47 @@ def gamma_upper_exact(
                 return False
         return True
 
-    def search(floor: int, goal: int) -> tuple[int, int, bool]:
-        """In/out search in index order, from the prefix, for the largest
-        minimal dominating set with more than floor members; it stops at
-        the first one with goal members.  Returns (set, size, complete);
-        a budget cut keeps the best set found before it (0 if none)."""
-        found, found_size = 0, floor
-
-        def rec(idx: int, in_mask: int, out_mask: int, covered: int) -> None:
-            nonlocal found, found_size
-            state.tick()
-            in_cnt = in_mask.bit_count()
-            if in_cnt + (n - idx) <= found_size:
+    def rec(idx: int, in_mask: int, out_mask: int, covered: int) -> None:
+        """In/out search in index order for a minimal dominating set
+        larger than best_size; it stops at the first one of global_ub."""
+        nonlocal best_mask, best_size
+        state.tick()
+        in_cnt = in_mask.bit_count()
+        if in_cnt + (n - idx) <= best_size:
+            return
+        if surcharge:
+            perm_lonely = sum(
+                1 for d in iter_bits(in_mask) if adj[d] & ~out_mask == 0
+            )
+            if (n - surcharge * perm_lonely) // 2 <= best_size:
                 return
-            if surcharge:
-                perm_lonely = sum(
-                    1 for d in iter_bits(in_mask) if adj[d] & ~out_mask == 0
-                )
-                if (n - surcharge * perm_lonely) // 2 <= found_size:
-                    return
-            for u in iter_bits(full & ~covered):
-                if closed[u] & ~out_mask == 0:
-                    return  # u can never be dominated now
-            if not feasible(in_mask):
-                return
-            if idx == n:
-                if covered == full and in_cnt > found_size:
-                    found, found_size = in_mask, in_cnt
-                    if found_size >= goal:
-                        raise _Done
-                return
-            bit = 1 << idx
-            rec(idx + 1, in_mask | bit, out_mask, covered | closed[idx])
-            rec(idx + 1, in_mask, out_mask | bit, covered)
+        for u in iter_bits(full & ~covered):
+            if closed[u] & ~out_mask == 0:
+                return  # u can never be dominated now
+        if not feasible(in_mask):
+            return
+        if idx == n:
+            if covered == full and in_cnt > best_size:
+                best_mask, best_size = in_mask, in_cnt
+                if best_size >= global_ub:
+                    raise _Done
+            return
+        bit = 1 << idx
+        if out_mask & bit:  # an orbit mate of an earlier vertex
+            rec(idx + 1, in_mask, out_mask, covered)
+            return
+        rec(idx + 1, in_mask | bit, out_mask, covered | closed[idx])
+        if g.factors is not None:
+            out_mask |= orbit_mates(idx)
+        rec(idx + 1, in_mask, out_mask | bit, covered)
 
-        try:
-            rec(*prefix)
-        except _Done:
-            pass
-        except BudgetExhausted:
-            return found, found_size, False
-        return found, found_size, True
-
-    found, size, optimal = search(best_size, global_ub)
-    if size > best_size:
-        best_mask, best_size = found, size
-    if deterministic and optimal:
-        # in-first order reaches the lexicographically smallest set first
-        found, _, complete = search(best_size - 1, best_size)
-        if complete:  # a budget cut keeps the witness found above
-            best_mask = found
+    optimal = True
+    try:
+        rec(*prefix)
+    except _Done:
+        pass
+    except BudgetExhausted:  # keeps the best set found before the cut
+        optimal = False
     witness = tuple(iter_bits(best_mask))
     hi = best_size if optimal else min(global_ub, n)
     return SolveResult(

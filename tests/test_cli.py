@@ -91,15 +91,6 @@ def test_budget_exhaustion_still_exits_0(capsys):
     assert rec["value"] == len(rec["witness"])
 
 
-def test_deterministic_witness_is_stable(capsys):
-    args = ("solve", "gamma", "ucg:30", "--deterministic", "--no-cache")
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
-    (rec,) = records(out1)
-    assert rec["witness"][0] == 0  # lexicographically smallest optimum
-
-
 def test_table_mode(capsys):
     code, out, _ = run(capsys, "solve", "gamma", "ucg:30", "--table", "--no-cache")
     assert code == EXIT_OK

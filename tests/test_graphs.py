@@ -139,20 +139,41 @@ def test_large_product_build_matches_unitary_cayley():
 
 
 def test_transitive_flag_only_by_construction():
-    # vertex-transitive by construction: the solvers may root at vertex 0
-    assert multipartite(2, 3).transitive
-    assert complete_graph(4).transitive and complete_graph(1).transitive
-    assert unitary_cayley(12).transitive
-    assert product_spec_graph(ProductSpec.from_pairs([(2, 2), (1, 3)])).transitive
+    # products of multipartite factors by construction: the solvers may
+    # root at vertex 0 and prune orbits of the factor symmetry
+    assert multipartite(2, 3).factors == ((1, 6, 3),)
+    assert complete_graph(4).factors == ((1, 4, 4),)
+    assert complete_graph(1).transitive
+    assert unitary_cayley(12).factors == ((1, 4, 2), (1, 3, 3))
+    assert product_spec_graph(ProductSpec.from_pairs([(2, 2), (1, 3)])).factors == (
+        (3, 4, 2), (1, 3, 3))
     assert Descriptor.parse("ucg:30").build().transitive
-    assert Descriptor.parse("K[1,3]xK[2,2]").build().transitive
+    assert Descriptor.parse("K[1,3]xK[2,2]").build().factors == ((3, 4, 2), (1, 3, 3))
     # raw adjacency and anything built from it is never assumed transitive
     k3 = complete_graph(3)
-    assert not Graph(k3.adj).transitive
+    assert Graph(k3.adj).factors is None and not Graph(k3.adj).transitive
     assert not disjoint_union(k3, k3).transitive
     rng = random.Random(31)
     assert not random_graph(rng, 6).transitive
     assert not random_bipartite_graph(rng, 6).transitive
+    with pytest.raises(TypeError):
+        Graph(k3.adj, transitive=True)  # one promise, made through factors
+
+
+def test_factors_give_each_vertex_its_coordinates():
+    # residue (v // stride) % size is the spec coordinate of a product,
+    # and x mod p^e for X_n
+    for pairs in [[(2, 2), (1, 3)], [(1, 2), (3, 2), (1, 5)], [(4, 3)]]:
+        spec = ProductSpec.from_pairs(pairs)
+        g = product_spec_graph(spec)
+        for v in range(g.n):
+            assert tuple(v // s % m for s, m, _ in g.factors) == spec.coords(v)
+        assert tuple(b for _, _, b in g.factors) == tuple(f.b for f in spec.factors)
+    for n in (12, 30, 72, 105):
+        iso = crt_isomorphism(n)
+        g = unitary_cayley(n)
+        for x in range(n):
+            assert tuple(x // s % m for s, m, _ in g.factors) == iso.tuple_of(x)
 
 
 def test_spec_canonical_order():

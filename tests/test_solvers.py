@@ -24,9 +24,10 @@ from domprod import (
     shrink_to_minimal,
     unitary_cayley,
 )
+from domprod import solvers
 from domprod.cli import _enum_small_specs
-from domprod.graphs import Graph
-from domprod.solvers import ORACLE_CAP, _greedy_independent, bipartition
+from domprod.graphs import Graph, iter_bits
+from domprod.solvers import ORACLE_CAP, _greedy_independent, _orbit_key, bipartition
 
 from helpers import (
     disjoint_union,
@@ -257,6 +258,95 @@ def test_root_fixing_cuts_the_search():
     assert got.optimal and got.value == 9 and got.nodes < 200_000
 
 
+def _factor_permutation(size, b, u, v):
+    """A permutation of the residues of one factor that maps partite
+    sets onto partite sets and u to v: swap the partite sets of u and v
+    wholesale, then transpose the image of u with v inside v's set."""
+    su, sv = u % b, v % b
+    perm = [r - su + sv if r % b == su else r - sv + su if r % b == sv else r
+            for r in range(size)]
+    w = perm[u]
+    return [v if x == w else w if x == v else x for x in perm]
+
+
+def test_orbit_key_is_sound():
+    # equal keys must mean one orbit of the pointwise stabilizer of
+    # `fixed`: build the automorphism explicitly and check it
+    graphs = [unitary_cayley(n) for n in range(2, 61)] + [complete_graph(5)] + [
+        product_spec_graph(ProductSpec.from_pairs(pairs))
+        for pairs in _enum_small_specs(36, 4)
+    ]
+    rng = random.Random(101)
+    pairs_checked = 0
+    for g in graphs:
+        residues = [tuple(v // stride % size for stride, size, _ in g.factors)
+                    for v in range(g.n)]
+        vertex = {r: v for v, r in enumerate(residues)}
+        assert len(vertex) == g.n
+        for _ in range(4):
+            fixed = rng.sample(range(g.n), rng.randint(0, min(3, g.n)))
+            key = _orbit_key(g.factors, fixed)
+            if key is None:  # a trivial stabilizer: nothing to check
+                continue
+            u = rng.randrange(g.n)
+            v = rng.choice([v for v in range(g.n) if key(v) == key(u)])
+            perms = [_factor_permutation(size, b, ru, rv)
+                     for (_, size, b), ru, rv in zip(g.factors, residues[u], residues[v])]
+            sigma = [vertex[tuple(p[r] for p, r in zip(perms, residues[x]))]
+                     for x in range(g.n)]
+            assert sigma[u] == v
+            assert all(sigma[x] == x for x in fixed), (g, fixed, u, v)
+            for x in range(g.n):
+                image = sum(1 << sigma[y] for y in iter_bits(g.adj[x]))
+                assert g.adj[sigma[x]] == image, (g, fixed, u, v)
+            pairs_checked += u != v
+    assert pairs_checked > 500
+
+
+def test_orbit_pruning_cuts_the_search():
+    # searches rooted at vertex 0 with no orbit pruning need 35,133,
+    # 3,601 and 131,581 nodes
+    got = gamma_exact(unitary_cayley(483))
+    assert got.optimal and got.value == 4 and got.nodes < 1_000
+    got = gamma_total_exact(unitary_cayley(165))
+    assert got.optimal and got.value == 5 and got.nodes < 100
+    k3 = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 3))
+    got = gamma_upper_exact(k3, clique_size=3)
+    assert got.optimal and got.value == 9 and got.nodes < 80_000
+
+
+def test_orbit_pruning_matches_unpruned_search(monkeypatch):
+    # With every stabilizer reported trivial the searches keep the root
+    # and prune nothing else: the orbit rules must find the same sets as
+    # that search, in no more nodes.  Graph(g.adj) carries no factors,
+    # so its search is unrooted and prunes no orbits: same values.
+    descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 121)] + [
+        Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
+        for pairs in _enum_small_specs(40, 4)
+    ]
+    graphs = [desc.build() for desc in descs]
+
+    def solve_all(g, desc, upper_cap):
+        out = [gamma_exact(g), gamma_total_exact(g)]
+        if g.n <= upper_cap:
+            out.append(gamma_upper_exact(g, clique_size=desc.clique_size()))
+        return out
+
+    pruned = [solve_all(g, desc, 30) for g, desc in zip(graphs, descs)]
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_orbit_key", lambda factors, fixed: None)
+        rooted = [solve_all(g, desc, 30) for g, desc in zip(graphs, descs)]
+    for desc, g, got_all, want_all in zip(descs, graphs, pruned, rooted):
+        assert g.factors is not None
+        for got, want in zip(got_all, want_all):
+            assert got.optimal and want.optimal
+            assert (got.value, got.witness, got.method) == (
+                want.value, want.witness, want.method), desc
+            assert got.nodes <= want.nodes, desc
+        plain = solve_all(Graph(g.adj), desc, 24)
+        assert [r.value for r in plain] == [r.value for r in got_all[:len(plain)]], desc
+
+
 # ==== KNOWN VALUES ====
 
 
@@ -308,7 +398,7 @@ def test_budget_time_limit():
 
 
 def test_time_limit_overshoot_is_bounded():
-    # about a millisecond per node, and far from solved after 90 s
+    # about half a millisecond per node, and 82,500 nodes (some 40 s) to solve
     r = gamma_exact(unitary_cayley(1155), Budget(max_nodes=10**12, time_limit=1.0))
     assert not r.optimal
     assert r.elapsed < 1.0 + 0.5
@@ -344,57 +434,19 @@ def test_upper_budget_cut_keeps_best_set_found():
     assert is_minimal_dominating(g, r.witness)
 
 
-# ==== DETERMINISTIC WITNESSES ====
+# ==== REPRODUCIBILITY ====
 
 
-def _all_optimal_witnesses(g, kind, size):
-    from itertools import combinations
-
-    out = []
-    check = {
-        "gamma": is_dominating,
-        "gamma_total": is_total_dominating,
-        "upper": is_minimal_dominating,
-    }[kind]
-    for combo in combinations(range(g.n), size):
-        if check(g, combo):
-            out.append(tuple(combo))
-    return out
-
-
-def test_deterministic_gamma_is_lexmin():
-    rng = random.Random(71)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(2, 10))
-        r = gamma_exact(g, deterministic=True)
-        assert r.witness == min(_all_optimal_witnesses(g, "gamma", r.value))
-
-
-def test_deterministic_gamma_total_is_lexmin():
-    rng = random.Random(73)
-    done = 0
-    while done < 25:
-        g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.4, 0.8))
-        if any(g.adj[v] == 0 for v in range(g.n)):
-            continue
-        r = gamma_total_exact(g, deterministic=True)
-        assert r.witness == min(_all_optimal_witnesses(g, "gamma_total", r.value))
-        done += 1
-
-
-def test_deterministic_upper_is_lexmin():
-    rng = random.Random(79)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(2, 10))
-        r = gamma_upper_exact(g, deterministic=True)
-        assert r.witness == min(_all_optimal_witnesses(g, "upper", r.value))
-
-
-def test_deterministic_repeatable():
-    g = unitary_cayley(30)
-    a = gamma_exact(g, deterministic=True).witness
-    b = gamma_exact(g, deterministic=True).witness
-    assert a == b
+def test_plain_solves_repeat():
+    # the searches have no randomness: the same graph gives the same
+    # witness after the same number of nodes
+    g = product_spec_graph(ProductSpec.from_pairs([(1, 2), (1, 3), (1, 5)]))
+    h = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 5)]))
+    for solve in (lambda: gamma_exact(g), lambda: gamma_total_exact(g),
+                  lambda: gamma_upper_exact(h, clique_size=3)):
+        a, b = solve(), solve()
+        assert a.optimal and a.nodes > 0
+        assert (a.witness, a.nodes) == (b.witness, b.nodes)
 
 
 # ==== PACKING INEQUALITY ====
