@@ -41,6 +41,7 @@ from .solvers import (
 )
 from .theorems import (
     InternalConsistencyError,
+    bound_report,
     conjecture_check,
     consecutive_residue_set,
     cube_corner_set,
@@ -49,10 +50,9 @@ from .theorems import (
     m_family_witness,
     mt_witness,
     partite_column_set,
+    solve,
     squarefree_gamma_value,
     t_plus_two_set,
-    ucg_gamma_bounds,
-    upper_bounds,
 )
 
 EXIT_OK = 0
@@ -84,7 +84,7 @@ def _emit(record: dict, table: bool) -> None:
 
 
 def _solve_record(descriptor: str, result: SolveResult) -> dict:
-    return {
+    record = {
         "descriptor": descriptor,
         "quantity": result.quantity,
         "value": result.value,
@@ -97,6 +97,9 @@ def _solve_record(descriptor: str, result: SolveResult) -> dict:
         "elapsed_ms": int(result.elapsed * 1000),
         "tool_version": __version__,
     }
+    if result.provenance:
+        record["provenance"] = [list(entry) for entry in result.provenance]
+    return record
 
 
 def _budget(args) -> Budget:
@@ -172,9 +175,11 @@ class ResultCache:
 
 def _cached_verified(record: dict, desc: Descriptor) -> bool:
     """Re-verify a cached optimal entry before trusting it: value, lo, hi
-    and the witness size must agree, and the witness must pass its
-    checker."""
-    checker = _CHECKER.get(record.get("quantity"))
+    and the witness size must agree, the witness must pass its checker,
+    and a "theorem" entry's value must be the proven side the theorem
+    layer derives afresh (lo for gamma, hi for upper)."""
+    quantity = record.get("quantity")
+    checker = _CHECKER.get(quantity)
     if checker is None:
         return False
     witness = record.get("witness")
@@ -182,6 +187,12 @@ def _cached_verified(record: dict, desc: Descriptor) -> bool:
         return False
     if not record.get("value") == record.get("lo") == record.get("hi") == len(witness):
         return False
+    if record.get("method") == "theorem":
+        report = bound_report(desc, quantity)
+        if report is None or len(witness) != (
+            report.lo if quantity == "gamma" else report.hi
+        ):
+            return False
     try:
         graph = desc.build()
     except CapExceededError:
@@ -205,15 +216,7 @@ def cmd_solve(args) -> int:
         if hit is not None and hit.get("optimal") and _cached_verified(hit, desc):
             _emit(hit, args.table)
             return EXIT_OK
-    graph = desc.build()
-    budget = _budget(args)
-    if quantity == "gamma":
-        result = gamma_exact(graph, budget)
-    elif quantity == "gamma_total":
-        result = gamma_total_exact(graph, budget)
-    else:
-        result = gamma_upper_exact(graph, budget, clique_size=desc.clique_size())
-    record = _solve_record(canonical, result)
+    record = _solve_record(canonical, solve(desc, quantity, _budget(args)))
     if cache is not None:
         cache.put(record)
     _emit(record, args.table)
@@ -235,16 +238,10 @@ def _bounds_record(descriptor: str, report) -> dict:
 
 def cmd_bounds(args) -> int:
     desc = Descriptor.parse(args.descriptor)
-    canonical = desc.canonical()
-    if desc.kind == "ucg":
-        gamma_report = ucg_gamma_bounds(desc.ucg_n)
-        spec = None
-    else:
-        spec = desc.spec.canonical()
-        gamma_report = gamma_bounds(spec)
-    _emit(_bounds_record(canonical, gamma_report), args.table)
-    if spec is not None:
-        _emit(_bounds_record(canonical, upper_bounds(spec)), args.table)
+    for quantity in ("gamma", "upper"):
+        report = bound_report(desc, quantity)
+        if report is not None:  # no upper report for ucg:n
+            _emit(_bounds_record(desc.canonical(), report), args.table)
     return EXIT_OK
 
 

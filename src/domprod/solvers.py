@@ -22,6 +22,11 @@ vertex must still be able to end up lonely or privately neighbored)
 and, when the caller supplies the clique size b of a clique partition,
 by the packing inequality b*l + 2*s <= n.
 
+A caller that knows a proven lower bound on gamma can hand it in:
+gamma_exact's keyword `floor` joins the counting and packing lower
+bounds, so the probes stop there.  It is a theorem-layer input
+(theorems.solve); its default 0 leaves every search as it was.
+
 Symmetry comes only from Graph.factors, which only builders set: the
 graph is a product of balanced complete multipartite factors, so every
 product of per-factor residue permutations that keep partite sets
@@ -96,6 +101,11 @@ class SolveResult:
     lo/hi is the proven interval: for gamma and gamma_total the witness
     size is hi and lo is the best proven lower bound; for upper
     domination the witness size is lo.  optimal means lo == hi.
+    provenance holds (tag, contribution) pairs such as ("cube-corner",
+    "hi 8"), the theorems behind a side the search did not prove.
+    theorems.solve sets it on results with method "theorem" (both
+    sides) and on budget-cut gamma searches whose lo is the theorem
+    floor (that side); the solvers here leave it empty.
     """
 
     quantity: str
@@ -107,6 +117,7 @@ class SolveResult:
     hi: int
     nodes: int = 0
     elapsed: float = 0.0
+    provenance: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass
@@ -473,24 +484,27 @@ def _max_cover_atleast(
 
 
 def _min_cover(
-    inst: _CoverInstance, state: _SearchState, refuter=None
+    inst: _CoverInstance, state: _SearchState, refuter=None, floor: int = 0
 ) -> tuple[list[int], int, bool]:
     """Minimum cover by descending decision probes.
 
     Returns (best set positions, proven lower bound, optimal).  The
     refuter, when given, may prove "no k-cover" cheaply; returning False
-    just falls through to the exact search.  With inst.factors the graph
-    is vertex-transitive, so some minimum cover contains position 0 and
-    each probe only searches the covers through it.
+    just falls through to the exact search.  floor is a lower bound the
+    caller has proven: it joins the counting and packing bounds, so the
+    probes stop there.  With inst.factors the graph is vertex-transitive,
+    so some minimum cover contains position 0 and each probe only
+    searches the covers through it.
     """
     if inst.universe == 0:
         return [], 0, True
     best = _greedy_cover(inst, state)
     maxgain = max(inst.covers[i].bit_count() for i in inst.positions)
-    lb = -(-inst.universe.bit_count() // maxgain)
+    lb = max(-(-inst.universe.bit_count() // maxgain), floor)
     if state.expired():  # the greedy pass used up the time limit
         return best, lb, len(best) == lb
-    lb = max(lb, _packing_lower(inst))
+    if len(best) > lb:  # packing cannot lift lb past a cover's size
+        lb = max(lb, _packing_lower(inst))
     root = [] if inst.factors is None else [0]
     try:
         while len(best) > lb:
@@ -568,14 +582,14 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
 def _solve_covers(quantity, method, parts, state, start) -> SolveResult:
     """Minimum covers of independent instances, reported as one set.
 
-    parts holds (instance, refuter) pairs for _min_cover; the witness is
-    the union of their covers and lo the sum of their bounds.
+    parts holds (instance, refuter, floor) triples for _min_cover; the
+    witness is the union of their covers and lo the sum of their bounds.
     """
     chosen: list[list[int]] = []
     lo = 0
     complete = True
-    for inst, refuter in parts:
-        best, lb, ok = _min_cover(inst, state, refuter)
+    for inst, refuter, floor in parts:
+        best, lb, ok = _min_cover(inst, state, refuter, floor)
         chosen.append(best)
         lo += lb
         complete = complete and ok
@@ -587,9 +601,17 @@ def _solve_covers(quantity, method, parts, state, start) -> SolveResult:
     )
 
 
-def gamma_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
+def gamma_exact(
+    g: Graph, budget: Budget | None = None, *, floor: int = 0
+) -> SolveResult:
     """Exact domination number with witness; optimal=False only on budget
-    exhaustion, in which case the witness is the best cover found."""
+    exhaustion, in which case the witness is the best cover found.
+
+    floor is a proven lower bound on gamma(g) (a theorem's lower side):
+    the probes stop there instead of refuting floor - 1 by search.  The
+    default 0 adds nothing.  A floor above gamma(g) is not detected
+    here; the result then claims a lower side it does not have.
+    """
     if g.n == 0:
         raise ValueError("empty graph")
     start = time.monotonic()
@@ -598,7 +620,9 @@ def gamma_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     inst = _CoverInstance(full, [g.closed(v) for v in range(g.n)], full, g.factors)
     sides = bipartition(g)
     refuter = _bipartite_gamma_refuter(g, sides, state) if sides else None
-    return _solve_covers("gamma", "branch-and-bound", [(inst, refuter)], state, start)
+    return _solve_covers(
+        "gamma", "branch-and-bound", [(inst, refuter, floor)], state, start
+    )
 
 
 def gamma_total_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
@@ -616,12 +640,12 @@ def gamma_total_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     if sides is None:
         full = g.full_mask()
         return _solve_covers("gamma_total", "branch-and-bound",
-                             [(_CoverInstance(full, g.adj, full, g.factors), None)],
+                             [(_CoverInstance(full, g.adj, full, g.factors), None, 0)],
                              state, start)
     mask_a, mask_b = sides
     # D-members on side A are the only open coverage side B can get
-    parts = [(_CoverInstance(mask_b, g.adj, mask_a), None),
-             (_CoverInstance(mask_a, g.adj, mask_b), None)]
+    parts = [(_CoverInstance(mask_b, g.adj, mask_a), None, 0),
+             (_CoverInstance(mask_a, g.adj, mask_b), None, 0)]
     return _solve_covers("gamma_total", "reduction", parts, state, start)
 
 
@@ -640,6 +664,20 @@ def _greedy_independent(g: Graph) -> int:
         if g.adj[v] & m == 0:
             m |= 1 << v
     return m
+
+
+def _later_mates(g: Graph, idx: int) -> int:
+    """Mask of the vertices after idx in its orbit under the pointwise
+    stabilizer of 0..idx-1 in g's factor symmetry (g.factors must be
+    set).  Each set through one of them is the image of a set through
+    idx under an automorphism that fixes every earlier decision, so
+    gamma_upper_exact, having searched idx in, may leave them out with
+    idx."""
+    key = _orbit_key(g.factors, range(idx))
+    if key is None:
+        return 0
+    mine = key(idx)
+    return sum(1 << w for w in range(idx + 1, g.n) if key(w) == mine)
 
 
 def gamma_upper_exact(
@@ -676,19 +714,6 @@ def gamma_upper_exact(
     # of a transitive graph contains 0
     prefix = (1, 1, 0, closed[0]) if g.transitive else (0, 0, 0, 0)
     mates: dict[int, int] = {}
-
-    def orbit_mates(idx: int) -> int:
-        # the later vertices in the orbit of idx under the pointwise
-        # stabilizer of 0..idx-1: each set through one of them is the
-        # image of a set through idx, searched on the "in" branch of idx
-        if idx not in mates:
-            key = _orbit_key(g.factors, range(idx))
-            mask = 0
-            if key is not None:
-                mine = key(idx)
-                mask = sum(1 << w for w in range(idx + 1, n) if key(w) == mine)
-            mates[idx] = mask
-        return mates[idx]
 
     def feasible(in_mask: int) -> bool:
         # every chosen vertex must still be able to satisfy Ore: pools
@@ -735,7 +760,9 @@ def gamma_upper_exact(
             return
         rec(idx + 1, in_mask | bit, out_mask, covered | closed[idx])
         if g.factors is not None:
-            out_mask |= orbit_mates(idx)
+            if idx not in mates:
+                mates[idx] = _later_mates(g, idx)
+            out_mask |= mates[idx]
         rec(idx + 1, in_mask, out_mask | bit, covered)
 
     optimal = True

@@ -12,10 +12,25 @@ gamma_t(X_n) can undercut Jacobsthal's g(n).
 Certificates on X_n are checked by ucg_is_dominating and
 ucg_is_total_dominating, which build only the rows of the set
 (graphs.ucg_rows), not the whole graph.
+
+solve is the calculator's entry point, and it starts from this layer.
+For gamma, and for upper on a product spec, it takes the proven
+interval of the bound report.  It returns at once, with method
+"theorem" and no search, when a construction, which runs its own
+checker on the built graph, meets the proven side.  Otherwise a gamma
+search gets the lower side as its floor (gamma_exact), and an upper
+search runs as it is: its proven upper side, n minus a domination lower
+bound, is never below the n/2 the packing bound already gives it.  The
+rest (gamma_total, which has no bound report, and upper on X_n) goes
+straight to the search.  The formula-vs-search cross-checks
+(conjecture_check, the CLI's reproduce suites and scan) call the plain
+solvers, so that they compare a formula with a search and not with
+itself.
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +38,7 @@ from math import gcd
 
 from .graphs import (
     DEFAULT_VERTEX_CAP,
+    Descriptor,
     Factor,
     ProductSpec,
     k2_reduction,
@@ -34,6 +50,8 @@ from .numbertheory import crt_solve, factorize, is_prime, jacobsthal, primes_fro
 from .solvers import (
     Budget,
     SolveResult,
+    gamma_exact,
+    gamma_total_exact,
     gamma_upper_exact,
     is_dominating,
     is_minimal_dominating,
@@ -485,6 +503,115 @@ def conjecture_check(spec: ProductSpec, budget: Budget | None = None) -> Conject
     result = gamma_upper_exact(graph, budget, clique_size=spec.factors[0].b)
     agrees = (result.value == conjectured) if result.optimal else None
     return ConjectureCheck(conjectured, result, agrees)
+
+
+# ==== the calculator: theorem layer first, search second ====
+
+
+def bound_report(desc: Descriptor, quantity: str) -> BoundReport | None:
+    """The theorem layer's interval for `quantity` on desc, or None where
+    solve has none to start from: gamma_total, and upper on ucg:n."""
+    if quantity == "gamma":
+        if desc.kind == "ucg":
+            return ucg_gamma_bounds(desc.ucg_n)
+        return gamma_bounds(desc.spec)
+    if quantity == "upper" and desc.kind == "spec":
+        return upper_bounds(desc.spec)
+    return None
+
+
+def _gamma_constructions(desc: Descriptor):
+    """(tag, size, build) for each dominating-set construction that may
+    apply to desc; build() raises ValueError when a hypothesis fails."""
+    if desc.kind == "ucg":
+        n = desc.ucg_n
+        return [("consecutive-run", jacobsthal(n), lambda: consecutive_residue_set(n))]
+    spec = desc.spec.canonical()
+    out = [
+        ("cube-corner", 8, lambda: cube_corner_set(spec)),
+        ("t-plus-two", spec.t + 2, lambda: t_plus_two_set(spec)),
+    ]
+    diag = _diagonal_upper(tuple(f.b for f in spec.factors))
+    if diag is not None:
+        out.append(("diagonal-total", diag[0], lambda: diagonal_set(spec, diag[1])))
+    return out
+
+
+def _side(report: BoundReport, side: str) -> tuple[tuple[str, str], ...]:
+    """The provenance entries that set the report's lo or hi."""
+    target = f"lo {report.lo}" if side == "lo" else f"hi {report.hi}"
+    return tuple(entry for entry in report.provenance if entry[1] == target)
+
+
+def solve(
+    descriptor: Descriptor | str, quantity: str, budget: Budget | None = None
+) -> SolveResult:
+    """Certified value of `quantity` (gamma, gamma_total or upper) on a
+    descriptor, starting from the theorem layer.
+
+    gamma: a construction of the report's lower-side size decides it
+    (method "theorem", nodes 0, provenance of both sides); otherwise
+    gamma_exact runs with that side as its floor, and a budget-cut
+    result whose lo is that side carries the side's provenance.  upper
+    on a spec: an exact report is met by the partite column.  Everything
+    else runs the plain search.  The constructions check their own sets
+    (on the built product, or implicitly on X_n); a result outside the
+    proven interval means two implemented results disagree and raises
+    InternalConsistencyError.
+    """
+    desc = Descriptor.parse(descriptor) if isinstance(descriptor, str) else descriptor
+    if quantity not in ("gamma", "gamma_total", "upper"):
+        raise ValueError(f"unknown quantity {quantity!r}")
+    start = time.monotonic()
+    report = bound_report(desc, quantity)
+
+    def decided(dset, size, provenance) -> SolveResult:
+        if len(dset) != size:
+            raise InternalConsistencyError(
+                f"{provenance[-1][0]} set on {desc.canonical()} has {len(dset)} "
+                f"vertices, not {size}"
+            )
+        return SolveResult(
+            quantity, size, tuple(dset), True, "theorem", lo=size, hi=size,
+            elapsed=time.monotonic() - start, provenance=provenance,
+        )
+
+    if report is not None and quantity == "gamma":
+        for tag, size, build in _gamma_constructions(desc):
+            if size != report.lo:
+                continue
+            try:
+                built = build()
+            except ValueError:  # a hypothesis of the construction fails
+                continue
+            if built.verified:  # ucg:n above the vertex cap goes unchecked
+                return decided(
+                    built.vertex_set, size, _side(report, "lo") + ((tag, f"hi {size}"),)
+                )
+        result = gamma_exact(desc.build(), budget, floor=report.lo)
+        if result.hi < report.lo:
+            raise InternalConsistencyError(
+                f"gamma({desc.canonical()}) has a {result.hi}-vertex dominating "
+                f"set below the proven lower side {report.lo}"
+            )
+        if not result.optimal and result.lo == report.lo:
+            result.provenance = _side(report, "lo")
+        return result
+    if report is not None and report.exact:
+        dset = partite_column_set(desc.spec.canonical()).vertex_set
+        return decided(dset, report.hi, (("partite-column", f"lo {report.lo}"),)
+                       + _side(report, "hi"))
+
+    graph = desc.build()
+    if quantity == "gamma_total":
+        return gamma_total_exact(graph, budget)
+    result = gamma_upper_exact(graph, budget, clique_size=desc.clique_size())
+    if report is not None and result.lo > report.hi:
+        raise InternalConsistencyError(
+            f"Gamma({desc.canonical()}) has a {result.lo}-vertex minimal dominating "
+            f"set above the proven upper side {report.hi}"
+        )
+    return result
 
 
 # ==== certificate builders for M and M_t ====

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from domprod import cli
+from domprod import Descriptor, cli, is_dominating, is_minimal_dominating
 from domprod.cli import EXIT_BAD_INPUT, EXIT_CAP, EXIT_MISMATCH, EXIT_OK, main
 from domprod.theorems import ucg_is_dominating, ucg_is_total_dominating
 
@@ -80,15 +80,39 @@ def test_vertex_cap_exits_3(capsys):
 
 
 def test_budget_exhaustion_still_exits_0(capsys):
+    # the theorems leave Gamma(K3^4) open in [27, 75], so this searches
     code, out, _ = run(
         capsys,
-        "solve", "upper", "K[1,3]xK[1,3]xK[1,3]", "--nodes", "25", "--no-cache",
+        "solve", "upper", "K[1,3]xK[1,3]xK[1,3]xK[1,3]", "--nodes", "25", "--no-cache",
     )
     assert code == EXIT_OK
     (rec,) = records(out)
     assert rec["optimal"] is False
-    assert rec["lo"] <= 9 <= rec["hi"]
+    assert rec["lo"] <= 27 <= rec["hi"]
     assert rec["value"] == len(rec["witness"])
+
+
+@pytest.mark.parametrize(
+    "verb, descriptor, value, checker",
+    [
+        ("upper", "K[1,3]xK[1,3]xK[1,3]", 9, is_minimal_dominating),
+        ("gamma", "K[1,2]xK[1,3]xK[1,5]xK[1,7]", 8, is_dominating),
+    ],
+)
+def test_solve_uses_theorem_layer(capsys, verb, descriptor, value, checker):
+    code, out, _ = run(capsys, "solve", verb, descriptor, "--nodes", "1", "--no-cache")
+    assert code == EXIT_OK
+    (rec,) = records(out)
+    assert rec["method"] == "theorem" and rec["nodes"] == 0 and rec["optimal"] is True
+    assert rec["value"] == rec["lo"] == rec["hi"] == len(rec["witness"]) == value
+    assert rec["provenance"] and all(len(entry) == 2 for entry in rec["provenance"])
+    assert checker(Descriptor.parse(descriptor).build(), rec["witness"])
+
+
+def test_searched_record_has_no_provenance(capsys):
+    _, out, _ = run(capsys, "solve", "gamma", "ucg:105", "--no-cache")
+    (rec,) = records(out)
+    assert rec["method"] == "branch-and-bound" and "provenance" not in rec
 
 
 def test_table_mode(capsys):
@@ -156,6 +180,35 @@ def test_self_contradicting_cache_line_forces_recompute(capsys, cache_file, edit
     assert (rec["nodes"] == -1) == served  # -1 marks the hand-written line
     assert rec["value"] == rec["lo"] == rec["hi"] == len(rec["witness"]) == 4
     assert ucg_is_dominating(30, rec["witness"])
+
+
+def test_cached_theorem_value_is_rederived(capsys, cache_file):
+    # a dominating set of 9 vertices passes the witness check, but the
+    # theorem layer proves gamma >= 8, not 9, so the line is not served
+    spec = "K[1,2]xK[1,3]xK[1,5]xK[1,7]"
+    graph = Descriptor.parse(spec).build()
+    _, out, _ = run(capsys, "solve", "gamma", spec, "--no-cache")
+    witness = records(out)[0]["witness"]
+    witness = sorted(witness + [min(set(range(graph.n)) - set(witness))])
+    assert len(witness) == 9 and is_dominating(graph, witness)
+    line = {
+        "descriptor": spec, "quantity": "gamma", "value": 9, "lo": 9, "hi": 9,
+        "witness": witness, "optimal": True, "method": "theorem",
+        "provenance": [["cube-corner", "lo 9"]],
+        "nodes": -1, "elapsed_ms": 0, "tool_version": cli.__version__,
+    }
+    cache_file.write_text(json.dumps(line) + "\n")
+    code, out, _ = run(capsys, "solve", "gamma", spec)
+    assert code == EXIT_OK
+    (rec,) = records(out)
+    assert rec["nodes"] == 0 and rec["value"] == rec["lo"] == rec["hi"] == 8
+    assert is_dominating(graph, rec["witness"])
+    # the same line with the true value is served
+    _, out, _ = run(capsys, "solve", "gamma", spec, "--no-cache")
+    line.update(value=8, lo=8, hi=8, witness=records(out)[0]["witness"])
+    cache_file.write_text(json.dumps(line) + "\n")
+    _, out, _ = run(capsys, "solve", "gamma", spec)
+    assert records(out)[0]["nodes"] == -1
 
 
 def test_cache_tolerates_garbage_lines(capsys, cache_file):

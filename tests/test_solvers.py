@@ -27,7 +27,13 @@ from domprod import (
 from domprod import solvers
 from domprod.cli import _enum_small_specs
 from domprod.graphs import Graph, iter_bits
-from domprod.solvers import ORACLE_CAP, _greedy_independent, _orbit_key, bipartition
+from domprod.solvers import (
+    ORACLE_CAP,
+    _greedy_independent,
+    _later_mates,
+    _orbit_key,
+    bipartition,
+)
 
 from helpers import (
     disjoint_union,
@@ -272,10 +278,7 @@ def _factor_permutation(size, b, u, v):
 def test_orbit_key_is_sound():
     # equal keys must mean one orbit of the pointwise stabilizer of
     # `fixed`: build the automorphism explicitly and check it
-    graphs = [unitary_cayley(n) for n in range(2, 61)] + [complete_graph(5)] + [
-        product_spec_graph(ProductSpec.from_pairs(pairs))
-        for pairs in _enum_small_specs(36, 4)
-    ]
+    graphs = _orbit_graphs(36)
     rng = random.Random(101)
     pairs_checked = 0
     for g in graphs:
@@ -301,6 +304,45 @@ def test_orbit_key_is_sound():
                 assert g.adj[sigma[x]] == image, (g, fixed, u, v)
             pairs_checked += u != v
     assert pairs_checked > 500
+
+
+def _orbit_graphs(max_vertices):
+    return [unitary_cayley(n) for n in range(2, 61)] + [complete_graph(5)] + [
+        product_spec_graph(ProductSpec.from_pairs(pairs))
+        for pairs in _enum_small_specs(max_vertices, 4)
+    ]
+
+
+def test_upper_later_mates_are_images_under_the_prefix_stabilizer():
+    # the rule gamma_upper_exact applies: each later mate w of idx is the
+    # image of idx under an automorphism fixing 0..idx-1 pointwise; build
+    # that permutation explicitly and check it on 0..idx for every mate,
+    # and on every adj row for the first mate of each graph
+    mates_checked = 0
+    for g in _orbit_graphs(36):
+        residues = [tuple(v // stride % size for stride, size, _ in g.factors)
+                    for v in range(g.n)]
+        vertex = {r: v for v, r in enumerate(residues)}
+        whole = True
+        for idx in range(1, g.n):
+            for w in iter_bits(_later_mates(g, idx)):
+                assert w > idx
+                perms = [_factor_permutation(size, b, ru, rw)
+                         for (_, size, b), ru, rw in zip(g.factors, residues[idx], residues[w])]
+
+                def sigma(x):
+                    return vertex[tuple(p[r] for p, r in zip(perms, residues[x]))]
+
+                assert sigma(idx) == w
+                assert all(sigma(x) == x for x in range(idx)), (g, idx, w)
+                if whole:
+                    image = [sigma(x) for x in range(g.n)]
+                    for x in range(g.n):
+                        row = sum(1 << image[y] for y in iter_bits(g.adj[x]))
+                        assert g.adj[image[x]] == row, (g, idx, w)
+                    whole = False
+                mates_checked += 1
+    assert mates_checked == 27395
 
 
 def test_orbit_pruning_cuts_the_search():

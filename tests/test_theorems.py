@@ -5,6 +5,7 @@ import pytest
 
 from domprod import (
     Budget,
+    Descriptor,
     ProductSpec,
     conjecture_check,
     consecutive_residue_set,
@@ -13,6 +14,7 @@ from domprod import (
     factorize,
     gamma_bounds,
     gamma_exact,
+    gamma_upper_exact,
     is_dominating,
     is_minimal_dominating,
     is_total_dominating,
@@ -23,6 +25,7 @@ from domprod import (
     partite_column_set,
     product_spec_graph,
     repeated_factor_lower,
+    solve,
     squarefree_gamma_value,
     t_plus_two_set,
     ucg_gamma_bounds,
@@ -31,6 +34,7 @@ from domprod import (
     unitary_cayley,
     upper_bounds,
 )
+from domprod.cli import _enum_small_specs
 from domprod.theorems import InternalConsistencyError, _compose, column_multiplicity_ok
 
 from helpers import random_spec
@@ -274,6 +278,98 @@ def test_conjecture_check():
         ProductSpec.from_pairs([(1, 3)] * 3), Budget(max_nodes=20, time_limit=60)
     )
     assert c.agrees is None
+
+
+# ==== THE THEOREM LAYER IN solve ====
+
+
+def test_solve_matches_plain_search():
+    # the shortcut is cross-checked, not assumed: on every instance solve
+    # gives the plain search's value; a theorem witness passes its
+    # checker on the built graph, and a search seeded with the proven
+    # side finds the plain search's witness in no more nodes
+    descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 121)] + [
+        Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
+        for pairs in _enum_small_specs(40, 4)
+    ]
+    theorem = {"gamma": 0, "upper": 0}
+    checks = 0
+    for desc in descs:
+        g = desc.build()
+        plain = {"gamma": (gamma_exact(g), is_dominating)}
+        if g.n <= 24:
+            plain["upper"] = (
+                gamma_upper_exact(g, clique_size=desc.clique_size()),
+                is_minimal_dominating,
+            )
+        for quantity, (want, checker) in plain.items():
+            got = solve(desc, quantity)
+            assert want.optimal and got.optimal, (desc, quantity)
+            assert got.value == want.value == got.lo == got.hi, (desc, quantity)
+            assert len(got.witness) == got.value and checker(g, got.witness)
+            if got.method == "theorem":
+                theorem[quantity] += 1
+                assert got.nodes == 0 and got.provenance, (desc, quantity)
+                assert 0 in got.witness  # like every search witness
+            else:
+                assert got.witness == want.witness and got.nodes <= want.nodes
+                assert not got.provenance
+            checks += 1
+    # every spec with at most 24 vertices has an exact upper report, and
+    # upper on ucg:n is always searched
+    assert len(descs) == 387 and checks == 528
+    assert theorem == {"gamma": 69, "upper": 118}
+
+
+def test_exact_floor_keeps_the_search_result():
+    for desc in ("ucg:105", "ucg:165", "K[1,3]xK[1,6]xK[1,7]", "K[1,2]xK[1,3]xK[1,5]",
+                 "K[2,2]xK[1,3]", "K[1,3]xK[1,3]"):
+        g = Descriptor.parse(desc).build()
+        want = gamma_exact(g)
+        got = gamma_exact(g, floor=want.value)
+        assert (got.value, got.witness, got.optimal) == (want.value, want.witness, True)
+        assert got.nodes <= want.nodes
+
+
+def test_solve_on_ucg_uses_the_consecutive_run_only():
+    # X_148 (g = 4 = gamma) is decided by the run 0..3; the product-form
+    # constructions are not carried to residues, so X_210 is searched
+    got = solve("ucg:148", "gamma")
+    assert got.method == "theorem" and got.value == 4 and got.nodes == 0
+    assert got.witness == (0, 1, 2, 3) and ucg_is_dominating(148, got.witness)
+    got = solve("ucg:210", "gamma")
+    assert got.method == "branch-and-bound" and got.value == 8 and got.optimal
+    got = solve("ucg:45", "upper")
+    assert got.method == "branch-and-bound" and got.value == 15 and got.optimal
+
+
+def test_solve_reports_open_intervals():
+    # the proven upper side 75 = n - gamma_lo is above the n // 2 = 40
+    # the packing bound gives the search
+    got = solve("K[1,3]xK[1,3]xK[1,3]xK[1,3]", "upper", Budget(max_nodes=25))
+    assert not got.optimal and got.method == "branch-and-bound"
+    assert got.lo == got.value == 27 and got.hi == 40 and not got.provenance
+    # a cut gamma search keeps the theorem floor as lo and names it
+    got = solve("ucg:1155", "gamma", Budget(max_nodes=200))
+    assert not got.optimal and got.method == "branch-and-bound"
+    assert got.lo == ucg_gamma_bounds(1155).lo == 6 < got.hi
+    assert got.provenance and all(c == "lo 6" for _, c in got.provenance)
+    got = solve("ucg:30", "gamma_total")
+    assert got.method == "reduction" and got.value == 6 and not got.provenance
+    with pytest.raises(ValueError):
+        solve("ucg:30", "gamma_t")
+
+
+def test_solve_rejects_a_search_below_the_proven_side(monkeypatch):
+    import domprod.theorems as theorems
+
+    # gamma(X_105) = 4, and the greedy cover alone is below 50
+    monkeypatch.setattr(
+        theorems, "ucg_gamma_bounds",
+        lambda n: _compose("gamma", [(50, "wrong")], [(99, "wrong")]),
+    )
+    with pytest.raises(InternalConsistencyError):
+        solve("ucg:105", "gamma")
 
 
 # ==== IMPLICIT UCG CHECKERS ====
