@@ -54,10 +54,13 @@ class Graph:
     (v // stride) % size in that factor, its partite set is that residue
     mod b, and u ~ v iff their partite sets differ in every factor.  So
     every product of per-factor permutations that map partite sets to
-    partite sets is an automorphism, and the exact solvers use that
-    symmetry.  Only builders whose output has this form by construction
-    set it; it is never inferred, and a false promise gives wrong
-    answers.
+    partite sets is an automorphism, and so is every swap of two factors
+    with equal (size, b); the exact solvers use that symmetry.  When
+    exactly one factor has b = 2 the graph is connected and bipartite,
+    with the partite sets of that factor as its sides, and the solvers'
+    bipartite searches use the symmetry too.  Only builders whose output
+    has this form by construction set it; it is never inferred, and a
+    false promise gives wrong answers.
     """
 
     __slots__ = ("n", "adj", "factors")

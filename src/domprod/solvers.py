@@ -30,12 +30,12 @@ bounds, so the probes stop there.  It is a theorem-layer input
 Symmetry comes only from Graph.factors, which only builders set: the
 graph is a product of balanced complete multipartite factors, so every
 product of per-factor residue permutations that keep partite sets
-together is an automorphism (_orbit_key names the orbits of its
-pointwise stabilizers).  Such a graph is vertex-transitive, so for all
-three invariants some optimal set contains vertex 0: each decision
-probe of gamma_exact, and of gamma_total_exact off its bipartite split,
-looks only for sets through 0, and gamma_upper_exact never leaves 0
-out.  Beyond the root:
+together is an automorphism, and so is every swap of two factors with
+equal (size, b) (_orbit_key names the orbits of the pointwise
+stabilizers of this whole group).  Such a graph is vertex-transitive,
+so for all three invariants some optimal set contains vertex 0: each
+decision probe of gamma_exact and gamma_total_exact looks only for sets
+through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
   - a probe skips, and bans, a branching candidate in the same orbit as
     a refuted sibling under the stabilizer of the chosen vertices; an
     automorphism fixing them maps its covers to the sibling's, of which
@@ -44,10 +44,16 @@ out.  Beyond the root:
     vertices in its orbit under the stabilizer of 0..i-1; each set so
     dropped is the image of a set of the same size through i, which the
     "in" branch has already searched.
-Both rules only drop subtrees that hold no better answer than one
-already met, so values and witnesses are those of the search without
-them, found in fewer nodes.  The bipartite split of gamma_total uses no
-symmetry: its one-sided instances are not the whole graph.
+When exactly one factor has b = 2 (_side_symmetry), the graph is
+connected and bipartite, and the automorphisms that keep its two sides
+act transitively on each.  Then the bipartite split of gamma_total
+roots each one-sided cover at its first allowed vertex and prunes its
+orbits the same way, and the gamma refuter's max-coverage searches
+always take their first set.
+These rules only drop subtrees that hold no better answer than one
+already met, so values, and gamma and Gamma witnesses, are those of the
+search without them, found in fewer nodes.  A rooted bipartite split
+may find a different gamma_total witness of the same size.
 
 gamma_oracle is an independent brute force over subsets, used as ground
 truth in tests; it shares nothing with the branch-and-bound code paths
@@ -58,6 +64,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .graphs import Graph, iter_bits
@@ -272,9 +280,15 @@ class _CoverInstance:
     covers is a symmetric relation (closed or open adjacency), so the
     sets that contain element e are covers[e] & allowed.
 
-    factors, when given, is the graph's Graph.factors and the instance
-    is the whole graph (every vertex to cover, every vertex allowed), so
-    the factor symmetry maps covers to covers of the same size."""
+    factors, when given, is the graph's Graph.factors, and the instance
+    is invariant in the way the symmetry rules need: the automorphisms
+    of that group that keep the universe and the allowed set act
+    transitively on the allowed vertices, and they include the
+    stabilizer of every allowed vertex.  So some minimum cover holds the
+    first allowed position, and once it is chosen, an automorphism
+    fixing the chosen positions maps covers to covers of the same size.
+    The whole graph qualifies, and so does each one-sided half of a
+    bipartite graph under _side_symmetry."""
 
     __slots__ = ("universe", "covers", "allowed", "positions", "factors")
 
@@ -288,37 +302,111 @@ class _CoverInstance:
         self.factors = factors
 
 
+@lru_cache(maxsize=32)
+def _factor_swaps(factors) -> tuple[tuple[int, ...], ...]:
+    """Every permutation sigma of the factor indices (sigma[i] is the
+    image of factor i) that maps each factor to one with equal (size, b),
+    the identity first."""
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, (_, size, b) in enumerate(factors):
+        classes.setdefault((size, b), []).append(i)
+    sigmas = [tuple(range(len(factors)))]
+    for members in classes.values():
+        if len(members) < 2:
+            continue
+        grown = []
+        for sigma in sigmas:
+            for images in permutations(members):
+                new = list(sigma)
+                for i, j in zip(members, images):
+                    new[i] = j
+                grown.append(tuple(new))
+        sigmas = grown
+    return tuple(sigmas)
+
+
+def _realised(factors, coords, sigma) -> bool:
+    """Whether some element with factor permutation sigma fixes every
+    vertex of residue tuples `coords`: per factor i, residues and
+    partite sets in factor i and in factor sigma[i] correspond one to
+    one."""
+    for i, (_, _, b) in enumerate(factors):
+        j = sigma[i]
+        if j == i:
+            continue
+        pairs = {(c[i], c[j]) for c in coords}
+        sets = {(r % b, s % b) for r, s in pairs}
+        for links in (pairs, sets):
+            if not len(links) == len(dict(links)) == len({y for _, y in links}):
+                return False
+    return True
+
+
 def _orbit_key(factors, fixed: Iterable[int]):
     """Key function whose equal values are vertices in one orbit of the
     pointwise stabilizer of `fixed` in the factor symmetry group, or
     None when that stabilizer is trivial (every orbit is one vertex).
 
-    The group is the product over factors of the residue permutations
-    that map partite sets to partite sets, and fixing a vertex fixes its
-    residue in every factor.  So per factor a residue that some member
-    of `fixed` has is its own orbit, the other residues of a partite set
-    that holds such a member form one orbit, and every residue of the
-    untouched partite sets forms one more.  The key is the tuple of
-    those per-factor labels: the residue r, the partite set s as -1 - s,
-    or None.
+    An element of the group is a permutation sigma of equal factors (see
+    Graph.factors) with one bijection h_i from the residues of factor i
+    onto those of factor sigma[i] that maps partite sets onto partite
+    sets; residue r in factor i goes to h_i(r) in factor sigma[i].  It
+    fixes a vertex iff each h_i maps the vertex's residue in factor i to
+    its residue in factor sigma[i].
+
+    Per factor, a residue that some member of `fixed` has is labelled by
+    itself, the other residues of a partite set that holds such a member
+    by that set, and the residues of the untouched partite sets by None.
+    Some stabilizer element has factor permutation sigma iff, for every
+    i, the members' residues in factors i and sigma[i] correspond one to
+    one, and so do their partite sets; its h_i then carry each label of
+    factor i onto one label of factor sigma[i], and can send a residue
+    to any residue of that label.  So the orbit of v is the union, over
+    the sigma so realised, of the vertices whose labels are the images
+    of v's, and the key is the least residue tuple in that orbit.
     """
     fixed = list(fixed)
-    parts = []
-    trivial = True
-    for stride, size, b in factors:
-        residues = {v // stride % size for v in fixed}
+    coords = [tuple(v // stride % size for stride, size, _ in factors) for v in fixed]
+    labels = []
+    for i, (_, size, b) in enumerate(factors):
+        residues = {c[i] for c in coords}
         sets = {r % b for r in residues}
-        labels = [
+        labels.append([
             r if r in residues else -1 - r % b if r % b in sets else None
             for r in range(size)
-        ]
-        trivial = trivial and len(set(labels)) == size
-        parts.append((stride, size, labels))
-    if trivial:
+        ])
+    realised = [sigma for sigma in _factor_swaps(factors)
+                if _realised(factors, coords, sigma)]
+    if len(realised) == 1 and all(len(set(lab)) == len(lab) for lab in labels):
         return None
+    least = []  # per factor: label -> the least residue with that label
+    for lab in labels:
+        first: dict = {}
+        for r, label in enumerate(lab):
+            first.setdefault(label, r)
+        least.append(first)
+    # per realised sigma, one column per factor j of the image: the
+    # stride and size of the factor i = sigma^-1(j) it comes from, and a
+    # table taking residue r of factor i to the least residue of factor j
+    # whose label is the image of r's
+    tables = []
+    for sigma in realised:
+        columns = [None] * len(factors)
+        for i, (stride, size, b) in enumerate(factors):
+            image = {c[i]: c[sigma[i]] for c in coords}
+            part = {r % b: s % b for r, s in image.items()}
+            moved = [
+                None if lab is None else image[lab] if lab >= 0 else -1 - part[-1 - lab]
+                for lab in labels[i]
+            ]
+            columns[sigma[i]] = (stride, size, [least[sigma[i]][lab] for lab in moved])
+        tables.append(columns)
 
     def key(v: int) -> tuple:
-        return tuple([labels[v // stride % size] for stride, size, labels in parts])
+        return min(
+            tuple([table[v // stride % size] for stride, size, table in columns])
+            for columns in tables
+        )
 
     return key
 
@@ -453,17 +541,28 @@ def _exists_cover(
 
 
 def _max_cover_atleast(
-    sets: Sequence[int], universe: int, count: int, target: int, state: _SearchState
+    sets: Sequence[int],
+    universe: int,
+    count: int,
+    target: int,
+    state: _SearchState,
+    rooted: bool = False,
 ) -> bool:
     """Can `count` of the sets cover at least `target` universe elements?
-    Exact include/exclude search with a top-marginal-sum bound."""
+    Exact include/exclude search with a top-marginal-sum bound.
+
+    rooted says that automorphisms keeping the universe permute the sets
+    transitively, so some best selection holds any given set: the root
+    then takes only the "include" branch."""
     if target <= 0:
         return True
     if count <= 0:
         return False
     pool = sorted((s & universe for s in sets if s & universe), key=int.bit_count)
 
-    def rec(pool: list[int], covered: int, covered_cnt: int, left: int) -> bool:
+    def rec(
+        pool: list[int], covered: int, covered_cnt: int, left: int, root: bool = False
+    ) -> bool:
         state.tick()
         if covered_cnt >= target:
             return True
@@ -478,9 +577,9 @@ def _max_cover_atleast(
         new_cov = covered | best
         if rec(rest, new_cov, new_cov.bit_count(), left - 1):
             return True
-        return rec(rest, covered, covered_cnt, left)
+        return not root and rec(rest, covered, covered_cnt, left)
 
-    return rec(pool, 0, 0, count)
+    return rec(pool, 0, 0, count, rooted)
 
 
 def _min_cover(
@@ -492,9 +591,9 @@ def _min_cover(
     refuter, when given, may prove "no k-cover" cheaply; returning False
     just falls through to the exact search.  floor is a lower bound the
     caller has proven: it joins the counting and packing bounds, so the
-    probes stop there.  With inst.factors the graph is vertex-transitive,
-    so some minimum cover contains position 0 and each probe only
-    searches the covers through it.
+    probes stop there.  With inst.factors some minimum cover contains
+    the first allowed position, so each probe only searches the covers
+    through it.
     """
     if inst.universe == 0:
         return [], 0, True
@@ -505,7 +604,7 @@ def _min_cover(
         return best, lb, len(best) == lb
     if len(best) > lb:  # packing cannot lift lb past a cover's size
         lb = max(lb, _packing_lower(inst))
-    root = [] if inst.factors is None else [0]
+    root = [] if inst.factors is None else inst.positions[:1]
     try:
         while len(best) > lb:
             k = len(best) - 1
@@ -549,26 +648,49 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
     return side[0], side[1]
 
 
+def _side_symmetry(g: Graph):
+    """g.factors when its symmetry acts on each side of g's bipartition,
+    else None.
+
+    That holds when exactly one factor has b = 2.  The product is then
+    connected (Weichsel: a direct product of connected graphs is
+    connected when at most one of them is bipartite), so its bipartition
+    is unique: the partite sets of that factor.  Every automorphism keeps
+    or swaps the two sides, those that keep them act transitively on
+    each side, and the stabilizer of any vertex keeps them.  With two
+    such factors the product is disconnected, and its BFS sides need not
+    be unions of orbits.
+    """
+    if g.factors is not None and sum(b == 2 for _, _, b in g.factors) == 1:
+        return g.factors
+    return None
+
+
 def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchState):
     """Closure proving "no dominating set of size k" on a bipartite graph.
 
     A k-set splits i|j across the sides.  Side B is covered only by open
     neighborhoods from side A plus the j self-covered members, so when no
     i neighborhoods reach |B|-j elements (and symmetrically), the split
-    is impossible.  All splits impossible proves gamma > k.
+    is impossible.  All splits impossible proves gamma > k.  Balanced
+    splits come first: they are the likeliest to survive, and one that
+    survives ends the probe.  Under _side_symmetry the neighborhoods of
+    a side are permuted transitively, so the max-coverage searches are
+    rooted.
     """
     mask_a, mask_b = sides
     a_sets = [g.adj[v] for v in iter_bits(mask_a)]
     b_sets = [g.adj[v] for v in iter_bits(mask_b)]
     na = mask_a.bit_count()
     nb = mask_b.bit_count()
+    rooted = _side_symmetry(g) is not None
 
     def refute(k: int) -> bool:
-        for i in range(k + 1):
+        for i in sorted(range(k + 1), key=lambda i: abs(2 * i - k)):
             j = k - i
-            if not _max_cover_atleast(a_sets, mask_b, i, nb - j, state):
+            if not _max_cover_atleast(a_sets, mask_b, i, nb - j, state, rooted):
                 continue
-            if not _max_cover_atleast(b_sets, mask_a, j, na - i, state):
+            if not _max_cover_atleast(b_sets, mask_a, j, na - i, state, rooted):
                 continue
             return False  # split survives the relaxation: inconclusive
         return True
@@ -628,7 +750,8 @@ def gamma_exact(
 def gamma_total_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Exact total domination number.  Errors on isolated vertices.  On
     bipartite graphs the problem splits into two independent one-sided
-    covers, solved separately (method "reduction")."""
+    covers, solved separately (method "reduction"); under _side_symmetry
+    both carry the factor symmetry."""
     if g.n == 0:
         raise ValueError("empty graph")
     for v in range(g.n):
@@ -643,9 +766,10 @@ def gamma_total_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
                              [(_CoverInstance(full, g.adj, full, g.factors), None, 0)],
                              state, start)
     mask_a, mask_b = sides
+    factors = _side_symmetry(g)
     # D-members on side A are the only open coverage side B can get
-    parts = [(_CoverInstance(mask_b, g.adj, mask_a), None, 0),
-             (_CoverInstance(mask_a, g.adj, mask_b), None, 0)]
+    parts = [(_CoverInstance(mask_b, g.adj, mask_a, factors), None, 0),
+             (_CoverInstance(mask_a, g.adj, mask_b, factors), None, 0)]
     return _solve_covers("gamma_total", "reduction", parts, state, start)
 
 

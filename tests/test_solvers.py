@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import permutations, product
 
 import pytest
 
@@ -29,9 +30,13 @@ from domprod.cli import _enum_small_specs
 from domprod.graphs import Graph, iter_bits
 from domprod.solvers import (
     ORACLE_CAP,
+    _factor_swaps,
     _greedy_independent,
     _later_mates,
+    _max_cover_atleast,
     _orbit_key,
+    _SearchState,
+    _side_symmetry,
     bipartition,
 )
 
@@ -235,7 +240,7 @@ def test_solver_matches_oracle_on_small_specs():
         Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
         for pairs in _enum_small_specs(20, 4)
     ]
-    checks = 0
+    checks = disconnected = 0
     for desc in descs:
         g = desc.build()
         assert g.transitive
@@ -245,14 +250,29 @@ def test_solver_matches_oracle_on_small_specs():
         got = gamma_total_exact(g)
         assert got.optimal and got.value == gamma_oracle(g, "gamma_total").value, desc
         assert is_total_dominating(g, got.witness)
-        assert got.method == "reduction" or 0 in got.witness
+        # a guarded bipartite split is rooted at vertex 0 on side 0
+        if _side_symmetry(g) is not None or got.method != "reduction":
+            assert 0 in got.witness, desc
+        if sum(b == 2 for _, _, b in g.factors) >= 2:
+            # two b = 2 factors make the product disconnected, so the
+            # guard refuses it and both bipartite searches run unrooted
+            assert _side_symmetry(g) is None and got.method == "reduction", desc
+            reach, frontier = 0, 1
+            while frontier:
+                reach |= frontier
+                nxt = 0
+                for v in iter_bits(frontier):
+                    nxt |= g.adj[v]
+                frontier = nxt & ~reach
+            assert reach != g.full_mask(), desc
+            disconnected += 1
         checks += 2
         if g.n <= ORACLE_CAP["upper"]:
             got = gamma_upper_exact(g, clique_size=desc.clique_size())
             assert got.optimal and got.value == gamma_oracle(g, "upper").value, desc
             assert 0 in got.witness and is_minimal_dominating(g, got.witness)
             checks += 1
-    assert len(descs) == 101 and checks == 275
+    assert len(descs) == 101 and checks == 275 and disconnected >= 5
 
 
 def test_root_fixing_cuts_the_search():
@@ -264,15 +284,58 @@ def test_root_fixing_cuts_the_search():
     assert got.optimal and got.value == 9 and got.nodes < 200_000
 
 
-def _factor_permutation(size, b, u, v):
-    """A permutation of the residues of one factor that maps partite
-    sets onto partite sets and u to v: swap the partite sets of u and v
-    wholesale, then transpose the image of u with v inside v's set."""
-    su, sv = u % b, v % b
-    perm = [r - su + sv if r % b == su else r - sv + su if r % b == sv else r
-            for r in range(size)]
-    w = perm[u]
-    return [v if x == w else w if x == v else x for x in perm]
+def _partite_bijection(size, b, links):
+    """A bijection from the residues 0..size-1 of a K[size/b, b] factor
+    onto those of an equal factor that maps partite sets onto partite
+    sets and u to v for each (u, v) in links, or None if there is none."""
+    image, sets = {}, {}
+    for u, v in links:
+        if image.setdefault(u, v) != v or sets.setdefault(u % b, v % b) != v % b:
+            return None
+    if len(set(image.values())) < len(image) or len(set(sets.values())) < len(sets):
+        return None
+    spare = [s for s in range(b) if s not in sets.values()]
+    for s in range(b):
+        if s not in sets:
+            sets[s] = spare.pop()
+    perm = [None] * size
+    for s in range(b):
+        free = [r for r in range(sets[s], size, b) if r not in image.values()]
+        for r in range(s, size, b):
+            perm[r] = image[r] if r in image else free.pop()
+    return perm
+
+
+def _residues(g):
+    return [tuple(v // stride % size for stride, size, _ in g.factors)
+            for v in range(g.n)]
+
+
+def _automorphism(g, residues, vertex, fixed, u, v):
+    """(sigma, image): a permutation sigma of equal factors and the
+    vertex map of an element with that sigma and one partite-preserving
+    residue bijection per factor, which fixes every vertex of `fixed` and
+    maps u to v; None when no sigma admits such bijections."""
+    t = len(g.factors)
+    for sigma in permutations(range(t)):
+        if any(g.factors[i][1:] != g.factors[sigma[i]][1:] for i in range(t)):
+            continue
+        perms = []
+        for i, (_, size, b) in enumerate(g.factors):
+            j = sigma[i]
+            links = [(residues[x][i], residues[x][j]) for x in fixed]
+            links.append((residues[u][i], residues[v][j]))
+            perms.append(_partite_bijection(size, b, links))
+        if None in perms:
+            continue
+        image = []
+        for x in range(g.n):
+            out = [0] * t
+            for i, perm in enumerate(perms):
+                out[sigma[i]] = perm[residues[x][i]]
+            image.append(vertex[tuple(out)])
+        return sigma, image
+    return None
 
 
 def test_orbit_key_is_sound():
@@ -280,10 +343,9 @@ def test_orbit_key_is_sound():
     # `fixed`: build the automorphism explicitly and check it
     graphs = _orbit_graphs(36)
     rng = random.Random(101)
-    pairs_checked = 0
+    pairs_checked = swapped = 0
     for g in graphs:
-        residues = [tuple(v // stride % size for stride, size, _ in g.factors)
-                    for v in range(g.n)]
+        residues = _residues(g)
         vertex = {r: v for v, r in enumerate(residues)}
         assert len(vertex) == g.n
         for _ in range(4):
@@ -293,17 +355,17 @@ def test_orbit_key_is_sound():
                 continue
             u = rng.randrange(g.n)
             v = rng.choice([v for v in range(g.n) if key(v) == key(u)])
-            perms = [_factor_permutation(size, b, ru, rv)
-                     for (_, size, b), ru, rv in zip(g.factors, residues[u], residues[v])]
-            sigma = [vertex[tuple(p[r] for p, r in zip(perms, residues[x]))]
-                     for x in range(g.n)]
+            found = _automorphism(g, residues, vertex, fixed, u, v)
+            assert found is not None, (g, fixed, u, v)
+            perm, sigma = found
             assert sigma[u] == v
             assert all(sigma[x] == x for x in fixed), (g, fixed, u, v)
             for x in range(g.n):
                 image = sum(1 << sigma[y] for y in iter_bits(g.adj[x]))
                 assert g.adj[sigma[x]] == image, (g, fixed, u, v)
             pairs_checked += u != v
-    assert pairs_checked > 500
+            swapped += perm != tuple(range(len(perm)))
+    assert pairs_checked > 500 and swapped > 0
 
 
 def _orbit_graphs(max_vertices):
@@ -320,48 +382,135 @@ def test_upper_later_mates_are_images_under_the_prefix_stabilizer():
     # and on every adj row for the first mate of each graph
     mates_checked = 0
     for g in _orbit_graphs(36):
-        residues = [tuple(v // stride % size for stride, size, _ in g.factors)
-                    for v in range(g.n)]
+        residues = _residues(g)
         vertex = {r: v for v, r in enumerate(residues)}
         whole = True
         for idx in range(1, g.n):
             for w in iter_bits(_later_mates(g, idx)):
                 assert w > idx
-                perms = [_factor_permutation(size, b, ru, rw)
-                         for (_, size, b), ru, rw in zip(g.factors, residues[idx], residues[w])]
-
-                def sigma(x):
-                    return vertex[tuple(p[r] for p, r in zip(perms, residues[x]))]
-
-                assert sigma(idx) == w
-                assert all(sigma(x) == x for x in range(idx)), (g, idx, w)
+                found = _automorphism(g, residues, vertex, range(idx), idx, w)
+                assert found is not None, (g, idx, w)
+                image = found[1]
+                assert image[idx] == w
+                assert all(image[x] == x for x in range(idx)), (g, idx, w)
                 if whole:
-                    image = [sigma(x) for x in range(g.n)]
                     for x in range(g.n):
                         row = sum(1 << image[y] for y in iter_bits(g.adj[x]))
                         assert g.adj[image[x]] == row, (g, idx, w)
                     whole = False
                 mates_checked += 1
-    assert mates_checked == 27395
+    assert mates_checked == 27470
 
 
 def test_orbit_pruning_cuts_the_search():
     # searches rooted at vertex 0 with no orbit pruning need 35,133,
-    # 3,601 and 131,581 nodes
+    # 3,601 and 131,581 nodes; without the factor swaps K3^3 needs
+    # 62,870, and without the bipartite rules the other two need 21,881
+    # and 64,687
     got = gamma_exact(unitary_cayley(483))
     assert got.optimal and got.value == 4 and got.nodes < 1_000
     got = gamma_total_exact(unitary_cayley(165))
     assert got.optimal and got.value == 5 and got.nodes < 100
     k3 = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 3))
     got = gamma_upper_exact(k3, clique_size=3)
-    assert got.optimal and got.value == 9 and got.nodes < 80_000
+    assert got.optimal and got.value == 9 and got.nodes < 40_000
+    g = product_spec_graph(ProductSpec.from_pairs([(1, 2), (1, 3), (1, 5), (1, 7)]))
+    got = gamma_exact(g)
+    assert got.optimal and got.value == 8 and got.nodes < 1_000
+    got = gamma_total_exact(unitary_cayley(210))
+    assert got.optimal and got.value == 10 and got.nodes < 1_000
+
+
+def _partite_permutations(size, b):
+    """Every permutation of the residues of K[size/b, b] that keeps
+    partite sets together, by brute force over all permutations."""
+    return [p for p in permutations(range(size))
+            if all(p[r] % b == p[r % b] % b for r in range(size))]
+
+
+def test_orbit_key_matches_exact_stabilizer_orbits():
+    # The whole group: every permutation sigma of equal factors with every
+    # choice of one partite-preserving bijection per factor.  An element
+    # fixes a vertex iff each bijection maps the vertex's residue in
+    # factor i to its residue in factor sigma[i], so the stabilizer of a
+    # set is enumerated factor by factor, and so are its orbits.
+    rng = random.Random(103)
+    cases = swapped = 0
+    for pairs in _enum_small_specs(36, 4):
+        if any(a * b > 6 for a, b in pairs):
+            continue
+        g = product_spec_graph(ProductSpec.from_pairs(pairs))
+        t = len(g.factors)
+        residues = _residues(g)
+        vertex = {r: v for v, r in enumerate(residues)}
+        group = [_partite_permutations(size, b) for _, size, b in g.factors]
+        sigmas = [sigma for sigma in permutations(range(t))
+                  if all(g.factors[i][1:] == g.factors[sigma[i]][1:] for i in range(t))]
+        assert sorted(_factor_swaps(g.factors)) == sorted(sigmas)
+        fixed_sets = [rng.sample(range(g.n), rng.randint(0, min(4, g.n)))
+                      for _ in range(4)]
+        fixed_sets += [range(rng.randrange(g.n)) for _ in range(2)]
+        for sigma in sigmas[1:]:
+            # vertices that the bare factor permutation sigma fixes
+            still = [x for x in range(g.n)
+                     if all(residues[x][sigma[i]] == residues[x][i] for i in range(t))]
+            fixed_sets.append(rng.sample(still, rng.randint(1, min(3, len(still)))))
+        for fixed in fixed_sets:
+            orbit = [set() for _ in range(g.n)]
+            for sigma in sigmas:
+                maps = [[p for p in group[i]
+                         if all(p[residues[x][i]] == residues[x][sigma[i]] for x in fixed)]
+                        for i in range(t)]
+                if not all(maps):
+                    continue
+                swapped += sigma != sigmas[0]
+                for x in range(g.n):
+                    reach = [None] * t
+                    for i in range(t):
+                        reach[sigma[i]] = {p[residues[x][i]] for p in maps[i]}
+                    orbit[x].update(vertex[c] for c in product(*reach))
+            key = _orbit_key(g.factors, fixed)
+            if key is None:
+                assert all(orbit[x] == {x} for x in range(g.n)), (pairs, fixed)
+            else:
+                for x in range(g.n):
+                    mates = {y for y in range(g.n) if key(y) == key(x)}
+                    assert mates == orbit[x], (pairs, list(fixed), x)
+            cases += 1
+    assert cases > 450 and swapped > 500
+    # X_n has one factor per prime, so no two are equal
+    assert all(len(_factor_swaps(unitary_cayley(n).factors)) == 1 for n in range(2, 241))
+
+
+def test_rooted_max_cover_matches_unrooted():
+    # under the guard the sides are the partite sets of the one b = 2
+    # factor, and the rooted search gives every verdict of the unrooted one
+    checked = 0
+    for g in _orbit_graphs(36):
+        if _side_symmetry(g) is None:
+            continue
+        (stride, size, _), = [f for f in g.factors if f[2] == 2]
+        side0 = sum(1 << v for v in range(g.n) if v // stride % size % 2 == 0)
+        sides = bipartition(g)
+        assert sides == (side0, g.full_mask() ^ side0)
+        for mine, other in (sides, sides[::-1]):
+            sets = [g.adj[v] for v in iter_bits(mine)]
+            for count in range(mine.bit_count() + 1):
+                for target in range(other.bit_count() + 2):
+                    state = _SearchState(Budget(max_nodes=10**9, time_limit=None))
+                    want = _max_cover_atleast(sets, other, count, target, state)
+                    got = _max_cover_atleast(sets, other, count, target, state, rooted=True)
+                    assert got == want, (g, count, target)
+                    checked += 1
+    assert checked > 1_000
 
 
 def test_orbit_pruning_matches_unpruned_search(monkeypatch):
-    # With every stabilizer reported trivial the searches keep the root
-    # and prune nothing else: the orbit rules must find the same sets as
-    # that search, in no more nodes.  Graph(g.adj) carries no factors,
-    # so its search is unrooted and prunes no orbits: same values.
+    # With every stabilizer reported trivial the searches keep their roots
+    # (and the bipartite rules keep theirs) and prune nothing else: the
+    # orbit rules must find the same sets as that search, in no more
+    # nodes.  Graph(g.adj) carries no factors, so its search is unrooted
+    # and prunes no orbits: same values.
     descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 121)] + [
         Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
         for pairs in _enum_small_specs(40, 4)
