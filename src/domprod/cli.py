@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Commands emit single-line JSON records (or an aligned table with
---table) so scans compose with standard tools.  Solve results are cached
-in a JSON-lines file keyed by (canonical descriptor, quantity); an entry
-is only ever replaced by an optimal recomputation.
+--table) so scans compose with standard tools; `reproduce` writes CSV.
+Each record is its result dataclass as a dict plus the command's own
+keys and `tool_version`.  Each subcommand takes only the options it
+reads: --nodes and --time-limit where a search runs (solve, conjecture,
+reproduce, scan), --no-cache on solve, --table everywhere but reproduce.
+Solve results are cached in a JSON-lines file keyed by (canonical
+descriptor, quantity); an entry is only ever replaced by an optimal
+recomputation.
 
 Exit codes: 0 success (including budget-exhausted results with
 optimal=false), 1 reproduction mismatch, 2 bad input, 3 resource cap.
@@ -13,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import fcntl
 import json
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .graphs import (
@@ -24,9 +31,11 @@ from .graphs import (
     Descriptor,
     DescriptorError,
     ProductSpec,
+    product_spec_graph,
+    ucg_product_spec,
     unitary_cayley,
 )
-from .numbertheory import factorize, jacobsthal_run
+from .numbertheory import factorize, jacobsthal, jacobsthal_run
 from .solvers import (
     DEFAULT_MAX_NODES,
     DEFAULT_TIME_LIMIT,
@@ -34,7 +43,6 @@ from .solvers import (
     SolveResult,
     gamma_exact,
     gamma_total_exact,
-    gamma_upper_exact,
     is_dominating,
     is_minimal_dominating,
     is_total_dominating,
@@ -83,22 +91,19 @@ def _emit(record: dict, table: bool) -> None:
         print(f"{key:<{width}}  {value}")
 
 
-def _solve_record(descriptor: str, result: SolveResult) -> dict:
-    record = {
-        "descriptor": descriptor,
-        "quantity": result.quantity,
-        "value": result.value,
-        "lo": result.lo,
-        "hi": result.hi,
-        "witness": list(result.witness),
-        "optimal": result.optimal,
-        "method": result.method,
-        "nodes": result.nodes,
-        "elapsed_ms": int(result.elapsed * 1000),
-        "tool_version": __version__,
-    }
-    if result.provenance:
-        record["provenance"] = [list(entry) for entry in result.provenance]
+def _record(obj, **extra) -> dict:
+    """The fields of a result dataclass, the command's own keys, and the
+    version that produced them."""
+    return {**dataclasses.asdict(obj), **extra, "tool_version": __version__}
+
+
+def _solve_record(descriptor: str, result: SolveResult, **extra) -> dict:
+    record = _record(
+        result, descriptor=descriptor, elapsed_ms=int(result.elapsed * 1000), **extra
+    )
+    del record["elapsed"]
+    if not result.provenance:
+        del record["provenance"]
     return record
 
 
@@ -223,58 +228,28 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _bounds_record(descriptor: str, report) -> dict:
-    return {
-        "descriptor": descriptor,
-        "quantity": report.quantity,
-        "lo": report.lo,
-        "hi": report.hi,
-        "exact": report.exact,
-        "conjectured": report.conjectured,
-        "provenance": [list(entry) for entry in report.provenance],
-        "tool_version": __version__,
-    }
-
-
 def cmd_bounds(args) -> int:
     desc = Descriptor.parse(args.descriptor)
     for quantity in ("gamma", "upper"):
         report = bound_report(desc, quantity)
         if report is not None:  # no upper report for ucg:n
-            _emit(_bounds_record(desc.canonical(), report), args.table)
+            record = _record(report, descriptor=desc.canonical(), exact=report.exact)
+            _emit(record, args.table)
     return EXIT_OK
 
 
 def cmd_conjecture(args) -> int:
     desc = Descriptor.parse(args.descriptor)
-    if desc.kind == "ucg":
-        from .graphs import ucg_product_spec
-
-        spec = ucg_product_spec(desc.ucg_n)
-    else:
-        spec = desc.spec.canonical()
+    spec = ucg_product_spec(desc.ucg_n) if desc.kind == "ucg" else desc.spec
     check = conjecture_check(spec, _budget(args))
-    result = check.exact
-    record = _solve_record(desc.canonical(), result)
-    record["conjectured"] = check.conjectured
-    record["agrees"] = check.agrees
+    record = _solve_record(
+        desc.canonical(), check.exact, conjectured=check.conjectured, agrees=check.agrees
+    )
     _emit(record, args.table)
     return EXIT_OK
 
 
 # ==== constructions and witnesses ====
-
-
-def _construction_record(name: str, res) -> dict:
-    return {
-        "descriptor": res.descriptor,
-        "construction": name,
-        "kind": res.kind,
-        "size": len(res.vertex_set),
-        "vertex_set": list(res.vertex_set),
-        "verified": res.verified,
-        "tool_version": __version__,
-    }
 
 
 def _spec_target(args) -> ProductSpec:
@@ -284,22 +259,26 @@ def _spec_target(args) -> ProductSpec:
     return desc.spec.canonical()
 
 
+def _int_target(args) -> int:
+    try:
+        return int(args.target)
+    except ValueError:
+        raise DescriptorError(f"{args.name} needs an integer, got {args.target!r}")
+
+
+_CONSTRUCTIONS = {
+    "consecutive": lambda args: consecutive_residue_set(_int_target(args)),
+    "diagonal": lambda args: diagonal_set(_spec_target(args), args.m),
+    "t-plus-two": lambda args: t_plus_two_set(_spec_target(args)),
+    "cube-corner": lambda args: cube_corner_set(_spec_target(args)),
+    "partite-column": lambda args: partite_column_set(_spec_target(args)),
+}
+
+
 def cmd_construct(args) -> int:
-    if args.name == "consecutive":
-        try:
-            n = int(args.target)
-        except ValueError:
-            raise DescriptorError(f"consecutive needs an integer, got {args.target!r}")
-        res = consecutive_residue_set(n)
-    elif args.name == "diagonal":
-        res = diagonal_set(_spec_target(args), args.m)
-    elif args.name == "t-plus-two":
-        res = t_plus_two_set(_spec_target(args))
-    elif args.name == "cube-corner":
-        res = cube_corner_set(_spec_target(args))
-    else:
-        res = partite_column_set(_spec_target(args))
-    _emit(_construction_record(args.name, res), args.table)
+    res = _CONSTRUCTIONS[args.name](args)
+    record = _record(res, construction=args.name, size=len(res.vertex_set))
+    _emit(record, args.table)
     return EXIT_OK
 
 
@@ -308,40 +287,13 @@ def cmd_witness(args) -> int:
         if args.j is None:
             raise DescriptorError("witness thm6 needs --j")
         w = mt_witness(args.j)
-        record = {
-            "witness": "thm6",
-            "j": args.j,
-            "n": w.n,
-            "q": w.q,
-            "k": w.k,
-            "primes": list(w.primes),
-            "D": list(w.D),
-            "size": len(w.D),
-            "y": w.y,
-            "z": w.z,
-            "run_length": w.run_length,
-            "g_lower": w.g_lower,
-            "verified": w.verified,
-            "tool_version": __version__,
-        }
+        record = _record(w, witness="thm6", j=args.j, size=len(w.D))
+        del record["a_sequence"]
     else:
         if args.family is None or args.p1 is None or args.p2 is None:
             raise DescriptorError("witness prop1 needs --family, --p1, --p2")
         w = m_family_witness(args.family, args.p1, args.p2)
-        record = {
-            "witness": "prop1",
-            "family": w.family,
-            "n": w.n,
-            "p1": w.p1,
-            "p2": w.p2,
-            "x": w.x,
-            "run_length": w.run_length,
-            "dominating_set": list(w.dominating_set),
-            "size": len(w.dominating_set),
-            "g_lower": w.g_lower,
-            "verified": w.verified,
-            "tool_version": __version__,
-        }
+        record = _record(w, witness="prop1", size=len(w.dominating_set))
     _emit(record, args.table)
     return EXIT_OK
 
@@ -379,30 +331,18 @@ def cmd_jacobsthal(args) -> int:
 # ==== reproduction suites ====
 
 
-def _squarefree_small_omega(limit: int):
+def _suite_ucg(squarefree: bool, limit: int, budget: Budget):
+    """gamma(X_n) against its closed form for each n <= limit with at
+    most three prime factors: eq. (7) when n is squarefree, g(n) when
+    it is not."""
+    formula = squarefree_gamma_value if squarefree else jacobsthal
     for n in range(2, limit + 1):
         fac = factorize(n)
-        if len(fac) <= 3 and all(e == 1 for _, e in fac):
-            yield n
-
-
-def _nonsquarefree_small_omega(limit: int):
-    for n in range(2, limit + 1):
-        fac = factorize(n)
-        if len(fac) <= 3 and any(e > 1 for _, e in fac):
-            yield n
-
-
-def _suite_eq7(limit: int, budget: Budget):
-    for n in _squarefree_small_omega(limit):
-        formula = squarefree_gamma_value(n)
-        solved = gamma_exact(unitary_cayley(n), budget)
-        yield f"ucg:{n}", formula, solved
+        if len(fac) <= 3 and all(e == 1 for _, e in fac) == squarefree:
+            yield f"ucg:{n}", formula(n), gamma_exact(unitary_cayley(n), budget)
 
 
 def _suite_thm1(limit: int, budget: Budget):
-    from .graphs import product_spec_graph
-
     shapes = []
     for n1 in range(2, limit + 1):
         for n2 in range(n1, limit + 1):
@@ -416,15 +356,6 @@ def _suite_thm1(limit: int, budget: Budget):
             continue
         solved = gamma_exact(product_spec_graph(spec), budget)
         yield spec.descriptor(), formula.lo, solved
-
-
-def _suite_thm4(limit: int, budget: Budget):
-    from .numbertheory import jacobsthal
-
-    for n in _nonsquarefree_small_omega(limit):
-        formula = jacobsthal(n)
-        solved = gamma_exact(unitary_cayley(n), budget)
-        yield f"ucg:{n}", formula, solved
 
 
 def _enum_small_specs(max_vertices: int, max_t: int):
@@ -455,21 +386,16 @@ def _enum_small_specs(max_vertices: int, max_t: int):
 
 
 def _suite_upperdom(limit: int, budget: Budget):
-    from .graphs import product_spec_graph
-
     for pairs in _enum_small_specs(limit, 3):
         spec = ProductSpec.from_pairs(pairs)
-        conjectured = spec.n_vertices // spec.factors[0].b
-        solved = gamma_upper_exact(
-            product_spec_graph(spec), budget, clique_size=spec.factors[0].b
-        )
-        yield spec.descriptor(), conjectured, solved
+        check = conjecture_check(spec, budget)
+        yield spec.descriptor(), check.conjectured, check.exact
 
 
 _SUITES = {
-    "eq7": (_suite_eq7, 500),
+    "eq7": (partial(_suite_ucg, True), 500),
     "thm1": (_suite_thm1, 5),
-    "thm4": (_suite_thm4, 200),
+    "thm4": (partial(_suite_ucg, False), 200),
     "upperdom-small": (_suite_upperdom, 27),
 }
 
@@ -542,15 +468,14 @@ def cmd_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--nodes", type=int, default=None,
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--table", action="store_true",
+                       help="aligned table output instead of JSON lines")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--nodes", type=int, default=None,
                         help="search node budget (default 10^7)")
-    common.add_argument("--time-limit", type=float, default=None,
+    budget.add_argument("--time-limit", type=float, default=None,
                         help="per-instance wall clock budget in seconds (default 60)")
-    common.add_argument("--no-cache", action="store_true",
-                        help="bypass the result cache")
-    common.add_argument("--table", action="store_true",
-                        help="aligned table output instead of JSON lines")
 
     parser = argparse.ArgumentParser(
         prog="domprod",
@@ -560,26 +485,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[budget, table],
                        help="exact gamma / gamma_t / upper domination")
     p.add_argument("quantity", choices=sorted(_QUANTITY_BY_VERB))
     p.add_argument("descriptor")
+    p.add_argument("--no-cache", action="store_true",
+                   help="bypass the result cache")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", parents=[table],
                        help="theorem-derived bound intervals")
     p.add_argument("descriptor")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", parents=[table],
                        help="explicit dominating-set constructions")
-    p.add_argument("name", choices=["consecutive", "diagonal", "t-plus-two",
-                                    "cube-corner", "partite-column"])
+    p.add_argument("name", choices=list(_CONSTRUCTIONS))
     p.add_argument("target", help="product spec descriptor, or n for consecutive")
     p.add_argument("--m", type=int, default=0, help="diagonal overshoot")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=[table],
                        help="certified members of M and M_t")
     p.add_argument("which", choices=["thm6", "prop1"])
     p.add_argument("--j", type=int, default=None,
@@ -589,24 +515,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=int, default=None)
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("conjecture", parents=[common],
+    p = sub.add_parser("conjecture", parents=[budget, table],
                        help="compare exact upper domination against n/b_1")
     p.add_argument("descriptor")
     p.set_defaults(func=cmd_conjecture)
 
-    p = sub.add_parser("jacobsthal", parents=[common],
+    p = sub.add_parser("jacobsthal", parents=[table],
                        help="Jacobsthal function with extremal runs")
     p.add_argument("range", help="N or A..B")
     p.set_defaults(func=cmd_jacobsthal)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[budget],
                        help="formula-vs-solver cross-check suites (CSV)")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--max", type=int, default=None,
                    help="override the suite's instance limit")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[budget, table],
                        help="stream membership certificates for M or M_t")
     p.add_argument("target", choices=["M", "Mt"])
     p.add_argument("--min", type=int, default=None)

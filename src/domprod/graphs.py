@@ -445,10 +445,6 @@ class Descriptor:
             return f"ucg:{self.ucg_n}"
         return self.spec.canonical().descriptor()
 
-    @property
-    def n_vertices(self) -> int:
-        return self.ucg_n if self.kind == "ucg" else self.spec.n_vertices
-
     def build(self) -> Graph:
         """Materialize the graph; specs are built in canonical order so
         witnesses always refer to the canonical vertex numbering."""

@@ -432,12 +432,8 @@ def ucg_gamma_bounds(n: int) -> BoundReport:
     w = len(fac)
     squarefree = all(e == 1 for _, e in fac)
     base = gamma_bounds(ucg_product_spec(n))
-    lows = [(base.lo, tag) for tag, contrib in base.provenance if contrib == f"lo {base.lo}"]
-    his = [(base.hi, tag) for tag, contrib in base.provenance if contrib == f"hi {base.hi}"]
-    if not lows:
-        lows = [(base.lo, "product-form")]
-    if not his:
-        his = [(base.hi, "product-form")]
+    lows = [(base.lo, tag) for tag, _ in _side(base, "lo")]
+    his = [(base.hi, tag) for tag, _ in _side(base, "hi")]
     his.append((jacobsthal(n), "consecutive-run"))
     if squarefree and w <= 3:
         v = squarefree_gamma_value(n)

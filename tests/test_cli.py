@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -255,13 +256,11 @@ def test_bounds_open_case_reports_conjecture(capsys):
 
 
 def test_conjecture_command(capsys):
-    code, out, _ = run(capsys, "conjecture", "K[1,3]xK[1,3]", "--no-cache")
+    code, out, _ = run(capsys, "conjecture", "K[1,3]xK[1,3]")
     assert code == EXIT_OK
     (rec,) = records(out)
     assert rec["conjectured"] == 3 and rec["agrees"] is True
-    code, out, _ = run(
-        capsys, "conjecture", "K[1,3]xK[1,3]xK[1,3]", "--nodes", "20", "--no-cache"
-    )
+    code, out, _ = run(capsys, "conjecture", "K[1,3]xK[1,3]xK[1,3]", "--nodes", "20")
     assert code == EXIT_OK
     (rec,) = records(out)
     assert rec["agrees"] is None
@@ -470,3 +469,94 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert cli.__version__ in capsys.readouterr().out
+
+
+# one cheap, valid invocation of each subcommand, and the options it reads
+_BASE_ARGV = {
+    "solve": ["solve", "gamma", "ucg:6"],
+    "bounds": ["bounds", "ucg:6"],
+    "construct": ["construct", "consecutive", "6"],
+    "witness": ["witness", "prop1", "--family", "1", "--p1", "3", "--p2", "5"],
+    "conjecture": ["conjecture", "K[1,2]xK[1,3]"],
+    "jacobsthal": ["jacobsthal", "6"],
+    "reproduce": ["reproduce", "eq7", "--max", "6"],
+    "scan": ["scan", "M", "--max", "6"],
+}
+_OPTIONS = {
+    "--nodes": ["--nodes", "1000"],
+    "--time-limit": ["--time-limit", "10"],
+    "--no-cache": ["--no-cache"],
+    "--table": ["--table"],
+}
+_READS = {
+    "solve": {"--nodes", "--time-limit", "--no-cache", "--table"},
+    "bounds": {"--table"},
+    "construct": {"--table"},
+    "witness": {"--table"},
+    "conjecture": {"--nodes", "--time-limit", "--table"},
+    "jacobsthal": {"--table"},
+    "reproduce": {"--nodes", "--time-limit"},
+    "scan": {"--nodes", "--time-limit", "--table"},
+}
+
+
+def _exit_code(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects unknown options this way
+        code = exc.code
+    capsys.readouterr()
+    return code
+
+
+def test_commands_take_only_the_options_they_read(capsys):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_BASE_ARGV) == set(_READS)
+    accepted = 0
+    for command, base in _BASE_ARGV.items():
+        shown = {opt for opt in _OPTIONS if opt in sub.choices[command].format_help()}
+        assert shown == _READS[command], command
+        for option, extra in _OPTIONS.items():
+            code = _exit_code(capsys, base + extra)
+            if option in _READS[command]:
+                assert code == EXIT_OK, (command, option)
+                accepted += 1
+            else:
+                assert code == EXIT_BAD_INPUT, (command, option)
+    assert accepted == 16
+
+
+def test_records_keep_their_fields(capsys):
+    solved = {
+        "descriptor", "quantity", "value", "lo", "hi", "witness", "optimal",
+        "method", "nodes", "elapsed_ms", "tool_version",
+    }
+
+    def keys(*argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        return [set(rec) for rec in records(out)]
+
+    assert keys("solve", "gamma", "ucg:105", "--no-cache") == [solved]
+    assert keys(
+        "solve", "upper", "K[1,3]xK[1,3]xK[1,3]", "--no-cache"
+    ) == [solved | {"provenance"}]
+    bounds = {
+        "descriptor", "quantity", "lo", "hi", "exact", "conjectured",
+        "provenance", "tool_version",
+    }
+    assert keys("bounds", "K[1,3]xK[1,3]") == [bounds, bounds]
+    assert keys("construct", "cube-corner", "K[1,2]xK[1,3]xK[1,3]xK[1,3]") == [{
+        "descriptor", "construction", "kind", "size", "vertex_set", "verified",
+        "tool_version",
+    }]
+    assert keys("witness", "thm6", "--j", "3") == [{
+        "witness", "j", "n", "q", "k", "primes", "D", "size", "y", "z",
+        "run_length", "g_lower", "verified", "tool_version",
+    }]
+    assert keys("witness", "prop1", "--family", "2", "--p1", "5", "--p2", "7") == [{
+        "witness", "family", "n", "p1", "p2", "x", "run_length", "dominating_set",
+        "size", "g_lower", "verified", "tool_version",
+    }]
+    assert keys("conjecture", "K[1,3]xK[1,3]") == [solved | {"conjectured", "agrees"}]
