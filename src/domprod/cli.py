@@ -268,7 +268,7 @@ def _int_target(args) -> int:
 
 _CONSTRUCTIONS = {
     "consecutive": lambda args: consecutive_residue_set(_int_target(args)),
-    "diagonal": lambda args: diagonal_set(_spec_target(args), args.m),
+    "diagonal": lambda args: diagonal_set(_spec_target(args), args.m or 0),
     "t-plus-two": lambda args: t_plus_two_set(_spec_target(args)),
     "cube-corner": lambda args: cube_corner_set(_spec_target(args)),
     "partite-column": lambda args: partite_column_set(_spec_target(args)),
@@ -276,6 +276,8 @@ _CONSTRUCTIONS = {
 
 
 def cmd_construct(args) -> int:
+    if args.m is not None and args.name != "diagonal":
+        raise DescriptorError(f"construct {args.name} takes no --m (only diagonal reads it)")
     res = _CONSTRUCTIONS[args.name](args)
     record = _record(res, construction=args.name, size=len(res.vertex_set))
     _emit(record, args.table)
@@ -286,12 +288,16 @@ def cmd_witness(args) -> int:
     if args.which == "thm6":
         if args.j is None:
             raise DescriptorError("witness thm6 needs --j")
+        if (args.family, args.p1, args.p2) != (None, None, None):
+            raise DescriptorError("witness thm6 takes no --family, --p1, --p2")
         w = mt_witness(args.j)
         record = _record(w, witness="thm6", j=args.j, size=len(w.D))
         del record["a_sequence"]
     else:
         if args.family is None or args.p1 is None or args.p2 is None:
             raise DescriptorError("witness prop1 needs --family, --p1, --p2")
+        if args.j is not None:
+            raise DescriptorError("witness prop1 takes no --j")
         w = m_family_witness(args.family, args.p1, args.p2)
         record = _record(w, witness="prop1", size=len(w.dominating_set))
     _emit(record, args.table)
@@ -502,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit dominating-set constructions")
     p.add_argument("name", choices=list(_CONSTRUCTIONS))
     p.add_argument("target", help="product spec descriptor, or n for consecutive")
-    p.add_argument("--m", type=int, default=0, help="diagonal overshoot")
+    p.add_argument("--m", type=int, default=None,
+                   help="diagonal: overshoot (default 0)")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("witness", parents=[table],
@@ -510,9 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["thm6", "prop1"])
     p.add_argument("--j", type=int, default=None,
                    help="thm6: minimum number of prime factors")
-    p.add_argument("--family", type=int, choices=[1, 2], default=None)
-    p.add_argument("--p1", type=int, default=None)
-    p.add_argument("--p2", type=int, default=None)
+    p.add_argument("--family", type=int, choices=[1, 2], default=None,
+                   help="prop1: family")
+    p.add_argument("--p1", type=int, default=None, help="prop1: first prime")
+    p.add_argument("--p2", type=int, default=None, help="prop1: second prime")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("conjecture", parents=[budget, table],

@@ -17,10 +17,15 @@ splitting k vertices across the two sides by max-coverage counting, far
 faster than raw branching.
 
 gamma_upper_exact maximizes |D| over minimal dominating sets with an
-in/out search in index order, pruned by Ore feasibility (every chosen
-vertex must still be able to end up lonely or privately neighbored)
-and, when the caller supplies the clique size b of a clique partition,
-by the packing inequality b*l + 2*s <= n.
+in/out search in index order.  Each time a vertex joins IN, the
+undecided vertices that can no longer join (_unaddable: IN plus that
+vertex would break Ore's criterion, some member left neither lonely nor
+with a private neighbor) move to OUT; IN only grows, so they could not
+join any larger IN either, and IN itself always satisfies Ore.  A node
+is pruned when IN plus its still addable vertices is no larger than the
+best set, when some vertex can no longer be dominated, and, when the
+caller supplies the clique size b of a clique partition, by the packing
+inequality b*l + 2*s <= n.
 
 A caller that knows a proven lower bound on gamma can hand it in:
 gamma_exact's keyword `floor` joins the counting and packing lower
@@ -43,7 +48,11 @@ through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
   - gamma_upper_exact, leaving vertex i out, also leaves out the later
     vertices in its orbit under the stabilizer of 0..i-1; each set so
     dropped is the image of a set of the same size through i, which the
-    "in" branch has already searched.
+    "in" branch has already searched.  The vertices the addable filter
+    moves to OUT are in no minimal dominating set of the subtree, and
+    that set of vertices is mapped onto itself by every automorphism
+    fixing IN; the search meets the same minimal dominating sets with
+    the filter as without it, so the rule stays sound.
 When exactly one factor has b = 2 (_side_symmetry), the graph is
 connected and bipartite, and the automorphisms that keep its two sides
 act transitively on each.  Then the bipartite split of gamma_total
@@ -804,6 +813,41 @@ def _later_mates(g: Graph, idx: int) -> int:
     return sum(1 << w for w in range(idx + 1, g.n) if key(w) == mine)
 
 
+def _unaddable(adj: Sequence[int], closed: Sequence[int], in_mask: int, cand: int) -> int:
+    """The members of cand (disjoint from in_mask) that cannot join IN =
+    in_mask without breaking Ore's criterion for IN plus themselves.
+
+    With `once` and `twice` the vertices having at least one and at
+    least two neighbors in IN, a member d keeps a private neighbor only
+    in its pool adj[d] & ~IN & ~twice, and a newcomer v spoils pool
+    vertex p when v is in closed[p].  So v breaks d when it lies in
+    closed[p] for every p of the pool, and, while d is lonely, also in
+    adj[d].  v itself fails when it has a neighbor in IN but none
+    outside IN | once.  IN only grows, so pools only shrink: a vertex
+    that cannot join IN cannot join any larger IN either.
+    """
+    once = twice = 0
+    for d in iter_bits(in_mask):
+        twice |= once & adj[d]
+        once |= adj[d]
+    kill = 0
+    free = ~(in_mask | once)
+    for v in iter_bits(cand & once):
+        if adj[v] & free == 0:
+            kill |= 1 << v
+    outside = ~(in_mask | twice)
+    for d in iter_bits(in_mask):
+        hit = cand & ~kill
+        if adj[d] & in_mask == 0:  # lonely while no newcomer sees it
+            hit &= adj[d]
+        for p in iter_bits(adj[d] & outside):
+            if not hit:
+                break
+            hit &= closed[p]
+        kill |= hit
+    return kill
+
+
 def gamma_upper_exact(
     g: Graph, budget: Budget | None = None, *, clique_size: int | None = None
 ) -> SolveResult:
@@ -836,30 +880,22 @@ def gamma_upper_exact(
     surcharge = clique_size - 2 if clique_size is not None else 0
     # (idx, in, out, covered); some maximum minimal dominating set
     # of a transitive graph contains 0
-    prefix = (1, 1, 0, closed[0]) if g.transitive else (0, 0, 0, 0)
+    prefix = (
+        (1, 1, _unaddable(adj, closed, 1, full & ~1), closed[0])
+        if g.transitive else (0, 0, 0, 0)
+    )
     mates: dict[int, int] = {}
-
-    def feasible(in_mask: int) -> bool:
-        # every chosen vertex must still be able to satisfy Ore: pools
-        # only shrink as IN grows, so a failure here is permanent
-        for d in iter_bits(in_mask):
-            if adj[d] & in_mask == 0:
-                continue
-            bit_d = 1 << d
-            for p in iter_bits(adj[d] & ~in_mask):
-                if adj[p] & in_mask == bit_d:
-                    break
-            else:
-                return False
-        return True
 
     def rec(idx: int, in_mask: int, out_mask: int, covered: int) -> None:
         """In/out search in index order for a minimal dominating set
-        larger than best_size; it stops at the first one of global_ub."""
+        larger than best_size; it stops at the first one of global_ub.
+        OUT holds every undecided vertex that cannot join IN, so IN
+        always satisfies Ore's criterion."""
         nonlocal best_mask, best_size
         state.tick()
         in_cnt = in_mask.bit_count()
-        if in_cnt + (n - idx) <= best_size:
+        undecided = full >> idx << idx & ~out_mask
+        if in_cnt + undecided.bit_count() <= best_size:
             return
         if surcharge:
             perm_lonely = sum(
@@ -870,19 +906,19 @@ def gamma_upper_exact(
         for u in iter_bits(full & ~covered):
             if closed[u] & ~out_mask == 0:
                 return  # u can never be dominated now
-        if not feasible(in_mask):
-            return
         if idx == n:
-            if covered == full and in_cnt > best_size:
+            if covered == full:
                 best_mask, best_size = in_mask, in_cnt
                 if best_size >= global_ub:
                     raise _Done
             return
         bit = 1 << idx
-        if out_mask & bit:  # an orbit mate of an earlier vertex
+        if out_mask & bit:  # cannot join, or an orbit mate of an earlier vertex
             rec(idx + 1, in_mask, out_mask, covered)
             return
-        rec(idx + 1, in_mask | bit, out_mask, covered | closed[idx])
+        grown = in_mask | bit
+        rec(idx + 1, grown, out_mask | _unaddable(adj, closed, grown, undecided & ~bit),
+            covered | closed[idx])
         if g.factors is not None:
             if idx not in mates:
                 mates[idx] = _later_mates(g, idx)

@@ -525,6 +525,19 @@ def test_commands_take_only_the_options_they_read(capsys):
             else:
                 assert code == EXIT_BAD_INPUT, (command, option)
     assert accepted == 16
+    # options that only one choice of construct or witness reads
+    for argv, want in (
+        (["construct", "consecutive", "30", "--m", "7"], EXIT_BAD_INPUT),
+        (["construct", "cube-corner", "K[1,2]xK[1,3]xK[1,3]xK[1,3]", "--m", "0"],
+         EXIT_BAD_INPUT),
+        (["construct", "diagonal", "K[1,4]xK[1,5]xK[1,7]", "--m", "0"], EXIT_OK),
+        (["witness", "thm6", "--j", "2", "--family", "2", "--p1", "1"], EXIT_BAD_INPUT),
+        (["witness", "thm6", "--j", "2", "--p2", "5"], EXIT_BAD_INPUT),
+        (["witness", "thm6", "--j", "2"], EXIT_OK),
+        (["witness", "prop1", "--family", "1", "--p1", "3", "--p2", "5", "--j", "4"],
+         EXIT_BAD_INPUT),
+    ):
+        assert _exit_code(capsys, argv) == want, argv
 
 
 def test_records_keep_their_fields(capsys):

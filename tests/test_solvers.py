@@ -37,6 +37,7 @@ from domprod.solvers import (
     _orbit_key,
     _SearchState,
     _side_symmetry,
+    _unaddable,
     bipartition,
 )
 
@@ -406,14 +407,23 @@ def test_orbit_pruning_cuts_the_search():
     # searches rooted at vertex 0 with no orbit pruning need 35,133,
     # 3,601 and 131,581 nodes; without the factor swaps K3^3 needs
     # 62,870, and without the bipartite rules the other two need 21,881
-    # and 64,687
+    # and 64,687.  Without the addable filter and its count bound, Gamma
+    # needs 32,901 nodes on K3^3, 237,663 on K3xK3xK4 and 113,501 on
+    # X_63, and X_99 is unfinished after 2,000,000
     got = gamma_exact(unitary_cayley(483))
     assert got.optimal and got.value == 4 and got.nodes < 1_000
     got = gamma_total_exact(unitary_cayley(165))
     assert got.optimal and got.value == 5 and got.nodes < 100
     k3 = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 3))
     got = gamma_upper_exact(k3, clique_size=3)
-    assert got.optimal and got.value == 9 and got.nodes < 40_000
+    assert got.optimal and got.value == 9 and got.nodes < 6_000
+    k334 = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 3), (1, 4)]))
+    got = gamma_upper_exact(k334, clique_size=3)
+    assert got.optimal and got.value == 12 and got.nodes < 20_000
+    got = gamma_upper_exact(unitary_cayley(63), clique_size=3)
+    assert got.optimal and got.value == 21 and got.nodes < 1_000
+    got = gamma_upper_exact(unitary_cayley(99), clique_size=3)
+    assert got.optimal and got.value == 33
     g = product_spec_graph(ProductSpec.from_pairs([(1, 2), (1, 3), (1, 5), (1, 7)]))
     got = gamma_exact(g)
     assert got.optimal and got.value == 8 and got.nodes < 1_000
@@ -556,6 +566,52 @@ def test_known_upper_values():
     assert r.value == 10 and r.method == "reduction"
     # without the clique partition hint the search still gets there
     assert gamma_upper_exact(unitary_cayley(8), clique_size=2).value == 4
+
+
+def _ore_holds(g, members):
+    """Ore's criterion for each member of a set that need not dominate,
+    by classify: a new vertex z adjacent to every vertex the set leaves
+    undominated makes the set plus z dominating, with z lonely, and
+    touches no member and no vertex a member could have as a private
+    neighbor."""
+    seen = 0
+    for v in members:
+        seen |= g.closed(v)
+    rest = g.full_mask() & ~seen
+    z = g.n
+    adj = [row | (rest >> v & 1) << z for v, row in enumerate(g.adj)] + [rest]
+    return is_minimal_dominating(Graph(adj), [*members, z])
+
+
+def test_unaddable_matches_ore_by_brute_force():
+    # the filter gamma_upper_exact applies: v cannot join IN exactly when
+    # Ore's criterion fails on IN | {v}, and it then fails on every larger
+    # IN too, so the filter may drop v from the whole subtree
+    rng = random.Random(109)
+    cases = killed = supersets = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 11))
+        closed = [g.closed(v) for v in range(g.n)]
+        members = [v for v in range(g.n) if rng.random() < rng.uniform(0.1, 0.6)]
+        in_mask = sum(1 << v for v in members)
+        cand = g.full_mask() & ~in_mask
+        kill = _unaddable(g.adj, closed, in_mask, cand)
+        assert kill & ~cand == 0
+        for v in iter_bits(cand):
+            broken = not _ore_holds(g, members + [v])
+            assert broken == bool(kill >> v & 1), (g.adj, members, v)
+            cases += 1
+            if not broken:
+                continue
+            killed += 1
+            others = [w for w in iter_bits(cand) if w != v]
+            for pick in range(1 << len(others)):
+                more = members + [w for i, w in enumerate(others) if pick >> i & 1]
+                assert not _ore_holds(g, more + [v]), (g.adj, more, v)
+                larger = in_mask | sum(1 << w for w in more)
+                assert _unaddable(g.adj, closed, larger, 1 << v) == 1 << v
+                supersets += 1
+    assert cases > 1_500 and killed > 900 and supersets > 30_000
 
 
 def test_upper_seed_is_minimal():
