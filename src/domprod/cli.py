@@ -133,7 +133,8 @@ class ResultCache:
 
     Later entries win unless they would replace an optimal entry with a
     non-optimal one.  Writers take an advisory lock; partially written
-    or stale-version lines are ignored on read.
+    or stale-version lines and lines that are not JSON objects are
+    ignored on read.
     """
 
     def __init__(self, path: str):
@@ -150,6 +151,8 @@ class ResultCache:
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
+                    continue
+                if not isinstance(rec, dict):
                     continue
                 if rec.get("tool_version") != __version__:
                     continue
@@ -180,16 +183,19 @@ class ResultCache:
 
 def _cached_verified(record: dict, desc: Descriptor) -> bool:
     """Re-verify a cached optimal entry before trusting it: value, lo, hi
-    and the witness size must agree, the witness must pass its checker,
-    and a "theorem" entry's value must be the proven side the theorem
-    layer derives afresh (lo for gamma, hi for upper)."""
+    and the witness size must agree, the witness must be distinct int
+    vertices that pass its checker, and a "theorem" entry's value must
+    be the proven side the theorem layer derives afresh (lo for gamma,
+    hi for upper)."""
     quantity = record.get("quantity")
     checker = _CHECKER.get(quantity)
     if checker is None:
         return False
     witness = record.get("witness")
-    if not isinstance(witness, list):
-        return False
+    if not isinstance(witness, list) or not all(type(v) is int for v in witness):
+        return False  # bool is an int subclass; floats crash the checker
+    if len(set(witness)) != len(witness):
+        return False  # a repeat would inflate the size the set claims
     if not record.get("value") == record.get("lo") == record.get("hi") == len(witness):
         return False
     if record.get("method") == "theorem":

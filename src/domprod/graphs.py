@@ -81,12 +81,6 @@ class Graph:
         any vertex to any other."""
         return self.factors is not None
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 
@@ -95,18 +89,6 @@ class Graph:
 
     def closed(self, v: int) -> int:
         return self.adj[v] | (1 << v)
-
-    def validate(self) -> None:
-        """Full invariant scan: symmetry and irreflexivity."""
-        for v in range(self.n):
-            if self.adj[v] >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            if self.adj[v] >> self.n:
-                raise ValueError(f"adjacency bits beyond vertex range at {v}")
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric edge {v}->{u}")
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -174,10 +156,6 @@ class ProductSpec:
         """Descriptor text with the factors in stored order, e.g.
         K[1,2]xK[2,3]."""
         return "x".join(f"K[{f.a},{f.b}]" for f in self.factors)
-
-    @property
-    def b1(self) -> int:
-        return min(f.b for f in self.factors)
 
     def index(self, coords) -> int:
         """Row-major vertex number of a tuple of per-factor residues, in
@@ -298,92 +276,7 @@ def ucg_product_spec(n: int) -> ProductSpec:
     )
 
 
-# ==== CRT isomorphism ====
-
-
-@dataclass(frozen=True)
-class CrtIsomorphism:
-    """The residue <-> coordinate bijection behind X_n = prod K[p^(e-1), p].
-
-    to_tuple[x] is (x mod p_1^e_1, ..., x mod p_k^e_k); to_index[x] is
-    spec.index of that tuple, its vertex in product_spec_graph(spec).
-    """
-
-    n: int
-    spec: ProductSpec
-    to_tuple: tuple[tuple[int, ...], ...]
-    to_index: tuple[int, ...]
-
-    def index_of(self, residue: int) -> int:
-        return self.to_index[residue % self.n]
-
-    def tuple_of(self, residue: int) -> tuple[int, ...]:
-        return self.to_tuple[residue % self.n]
-
-
-def crt_isomorphism(n: int) -> CrtIsomorphism:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    spec = ucg_product_spec(n)
-    moduli = [f.size for f in spec.factors]
-    tuples = tuple(tuple(x % m for m in moduli) for x in range(n))
-    return CrtIsomorphism(n, spec, tuples, tuple(spec.index(c) for c in tuples))
-
-
-# ==== clique partition and K_2 reduction ====
-
-
-@dataclass(frozen=True)
-class CliquePartition:
-    """Partition of a product's vertices into cliques of size b_1."""
-
-    spec: ProductSpec
-    cliques: tuple[tuple[int, ...], ...]
-
-    def validate(self, graph: Graph) -> None:
-        """Checks disjointness, coverage, clique property, and sizes."""
-        b1 = self.spec.factors[0].b
-        seen = 0
-        for c in self.cliques:
-            if len(c) != b1:
-                raise ValueError(f"clique size {len(c)} != b_1 = {b1}")
-            cmask = 0
-            for v in c:
-                cmask |= 1 << v
-            if seen & cmask:
-                raise ValueError("cliques are not disjoint")
-            seen |= cmask
-            for v in c:
-                if cmask & ~graph.closed(v):
-                    raise ValueError(f"set {c} is not a clique")
-        if seen != graph.full_mask():
-            raise ValueError("cliques do not cover the vertex set")
-
-
-def clique_partition(spec: ProductSpec) -> CliquePartition:
-    """Partition prod K[a_i,b_i] into n/b_1 cliques of size b_1.
-
-    Built factor by factor on coordinate tuples: consecutive blocks of
-    b_1 residues partition the first factor; appending a factor of size s
-    turns each clique C into s shifted copies {(u_j, (l+j) mod s)}.
-    Requires canonical order so that b_1 is minimal.
-    """
-    if not spec.canonical_order:
-        raise ValueError("clique partition needs canonical factor order")
-    b1 = spec.factors[0].b
-    cliques = [
-        [(c,) for c in range(m * b1, (m + 1) * b1)] for m in range(spec.factors[0].a)
-    ]
-    for f in spec.factors[1:]:
-        s = f.size
-        cliques = [
-            [u + ((shift + j) % s,) for j, u in enumerate(c)]
-            for c in cliques
-            for shift in range(s)
-        ]
-    return CliquePartition(
-        spec, tuple(tuple(spec.index(u) for u in c) for c in cliques)
-    )
+# ==== K_2 reduction ====
 
 
 def k2_reduction(spec: ProductSpec) -> tuple[int, ProductSpec | None]:
@@ -451,13 +344,3 @@ class Descriptor:
         if self.kind == "ucg":
             return unitary_cayley(self.ucg_n)
         return product_spec_graph(self.spec.canonical())
-
-    def clique_size(self) -> int:
-        """Size b_1 of the cliques in the graph's clique partition.
-
-        For ucg:n this is the smallest prime factor, via the CRT product
-        form; the partition transfers through the isomorphism.
-        """
-        if self.kind == "ucg":
-            return factorize(self.ucg_n)[0][0]
-        return self.spec.canonical().factors[0].b

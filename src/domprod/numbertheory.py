@@ -61,24 +61,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime factors; omega(1) = 0."""
-    return len(factorize(n))
-
-
 def radical(n: int) -> int:
     """Product of the distinct prime factors; radical(1) = 1."""
     out = 1
     for p, _ in factorize(n):
         out *= p
-    return out
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient; phi(1) = 1."""
-    out = n
-    for p, _ in factorize(n):
-        out = out // p * (p - 1)
     return out
 
 

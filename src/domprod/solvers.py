@@ -24,8 +24,9 @@ with a private neighbor) move to OUT; IN only grows, so they could not
 join any larger IN either, and IN itself always satisfies Ore.  A node
 is pruned when IN plus its still addable vertices is no larger than the
 best set, when some vertex can no longer be dominated, and, when the
-caller supplies the clique size b of a clique partition, by the packing
-inequality b*l + 2*s <= n.
+graph splits into cliques of size b, by the packing inequality
+b*l + 2*s <= n.  A product of K[a_i,b_i] splits into cliques of size
+b_1 = min b_i, so with Graph.factors set the search takes b from them.
 
 A caller that knows a proven lower bound on gamma can hand it in:
 gamma_exact's keyword `floor` joins the counting and packing lower
@@ -229,18 +230,6 @@ def is_minimal_dominating(g: Graph, d: Iterable[int]) -> bool:
     except ValueError:  # not dominating, or NotMinimalError
         return False
     return True
-
-
-def shrink_to_minimal(g: Graph, d: Iterable[int]) -> tuple[int, ...]:
-    """Drop removable vertices (smallest first) until the set is minimal."""
-    dm = _mask_from(g, d)
-    if not is_dominating(g, iter_bits(dm)):
-        raise ValueError("set is not dominating")
-    for v in list(iter_bits(dm)):
-        trial = dm & ~(1 << v)
-        if is_dominating(g, iter_bits(trial)):
-            dm = trial
-    return tuple(iter_bits(dm))
 
 
 # ==== brute-force oracle ====
@@ -507,6 +496,11 @@ def _exists_cover(
                 chosen = chosen + [forced]
                 continue
             break
+        if k == 1:
+            for i in iter_bits(best_cands):
+                if covers[i] & remaining == remaining:
+                    return chosen + [i]
+            return None
         need = remaining.bit_count()
         gains = sorted(
             (
@@ -517,11 +511,6 @@ def _exists_cover(
             reverse=True,
         )
         if sum(gains[:k]) < need:
-            return None
-        if k == 1:
-            for i in iter_bits(best_cands):
-                if covers[i] & remaining == remaining:
-                    return chosen + [i]
             return None
         order = sorted(
             iter_bits(best_cands), key=lambda i: -(covers[i] & remaining).bit_count()
@@ -853,14 +842,19 @@ def gamma_upper_exact(
 ) -> SolveResult:
     """Maximum size of a minimal dominating set.
 
-    clique_size, when the graph has a partition into cliques of that
-    size b, activates the packing bound b*l + 2*s <= n (l lonely members,
-    s social), which in particular caps every minimal dominating set at
-    n/2 vertices.
+    When the graph splits into cliques of size b, the packing bound
+    b*l + 2*s <= n (l lonely members, s social) applies, which in
+    particular caps every minimal dominating set at n/2 vertices.  When
+    clique_size is None and g.factors is set (n >= 2), b is read from
+    them: prod K[a_i,b_i] splits into cliques of size b_1 = min b_i.
+    An explicit clique_size is trusted unchecked; Graph(g.adj) drops
+    the factors and with them the bound.
     """
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
+    if clique_size is None and g.factors is not None and n >= 2:
+        clique_size = min(b for _, _, b in g.factors)
     start = time.monotonic()
     state = _SearchState(budget or Budget())
     adj = g.adj

@@ -31,7 +31,6 @@ itself.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -496,7 +495,7 @@ def conjecture_check(spec: ProductSpec, budget: Budget | None = None) -> Conject
     spec = spec.canonical()
     conjectured = spec.n_vertices // spec.factors[0].b
     graph = product_spec_graph(spec)
-    result = gamma_upper_exact(graph, budget, clique_size=spec.factors[0].b)
+    result = gamma_upper_exact(graph, budget)
     agrees = (result.value == conjectured) if result.optimal else None
     return ConjectureCheck(conjectured, result, agrees)
 
@@ -601,7 +600,7 @@ def solve(
     graph = desc.build()
     if quantity == "gamma_total":
         return gamma_total_exact(graph, budget)
-    result = gamma_upper_exact(graph, budget, clique_size=desc.clique_size())
+    result = gamma_upper_exact(graph, budget)
     if report is not None and result.lo > report.hi:
         raise InternalConsistencyError(
             f"Gamma({desc.canonical()}) has a {result.lo}-vertex minimal dominating "
@@ -722,14 +721,3 @@ def m_family_witness(family: int, p1: int, p2: int) -> MWitness:
         n=n, family=family, p1=p1, p2=p2, x=x, run_length=run_length,
         dominating_set=dset, g_lower=run_length + 1, verified=verified,
     )
-
-
-# ==== optional witness-structure check ====
-
-
-def column_multiplicity_ok(spec: ProductSpec, witness) -> bool:
-    """True when no coordinate value appears more than twice among the
-    witness vertices, per coordinate position.  A structural property of
-    minimum dominating sets of size t+2 in complete-graph products."""
-    columns = zip(*(spec.coords(v) for v in witness))
-    return all(max(Counter(column).values()) <= 2 for column in columns)

@@ -4,6 +4,7 @@ implementations used to cross-check the package."""
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from math import gcd
 
 from domprod import Graph, ProductSpec, is_dominating
@@ -72,12 +73,12 @@ def two_coloring(g: Graph) -> tuple[int, int] | None:
         while queue:
             v = queue.popleft()
             for u in range(g.n):
-                if g.has_edge(v, u) and color[u] < 0:
+                if g.adj[v] >> u & 1 and color[u] < 0:
                     color[u] = 1 - color[v]
                     queue.append(u)
     for v in range(g.n):
         for u in range(v + 1, g.n):
-            if g.has_edge(u, v) and color[u] == color[v]:
+            if g.adj[u] >> v & 1 and color[u] == color[v]:
                 return None
     sides = [0, 0]
     for v in range(g.n):
@@ -95,6 +96,73 @@ def minimality_by_deletion(g: Graph, d: tuple[int, ...]) -> bool:
         if is_dominating(g, members[:i] + members[i + 1:]):
             return False
     return True
+
+
+def shrink_to_minimal(g: Graph, d) -> tuple[int, ...]:
+    """Drop removable vertices (smallest first) until the set is minimal."""
+    members = sorted(set(d))
+    if not is_dominating(g, members):
+        raise ValueError("set is not dominating")
+    for v in list(members):
+        trial = [u for u in members if u != v]
+        if is_dominating(g, trial):
+            members = trial
+    return tuple(members)
+
+
+@dataclass(frozen=True)
+class CliquePartition:
+    """Partition of a product's vertices into cliques of size b_1."""
+
+    spec: ProductSpec
+    cliques: tuple[tuple[int, ...], ...]
+
+    def validate(self, graph: Graph) -> None:
+        """Checks disjointness, coverage, clique property, and sizes."""
+        b1 = self.spec.factors[0].b
+        seen = 0
+        for c in self.cliques:
+            if len(c) != b1:
+                raise ValueError(f"clique size {len(c)} != b_1 = {b1}")
+            cmask = 0
+            for v in c:
+                cmask |= 1 << v
+            if seen & cmask:
+                raise ValueError("cliques are not disjoint")
+            seen |= cmask
+            for v in c:
+                if cmask & ~graph.closed(v):
+                    raise ValueError(f"set {c} is not a clique")
+        if seen != graph.full_mask():
+            raise ValueError("cliques do not cover the vertex set")
+
+
+def clique_partition(spec: ProductSpec) -> CliquePartition:
+    """Partition prod K[a_i,b_i] into n/b_1 cliques of size b_1: the
+    proof behind gamma_upper_exact's packing bound, which the solver
+    applies without building it.
+
+    Built factor by factor on coordinate tuples: consecutive blocks of
+    b_1 residues partition the first factor; appending a factor of size s
+    turns each clique C into s shifted copies {(u_j, (l+j) mod s)}.
+    Requires canonical order so that b_1 is minimal.
+    """
+    if not spec.canonical_order:
+        raise ValueError("clique partition needs canonical factor order")
+    b1 = spec.factors[0].b
+    cliques = [
+        [(c,) for c in range(m * b1, (m + 1) * b1)] for m in range(spec.factors[0].a)
+    ]
+    for f in spec.factors[1:]:
+        s = f.size
+        cliques = [
+            [u + ((shift + j) % s,) for j, u in enumerate(c)]
+            for c in cliques
+            for shift in range(s)
+        ]
+    return CliquePartition(
+        spec, tuple(tuple(spec.index(u) for u in c) for c in cliques)
+    )
 
 
 def windowed_jacobsthal(n: int) -> int:

@@ -10,14 +10,16 @@ wrong answer, not a slow machine.
 
 import json
 import random
+import re
+from pathlib import Path
 
 from domprod import (
     Budget,
     NoTotalDominationError,
     ProductSpec,
     classify,
-    clique_partition,
     diagonal_set,
+    factorize,
     gamma_bounds,
     gamma_exact,
     gamma_oracle,
@@ -26,10 +28,8 @@ from domprod import (
     is_dominating,
     is_minimal_dominating,
     jacobsthal,
-    omega,
     product_spec_graph,
     radical,
-    shrink_to_minimal,
     squarefree_gamma_value,
     t_plus_two_set,
     ucg_gamma_bounds,
@@ -38,7 +38,13 @@ from domprod import (
 )
 from domprod.cli import _enum_small_specs, main
 
-from helpers import minimality_by_deletion, random_graph, random_spec
+from helpers import (
+    clique_partition,
+    minimality_by_deletion,
+    random_graph,
+    random_spec,
+    shrink_to_minimal,
+)
 
 # large enough that no instance below ever hits it
 BIG = Budget(max_nodes=10**9, time_limit=3600.0)
@@ -64,7 +70,7 @@ def is_squarefree(n):
 def test_squarefree_gamma_formula_full_range():
     checked = 0
     for n in range(2, 501):
-        if not is_squarefree(n) or omega(n) > 3:
+        if not is_squarefree(n) or len(factorize(n)) > 3:
             continue
         got = gamma_exact(unitary_cayley(n), BIG)
         assert got.optimal, n
@@ -102,7 +108,7 @@ def test_cube_corner_gamma_exactly_8():
 def test_nonsquarefree_gamma_equals_jacobsthal():
     checked = 0
     for n in range(2, 201):
-        if is_squarefree(n) or omega(n) > 3:
+        if is_squarefree(n) or len(factorize(n)) > 3:
             continue
         got = gamma_exact(unitary_cayley(n), BIG)
         assert got.optimal and got.value == jacobsthal(n), n
@@ -131,7 +137,7 @@ def test_upper_domination_exact_values():
 def test_total_domination_equals_jacobsthal():
     counterexamples = []
     for n in range(2, 101):
-        if omega(n) > 3:
+        if len(factorize(n)) > 3:
             continue
         got = gamma_total_exact(unitary_cayley(n), BIG)
         assert got.optimal, n
@@ -288,3 +294,14 @@ def test_property_suites():
         assert b1 * len(roles.lonely) + 2 * len(roles.social) <= g.n, spec.pairs()
         checked += 1
     assert checked == 40
+
+
+# criterion: the README's library examples run against the package
+
+
+def test_readme_python_examples_run():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), {})

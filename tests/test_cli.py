@@ -165,6 +165,10 @@ def test_corrupt_cached_witness_forces_recompute(capsys, cache_file):
         ({"hi": 5}, False),
         ({"witness": [0, 3, 5, 30]}, False),  # 30 is not a vertex of X_30
         ({"witness": None}, False),
+        # the checker sees 4 distinct vertices, the size claims 5
+        ({"value": 5, "lo": 5, "hi": 5, "witness": [0, 3, 5, 8, 8]}, False),
+        ({"witness": [0, 3, 5, 8.0]}, False),  # the checker cannot take a float
+        ({"witness": [False, 3, 5, 8]}, False),  # a bool is not a vertex
     ],
 )
 def test_self_contradicting_cache_line_forces_recompute(capsys, cache_file, edit, served):
@@ -213,7 +217,7 @@ def test_cached_theorem_value_is_rederived(capsys, cache_file):
 
 
 def test_cache_tolerates_garbage_lines(capsys, cache_file):
-    cache_file.write_text("not json\n{\"half\": 1\n")
+    cache_file.write_text("not json\n{\"half\": 1\n7\n[1, 2]\n\"ucg:105\"\n")
     code, out, _ = run(capsys, "solve", "gamma", "ucg:105")
     assert code == EXIT_OK
     assert records(out)[0]["value"] == 4

@@ -1,5 +1,6 @@
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -10,10 +11,7 @@ from domprod import (
     Factor,
     Graph,
     ProductSpec,
-    clique_partition,
     complete_graph,
-    crt_isomorphism,
-    euler_phi,
     factorize,
     k2_reduction,
     multipartite,
@@ -24,41 +22,31 @@ from domprod import (
 from domprod.cli import _enum_small_specs
 from domprod.graphs import iter_bits
 
-from helpers import disjoint_union, random_bipartite_graph, random_graph, random_spec
+from helpers import (
+    clique_partition,
+    disjoint_union,
+    random_bipartite_graph,
+    random_graph,
+    random_spec,
+)
 
 
 # ==== BASIC GRAPH TYPE ====
 
 
-def test_graph_validate_catches_asymmetry():
-    g = Graph([0b010, 0b000, 0b000])
-    with pytest.raises(ValueError):
-        g.validate()
-
-
-def test_graph_validate_catches_self_loop():
-    g = Graph([0b001, 0b000])
-    with pytest.raises(ValueError):
-        g.validate()
-
-
 def test_graph_accessors():
     g = complete_graph(4)
     assert g.n == 4
+    assert g.adj == (0b1110, 0b1101, 0b1011, 0b0111)
     assert g.edge_count() == 6
-    assert g.degree(2) == 3
     assert list(iter_bits(g.adj[0])) == [1, 2, 3]
-    assert g.has_edge(1, 3) and not g.has_edge(2, 2)
     assert g.closed(1) == g.full_mask()
-    g.validate()
 
 
 def test_disjoint_union():
     g = disjoint_union(complete_graph(3), complete_graph(2))
     assert g.n == 5
-    assert g.has_edge(0, 1) and g.has_edge(3, 4)
-    assert not g.has_edge(2, 3)
-    g.validate()
+    assert g.adj == (0b00110, 0b00101, 0b00011, 0b10000, 0b01000)
 
 
 # ==== MULTIPARTITE AND PRODUCTS ====
@@ -68,10 +56,7 @@ def test_multipartite_structure():
     g = multipartite(2, 3)  # 6 vertices, classes {0,3},{1,4},{2,5}
     assert g.n == 6
     for v in range(6):
-        assert g.degree(v) == 4
-    assert not g.has_edge(0, 3)
-    assert g.has_edge(0, 1)
-    g.validate()
+        assert g.adj[v] == 0b111111 & ~(1 << v | 1 << (v + 3) % 6)
 
 
 def test_multipartite_k1b_is_complete():
@@ -94,16 +79,18 @@ def test_product_spec_graph_adjacency_rule():
         for order in (pairs, pairs[::-1]):
             spec = ProductSpec.from_pairs(order)
             g = product_spec_graph(spec)
-            g.validate()
             assert g.n == spec.n_vertices
             coords = [spec.coords(v) for v in range(g.n)]
             for u in range(g.n):
-                for v in range(g.n):
-                    want = all(
+                # the whole row: symmetric, loop-free, no bit past n
+                assert g.adj[u] == sum(
+                    1 << v
+                    for v in range(g.n)
+                    if all(
                         (x - y) % f.b != 0
                         for x, y, f in zip(coords[u], coords[v], spec.factors)
                     )
-                    assert g.has_edge(u, v) == want
+                )
 
 
 def test_product_spec_coords_index_roundtrip():
@@ -130,12 +117,17 @@ def test_large_product_build_matches_unitary_cayley():
     h = product_spec_graph(ucg_product_spec(30030))
     assert time.perf_counter() - start < 3.0
     g = unitary_cayley(30030)
-    iso = crt_isomorphism(30030)
+    spec = ucg_product_spec(30030)
+
+    def crt(x):
+        return spec.index(tuple(x % f.size for f in spec.factors))
+
     rng = random.Random(41)
     for _ in range(2000):
         u, v = rng.randrange(30030), rng.randrange(30030)
-        assert g.has_edge(u, v) == h.has_edge(iso.index_of(u), iso.index_of(v))
-    assert h.degree(iso.index_of(1)) == g.degree(1) == euler_phi(30030)
+        assert g.adj[u] >> v & 1 == h.adj[crt(u)] >> crt(v) & 1
+    phi = 1 * 2 * 4 * 6 * 10 * 12  # 30030 = 2 * 3 * 5 * 7 * 11 * 13
+    assert h.adj[crt(1)].bit_count() == g.adj[1].bit_count() == phi
 
 
 def test_transitive_flag_only_by_construction():
@@ -170,10 +162,10 @@ def test_factors_give_each_vertex_its_coordinates():
             assert tuple(v // s % m for s, m, _ in g.factors) == spec.coords(v)
         assert tuple(b for _, _, b in g.factors) == tuple(f.b for f in spec.factors)
     for n in (12, 30, 72, 105):
-        iso = crt_isomorphism(n)
         g = unitary_cayley(n)
         for x in range(n):
-            assert tuple(x // s % m for s, m, _ in g.factors) == iso.tuple_of(x)
+            assert tuple(x // s % m for s, m, _ in g.factors) == tuple(
+                x % p**e for p, e in factorize(n))
 
 
 def test_spec_canonical_order():
@@ -181,7 +173,6 @@ def test_spec_canonical_order():
     canon = spec.canonical()
     assert canon.pairs() == ((2, 2), (1, 3), (1, 5))
     assert canon.canonical_order and not spec.canonical_order
-    assert canon.b1 == 2
     assert canon.n_vertices == 60
     assert canon.t == 3
 
@@ -199,27 +190,25 @@ def test_vertex_cap():
 def test_unitary_cayley_regular_and_symmetric():
     for n in (2, 5, 12, 30, 31):
         g = unitary_cayley(n)
-        g.validate()
-        phi = euler_phi(n)
+        phi = sum(1 for x in range(n) if gcd(x, n) == 1)
         for v in range(n):
-            assert g.degree(v) == phi
+            assert g.adj[v].bit_count() == phi
+            assert all(g.adj[u] >> v & 1 for u in iter_bits(g.adj[v]))
 
 
 def test_unitary_cayley_adjacency_rule():
-    from math import gcd
-
     for n in range(2, 151):
         g = unitary_cayley(n)
         for u in range(n):
-            for v in range(n):
-                assert g.has_edge(u, v) == (gcd(u - v, n) == 1), (n, u, v)
+            # the whole row: symmetric, loop-free, no bit past n
+            assert g.adj[u] == sum(1 << v for v in range(n) if gcd(u - v, n) == 1), (n, u)
     # prime powers: the unit mask must clear every multiple of p
     rng = random.Random(29)
     for n in (2048, 2187, 3125):
         g = unitary_cayley(n)
         for _ in range(200):
             u, v = rng.randrange(n), rng.randrange(n)
-            assert g.has_edge(u, v) == (gcd(u - v, n) == 1), (n, u, v)
+            assert g.adj[u] >> v & 1 == (gcd(u - v, n) == 1), (n, u, v)
 
 
 def test_ucg_product_spec():
@@ -231,16 +220,16 @@ def test_ucg_product_spec():
 
 @pytest.mark.parametrize("n", [6, 8, 12, 30, 45, 60])
 def test_crt_isomorphism_is_edge_exact(n):
-    iso = crt_isomorphism(n)
+    # x -> (x mod p^e)_p is an isomorphism of X_n onto its product form
+    spec = ucg_product_spec(n)
     g = unitary_cayley(n)
-    h = product_spec_graph(iso.spec)
-    assert iso.spec.n_vertices == n
-    seen = {iso.index_of(v) for v in range(n)}
-    assert len(seen) == n
+    h = product_spec_graph(spec)
+    assert spec.n_vertices == n
+    crt = [spec.index(tuple(x % f.size for f in spec.factors)) for x in range(n)]
+    assert sorted(crt) == list(range(n))
     for u in range(n):
-        assert iso.tuple_of(u) == tuple(u % (p**e) for p, e in factorize(n))
         for v in range(n):
-            assert g.has_edge(u, v) == h.has_edge(iso.index_of(u), iso.index_of(v))
+            assert g.adj[u] >> v & 1 == h.adj[crt[u]] >> crt[v] & 1
 
 
 # ==== CLIQUE PARTITIONS AND K2 REDUCTION ====
@@ -266,7 +255,7 @@ def test_clique_partition_random_specs():
             continue
         cp = clique_partition(spec)
         cp.validate(product_spec_graph(spec))
-        assert len(cp.cliques) == spec.n_vertices // spec.b1
+        assert len(cp.cliques) == spec.n_vertices // spec.factors[0].b
         done += 1
 
 
@@ -290,11 +279,6 @@ def test_descriptor_parse_and_canonical():
     u = Descriptor.parse("UCG:30")
     assert u.kind == "ucg" and u.ucg_n == 30
     assert u.canonical() == "ucg:30"
-
-
-def test_descriptor_clique_size():
-    assert Descriptor.parse("ucg:45").clique_size() == 3
-    assert Descriptor.parse("K[1,5]xK[1,2]").clique_size() == 2
 
 
 def test_descriptor_build():

@@ -7,15 +7,14 @@ from domprod import (
     Congruence,
     JacobsthalRun,
     crt_solve,
-    euler_phi,
     factorize,
     is_prime,
     jacobsthal,
     jacobsthal_run,
-    omega,
     radical,
 )
-from domprod.numbertheory import FACTOR_INPUT_LIMIT, primes_from
+from domprod.graphs import iter_bits
+from domprod.numbertheory import FACTOR_INPUT_LIMIT, primes_from, unit_mask
 
 from helpers import windowed_jacobsthal
 
@@ -52,20 +51,14 @@ def test_factorize_rejects_bad_input():
 
 
 def test_derived_functions():
-    assert omega(1) == 0
-    assert omega(30) == 3
-    assert omega(12) == 2
     assert radical(1) == 1
     assert radical(60) == 30
-    assert euler_phi(1) == 1
-    assert euler_phi(30) == 8
-    assert euler_phi(969969) == euler_phi(3) * euler_phi(7) * euler_phi(11) \
-        * euler_phi(13) * euler_phi(17) * euler_phi(19)
 
 
 def test_euler_phi_counts_units():
-    for n in range(2, 200):
-        assert euler_phi(n) == sum(1 for x in range(n) if gcd(x, n) == 1)
+    # unit_mask, behind every row of X_n, holds the phi(n) units mod n
+    for n in range(1, 200):
+        assert list(iter_bits(unit_mask(n))) == [x for x in range(n) if gcd(x, n) == 1]
 
 
 def test_primes_from():

@@ -13,6 +13,7 @@ from domprod import (
     ProductSpec,
     classify,
     complete_graph,
+    factorize,
     gamma_exact,
     gamma_oracle,
     gamma_total_exact,
@@ -22,7 +23,6 @@ from domprod import (
     is_total_dominating,
     multipartite,
     product_spec_graph,
-    shrink_to_minimal,
     unitary_cayley,
 )
 from domprod import solvers
@@ -46,6 +46,7 @@ from helpers import (
     minimality_by_deletion,
     random_bipartite_graph,
     random_graph,
+    shrink_to_minimal,
     two_coloring,
 )
 
@@ -103,17 +104,6 @@ def test_minimality_matches_deletion_rule_500_pairs():
         g = random_graph(rng, n)
         d = tuple(v for v in range(n) if rng.random() < 0.45)
         assert is_minimal_dominating(g, d) == minimality_by_deletion(g, d)
-
-
-def test_shrink_to_minimal():
-    rng = random.Random(43)
-    for _ in range(100):
-        n = rng.randint(1, 12)
-        g = random_graph(rng, n)
-        d = shrink_to_minimal(g, range(n))
-        assert is_minimal_dominating(g, d)
-    with pytest.raises(ValueError):
-        shrink_to_minimal(complete_graph(3), ())
 
 
 # ==== BIPARTITION ====
@@ -269,7 +259,7 @@ def test_solver_matches_oracle_on_small_specs():
             disconnected += 1
         checks += 2
         if g.n <= ORACLE_CAP["upper"]:
-            got = gamma_upper_exact(g, clique_size=desc.clique_size())
+            got = gamma_upper_exact(g)
             assert got.optimal and got.value == gamma_oracle(g, "upper").value, desc
             assert 0 in got.witness and is_minimal_dominating(g, got.witness)
             checks += 1
@@ -519,24 +509,24 @@ def test_orbit_pruning_matches_unpruned_search(monkeypatch):
     # With every stabilizer reported trivial the searches keep their roots
     # (and the bipartite rules keep theirs) and prune nothing else: the
     # orbit rules must find the same sets as that search, in no more
-    # nodes.  Graph(g.adj) carries no factors, so its search is unrooted
-    # and prunes no orbits: same values.
+    # nodes.  Graph(g.adj) carries no factors, so its search is unrooted,
+    # prunes no orbits and has no packing bound: same values.
     descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 121)] + [
         Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
         for pairs in _enum_small_specs(40, 4)
     ]
     graphs = [desc.build() for desc in descs]
 
-    def solve_all(g, desc, upper_cap):
+    def solve_all(g, upper_cap):
         out = [gamma_exact(g), gamma_total_exact(g)]
         if g.n <= upper_cap:
-            out.append(gamma_upper_exact(g, clique_size=desc.clique_size()))
+            out.append(gamma_upper_exact(g))
         return out
 
-    pruned = [solve_all(g, desc, 30) for g, desc in zip(graphs, descs)]
+    pruned = [solve_all(g, 30) for g in graphs]
     with monkeypatch.context() as m:
         m.setattr(solvers, "_orbit_key", lambda factors, fixed: None)
-        rooted = [solve_all(g, desc, 30) for g, desc in zip(graphs, descs)]
+        rooted = [solve_all(g, 30) for g in graphs]
     for desc, g, got_all, want_all in zip(descs, graphs, pruned, rooted):
         assert g.factors is not None
         for got, want in zip(got_all, want_all):
@@ -544,7 +534,7 @@ def test_orbit_pruning_matches_unpruned_search(monkeypatch):
             assert (got.value, got.witness, got.method) == (
                 want.value, want.witness, want.method), desc
             assert got.nodes <= want.nodes, desc
-        plain = solve_all(Graph(g.adj), desc, 24)
+        plain = solve_all(Graph(g.adj), 24)
         assert [r.value for r in plain] == [r.value for r in got_all[:len(plain)]], desc
 
 
@@ -564,8 +554,28 @@ def test_known_upper_values():
     x20 = unitary_cayley(20)
     r = gamma_upper_exact(x20, clique_size=2)
     assert r.value == 10 and r.method == "reduction"
-    # without the clique partition hint the search still gets there
-    assert gamma_upper_exact(unitary_cayley(8), clique_size=2).value == 4
+    # without the clique partition bound the search still gets there
+    assert gamma_upper_exact(Graph(unitary_cayley(8).adj)).value == 4
+
+
+def test_upper_reads_clique_size_from_factors():
+    # b_1 is the least prime of n for X_n and the least b_i of a spec;
+    # reading it from Graph.factors runs the search that was handed it
+    cases = [(unitary_cayley(n), factorize(n)[0][0]) for n in range(2, 61)] + [
+        (product_spec_graph(ProductSpec.from_pairs(pairs)), min(b for _, b in pairs))
+        for pairs in _enum_small_specs(30, 4)
+    ]
+    capped = 0
+    for g, b1 in cases:
+        got = gamma_upper_exact(g)
+        want = gamma_upper_exact(g, clique_size=b1)
+        assert got.optimal and want.optimal
+        assert (got.value, got.witness, got.method, got.nodes) == (
+            want.value, want.witness, want.method, want.nodes), (g, b1)
+        capped += got.method == "reduction"
+    # only the bound's n/2 cap lets a greedy set end the search unsearched
+    assert capped > 0
+    assert gamma_upper_exact(complete_graph(1)).value == 1
 
 
 def _ore_holds(g, members):
@@ -713,6 +723,6 @@ def test_packing_inequality_on_minimal_sets():
             seed = list(range(g.n))
         d = shrink_to_minimal(g, seed)
         roles = classify(g, d)
-        b1 = spec.b1
+        b1 = spec.factors[0].b
         assert b1 * len(roles.lonely) + 2 * len(roles.social) <= g.n
         done += 1

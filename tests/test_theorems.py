@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from domprod import (
     jacobsthal,
     m_family_witness,
     mt_witness,
-    omega,
     partite_column_set,
     product_spec_graph,
     repeated_factor_lower,
@@ -35,7 +35,7 @@ from domprod import (
     upper_bounds,
 )
 from domprod.cli import _enum_small_specs
-from domprod.theorems import InternalConsistencyError, _compose, column_multiplicity_ok
+from domprod.theorems import InternalConsistencyError, _compose
 
 from helpers import random_spec
 
@@ -299,7 +299,7 @@ def test_solve_matches_plain_search():
         plain = {"gamma": (gamma_exact(g), is_dominating)}
         if g.n <= 24:
             plain["upper"] = (
-                gamma_upper_exact(g, clique_size=desc.clique_size()),
+                gamma_upper_exact(g),
                 is_minimal_dominating,
             )
         for quantity, (want, checker) in plain.items():
@@ -421,7 +421,7 @@ def test_mt_witness_j8():
     w = mt_witness(8)
     assert w.q == 13 and w.k == 8
     assert w.primes[0] == 17 and len(w.primes) == 8
-    assert omega(w.n) == w.k + 2 >= 8
+    assert len(factorize(w.n)) == w.k + 2 >= 8
     assert not w.verified  # beyond the materialization cap
     assert len(w.D) == w.q + 3 < w.g_lower
 
@@ -429,7 +429,7 @@ def test_mt_witness_j8():
 def test_mt_witness_invariants():
     for j in (2, 5, 7):
         w = mt_witness(j)
-        assert omega(w.n) >= j
+        assert len(factorize(w.n)) >= j
         assert w.q % 3 == 1
         assert all(p >= w.q + 3 for p in w.primes)
         assert len(set(w.primes)) == w.k
@@ -470,12 +470,20 @@ def test_m_family_witness_rejections():
 # ==== WITNESS STRUCTURE ====
 
 
+def _columns_repeat_at_most_twice(spec, witness) -> bool:
+    """No coordinate value appears more than twice among the witness
+    vertices, per coordinate position: a structural property of minimum
+    dominating sets of size t+2 in complete-graph products."""
+    columns = zip(*(spec.coords(v) for v in witness))
+    return all(max(Counter(column).values()) <= 2 for column in columns)
+
+
 def test_column_multiplicity():
     spec = spec_of(4, 4, 5, 5)
     r = t_plus_two_set(spec)
-    assert column_multiplicity_ok(spec, r.vertex_set)
+    assert _columns_repeat_at_most_twice(spec, r.vertex_set)
     # triple-repeat in the first coordinate violates the property
-    assert not column_multiplicity_ok(spec_of(2, 2, 2), (0, 1, 2))
+    assert not _columns_repeat_at_most_twice(spec_of(2, 2, 2), (0, 1, 2))
 
 
 def test_solver_witnesses_at_t_plus_two_have_small_columns():
@@ -489,4 +497,4 @@ def test_solver_witnesses_at_t_plus_two_have_small_columns():
         assert rep.exact and rep.lo == spec.t + 2
         got = gamma_exact(product_spec_graph(spec), budget)
         assert got.value == spec.t + 2
-        assert column_multiplicity_ok(spec, got.witness)
+        assert _columns_repeat_at_most_twice(spec, got.witness)
