@@ -6,9 +6,8 @@ Each record is its result dataclass as a dict plus the command's own
 keys and `tool_version`.  Each subcommand takes only the options it
 reads: --nodes and --time-limit where a search runs (solve, conjecture,
 reproduce, scan), --no-cache on solve, --table everywhere but reproduce.
-Solve results are cached in a JSON-lines file keyed by (canonical
-descriptor, quantity); an entry is only ever replaced by an optimal
-recomputation.
+Optimal solve results are cached in a JSON-lines file keyed by
+(canonical descriptor, quantity); a budget-cut result is not stored.
 
 Exit codes: 0 success (including budget-exhausted results with
 optimal=false), 1 reproduction mismatch, 2 bad input, 3 resource cap.
@@ -129,12 +128,12 @@ def default_cache_path() -> str:
 
 
 class ResultCache:
-    """Append-only JSON-lines cache keyed by (descriptor, quantity).
+    """Append-only JSON-lines cache of optimal results keyed by
+    (descriptor, quantity); the latest line for a key wins.
 
-    Later entries win unless they would replace an optimal entry with a
-    non-optimal one.  Writers take an advisory lock; partially written
-    or stale-version lines and lines that are not JSON objects are
-    ignored on read.
+    Writers take an advisory lock.  Partially written or stale-version
+    lines, lines that are not JSON objects and lines whose "optimal" is
+    not true are ignored on read.
     """
 
     def __init__(self, path: str):
@@ -154,39 +153,28 @@ class ResultCache:
                     continue
                 if not isinstance(rec, dict):
                     continue
-                if rec.get("tool_version") != __version__:
+                if rec.get("tool_version") != __version__ or rec.get("optimal") is not True:
                     continue
-                key = (rec.get("descriptor"), rec.get("quantity"))
-                old = table.get(key)
-                if old is not None and old.get("optimal") and not rec.get("optimal"):
-                    continue
-                table[key] = rec
+                table[(rec.get("descriptor"), rec.get("quantity"))] = rec
         return table
 
     def get(self, descriptor: str, quantity: str) -> dict | None:
         return self._fold().get((descriptor, quantity))
 
-    def put(self, record: dict) -> bool:
+    def put(self, record: dict) -> None:
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                old = self._fold().get((record["descriptor"], record["quantity"]))
-                if old is not None and old.get("optimal") and not record.get("optimal"):
-                    return False
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                fh.flush()
-                return True
-            finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
+            fcntl.flock(fh, fcntl.LOCK_EX)  # closing the file releases it
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.flush()
 
 
 def _cached_verified(record: dict, desc: Descriptor) -> bool:
-    """Re-verify a cached optimal entry before trusting it: value, lo, hi
-    and the witness size must agree, the witness must be distinct int
-    vertices that pass its checker, and a "theorem" entry's value must
-    be the proven side the theorem layer derives afresh (lo for gamma,
-    hi for upper)."""
+    """Re-verify a cached optimal entry before trusting it: value, lo and
+    hi must be ints equal to the witness size, the witness must be
+    distinct int vertices that pass its checker, and a "theorem" entry's
+    value must be the proven side the theorem layer derives afresh (lo
+    for gamma, hi for upper)."""
     quantity = record.get("quantity")
     checker = _CHECKER.get(quantity)
     if checker is None:
@@ -196,8 +184,9 @@ def _cached_verified(record: dict, desc: Descriptor) -> bool:
         return False  # bool is an int subclass; floats crash the checker
     if len(set(witness)) != len(witness):
         return False  # a repeat would inflate the size the set claims
-    if not record.get("value") == record.get("lo") == record.get("hi") == len(witness):
-        return False
+    if any(type(record.get(key)) is not int or record[key] != len(witness)
+           for key in ("value", "lo", "hi")):
+        return False  # 4.0 and True compare equal to ints
     if record.get("method") == "theorem":
         report = bound_report(desc, quantity)
         if report is None or len(witness) != (
@@ -224,11 +213,12 @@ def cmd_solve(args) -> int:
     cache = None if args.no_cache else ResultCache(default_cache_path())
     if cache is not None:
         hit = cache.get(canonical, quantity)
-        if hit is not None and hit.get("optimal") and _cached_verified(hit, desc):
+        if hit is not None and _cached_verified(hit, desc):
             _emit(hit, args.table)
             return EXIT_OK
-    record = _solve_record(canonical, solve(desc, quantity, _budget(args)))
-    if cache is not None:
+    result = solve(desc, quantity, _budget(args))
+    record = _solve_record(canonical, result)
+    if cache is not None and result.optimal:
         cache.put(record)
     _emit(record, args.table)
     return EXIT_OK

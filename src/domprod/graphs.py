@@ -75,12 +75,6 @@ class Graph:
         self.adj = tuple(adj)
         self.factors = factors
 
-    @property
-    def transitive(self) -> bool:
-        """Vertex-transitive by construction: the factor symmetry moves
-        any vertex to any other."""
-        return self.factors is not None
-
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 
@@ -148,9 +142,6 @@ class ProductSpec:
 
     def canonical(self) -> "ProductSpec":
         return ProductSpec(tuple(sorted(self.factors, key=lambda f: (f.b, f.a))))
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((f.a, f.b) for f in self.factors)
 
     def descriptor(self) -> str:
         """Descriptor text with the factors in stored order, e.g.

@@ -23,15 +23,16 @@ vertex would break Ore's criterion, some member left neither lonely nor
 with a private neighbor) move to OUT; IN only grows, so they could not
 join any larger IN either, and IN itself always satisfies Ore.  A node
 is pruned when IN plus its still addable vertices is no larger than the
-best set, when some vertex can no longer be dominated, and, when the
-graph splits into cliques of size b, by the packing inequality
-b*l + 2*s <= n.  A product of K[a_i,b_i] splits into cliques of size
-b_1 = min b_i, so with Graph.factors set the search takes b from them.
+best set, or when some vertex can no longer be dominated.  A graph that
+splits into cliques of size at least 2 has no minimal dominating set of
+more than n/2 vertices, and a product of K[a_i,b_i] (n >= 2) splits
+into cliques of size b_1 = min b_i >= 2, so with Graph.factors set the
+search stops at the first set of n/2.
 
 A caller that knows a proven lower bound on gamma can hand it in:
-gamma_exact's keyword `floor` joins the counting and packing lower
-bounds, so the probes stop there.  It is a theorem-layer input
-(theorems.solve); its default 0 leaves every search as it was.
+gamma_exact's keyword `floor` joins the counting lower bound, so the
+probes stop there.  It is a theorem-layer input (theorems.solve); its
+default 0 leaves every search as it was.
 
 Symmetry comes only from Graph.factors, which only builders set: the
 graph is a product of balanced complete multipartite factors, so every
@@ -434,23 +435,6 @@ def _greedy_cover(inst: _CoverInstance, state: _SearchState) -> list[int]:
     return chosen
 
 
-def _packing_lower(inst: _CoverInstance) -> int:
-    """Count elements whose candidate sets are pairwise disjoint; each
-    needs its own set in any cover."""
-    cands = {e: inst.covers[e] & inst.allowed for e in iter_bits(inst.universe)}
-    # fewest candidates first; ties by lowest candidate position, then e
-    order = sorted(
-        cands, key=lambda e: (cands[e].bit_count(), (cands[e] & -cands[e]).bit_length())
-    )
-    blocked = 0
-    lb = 0
-    for e in order:
-        if cands[e] & blocked == 0:
-            lb += 1
-            blocked |= cands[e]
-    return lb
-
-
 def _exists_cover(
     inst: _CoverInstance, k: int, state: _SearchState, chosen: Sequence[int] = ()
 ) -> list[int] | None:
@@ -556,7 +540,7 @@ def _max_cover_atleast(
         return True
     if count <= 0:
         return False
-    pool = sorted((s & universe for s in sets if s & universe), key=int.bit_count)
+    pool = [s & universe for s in sets if s & universe]
 
     def rec(
         pool: list[int], covered: int, covered_cnt: int, left: int, root: bool = False
@@ -588,10 +572,9 @@ def _min_cover(
     Returns (best set positions, proven lower bound, optimal).  The
     refuter, when given, may prove "no k-cover" cheaply; returning False
     just falls through to the exact search.  floor is a lower bound the
-    caller has proven: it joins the counting and packing bounds, so the
-    probes stop there.  With inst.factors some minimum cover contains
-    the first allowed position, so each probe only searches the covers
-    through it.
+    caller has proven: it joins the counting bound, so the probes stop
+    there.  With inst.factors some minimum cover contains the first
+    allowed position, so each probe only searches the covers through it.
     """
     if inst.universe == 0:
         return [], 0, True
@@ -600,8 +583,6 @@ def _min_cover(
     lb = max(-(-inst.universe.bit_count() // maxgain), floor)
     if state.expired():  # the greedy pass used up the time limit
         return best, lb, len(best) == lb
-    if len(best) > lb:  # packing cannot lift lb past a cover's size
-        lb = max(lb, _packing_lower(inst))
     root = [] if inst.factors is None else inst.positions[:1]
     try:
         while len(best) > lb:
@@ -842,19 +823,18 @@ def gamma_upper_exact(
 ) -> SolveResult:
     """Maximum size of a minimal dominating set.
 
-    When the graph splits into cliques of size b, the packing bound
-    b*l + 2*s <= n (l lonely members, s social) applies, which in
-    particular caps every minimal dominating set at n/2 vertices.  When
-    clique_size is None and g.factors is set (n >= 2), b is read from
-    them: prod K[a_i,b_i] splits into cliques of size b_1 = min b_i.
-    An explicit clique_size is trusted unchecked; Graph(g.adj) drops
-    the factors and with them the bound.
+    When the graph splits into cliques of size at least 2, every minimal
+    dominating set has at most n/2 vertices (the cliques of its lonely
+    members and the pairs of a social member and its private neighbor
+    are disjoint), so the search stops at the first set of that size.
+    That holds whenever g.factors is set and n >= 2: prod K[a_i,b_i]
+    splits into cliques of size b_1 = min b_i.  Any clique_size says the
+    same of a graph without factors; its value is not read, and the
+    claim is trusted unchecked.
     """
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    if clique_size is None and g.factors is not None and n >= 2:
-        clique_size = min(b for _, _, b in g.factors)
     start = time.monotonic()
     state = _SearchState(budget or Budget())
     adj = g.adj
@@ -864,19 +844,19 @@ def gamma_upper_exact(
     seed = _greedy_independent(g)
     best_mask = seed
     best_size = seed.bit_count()
-    global_ub = n // 2 if clique_size is not None else n
+    halves = clique_size is not None or (g.factors is not None and n >= 2)
+    global_ub = n // 2 if halves else n
     if best_size >= global_ub:
         witness = tuple(iter_bits(best_mask))
         return SolveResult("upper", best_size, witness, True, "reduction",
                            lo=best_size, hi=best_size, nodes=0,
                            elapsed=time.monotonic() - start)
 
-    surcharge = clique_size - 2 if clique_size is not None else 0
     # (idx, in, out, covered); some maximum minimal dominating set
-    # of a transitive graph contains 0
+    # of a graph with factors (vertex-transitive) contains 0
     prefix = (
         (1, 1, _unaddable(adj, closed, 1, full & ~1), closed[0])
-        if g.transitive else (0, 0, 0, 0)
+        if g.factors is not None else (0, 0, 0, 0)
     )
     mates: dict[int, int] = {}
 
@@ -891,12 +871,6 @@ def gamma_upper_exact(
         undecided = full >> idx << idx & ~out_mask
         if in_cnt + undecided.bit_count() <= best_size:
             return
-        if surcharge:
-            perm_lonely = sum(
-                1 for d in iter_bits(in_mask) if adj[d] & ~out_mask == 0
-            )
-            if (n - surcharge * perm_lonely) // 2 <= best_size:
-                return
         for u in iter_bits(full & ~covered):
             if closed[u] & ~out_mask == 0:
                 return  # u can never be dominated now
@@ -927,7 +901,7 @@ def gamma_upper_exact(
     except BudgetExhausted:  # keeps the best set found before the cut
         optimal = False
     witness = tuple(iter_bits(best_mask))
-    hi = best_size if optimal else min(global_ub, n)
+    hi = best_size if optimal else global_ub
     return SolveResult(
         "upper", best_size, witness, optimal,
         "branch-and-bound", lo=best_size, hi=hi,

@@ -20,9 +20,9 @@ interval of the bound report.  It returns at once, with method
 checker on the built graph, meets the proven side.  Otherwise a gamma
 search gets the lower side as its floor (gamma_exact), and an upper
 search runs as it is: its proven upper side, n minus a domination lower
-bound, is never below the n/2 the packing bound already gives it.  The
-rest (gamma_total, which has no bound report, and upper on X_n) goes
-straight to the search.  The formula-vs-search cross-checks
+bound, is never below the search's own n/2 cap.  The rest (gamma_total,
+which has no bound report, and upper on X_n) goes straight to the
+search.  The formula-vs-search cross-checks
 (conjecture_check, the CLI's reproduce suites and scan) call the plain
 solvers, so that they compare a formula with a search and not with
 itself.

@@ -138,8 +138,8 @@ class CliquePartition:
 
 
 def clique_partition(spec: ProductSpec) -> CliquePartition:
-    """Partition prod K[a_i,b_i] into n/b_1 cliques of size b_1: the
-    proof behind gamma_upper_exact's packing bound, which the solver
+    """Partition prod K[a_i,b_i] into n/b_1 cliques of size b_1 >= 2:
+    the proof behind gamma_upper_exact's n/2 cap, which the solver
     applies without building it.
 
     Built factor by factor on coordinate tuples: consecutive blocks of

@@ -121,13 +121,11 @@ def test_nonsquarefree_gamma_equals_jacobsthal():
 
 def test_upper_domination_exact_values():
     for n in range(2, 21, 2):
-        got = gamma_upper_exact(unitary_cayley(n), BIG, clique_size=2)
+        got = gamma_upper_exact(unitary_cayley(n), BIG)
         assert got.optimal and got.value == n // 2, n
-    got = gamma_upper_exact(product_spec_graph(complete_spec(3, 3)), BIG, clique_size=3)
+    got = gamma_upper_exact(product_spec_graph(complete_spec(3, 3)), BIG)
     assert got.optimal and got.value == 3
-    got = gamma_upper_exact(
-        product_spec_graph(complete_spec(3, 3, 3)), BIG, clique_size=3
-    )
+    got = gamma_upper_exact(product_spec_graph(complete_spec(3, 3, 3)), BIG)
     assert got.optimal and got.value == 9
 
 
@@ -203,12 +201,11 @@ def test_property_suites():
     assert len(specs) >= 50
     for spec in specs:
         g = product_spec_graph(spec)
-        b1 = spec.factors[0].b
         assert gamma_exact(g).value == gamma_oracle(g, "gamma").value
         assert norm_total(gamma_total_exact, g) == norm_total(
             lambda h: gamma_oracle(h, "gamma_total"), g
         )
-        got = gamma_upper_exact(g, clique_size=b1)
+        got = gamma_upper_exact(g)
         assert got.value == gamma_oracle(g, "upper").value
 
     # Ore criterion vs deletion-based minimality: 500 random pairs
@@ -231,15 +228,13 @@ def test_property_suites():
         spec = random_spec(rng, 60, max_t=3)
         rep = gamma_bounds(spec)
         value = gamma_exact(product_spec_graph(spec), BIG).value
-        assert rep.lo <= value <= rep.hi, spec.pairs()
+        assert rep.lo <= value <= rep.hi, spec.descriptor()
 
     for _ in range(12):
         spec = random_spec(rng, 30, max_t=3)
         rep = upper_bounds(spec)
-        got = gamma_upper_exact(
-            product_spec_graph(spec), BIG, clique_size=spec.factors[0].b
-        )
-        assert rep.lo <= got.value <= rep.hi, spec.pairs()
+        got = gamma_upper_exact(product_spec_graph(spec), BIG)
+        assert rep.lo <= got.value <= rep.hi, spec.descriptor()
 
     # constructions verify under randomized hypothesis-satisfying parameters
     done = 0
@@ -291,7 +286,7 @@ def test_property_suites():
         d = shrink_to_minimal(g, range(g.n))
         roles = classify(g, d)
         b1 = spec.factors[0].b
-        assert b1 * len(roles.lonely) + 2 * len(roles.social) <= g.n, spec.pairs()
+        assert b1 * len(roles.lonely) + 2 * len(roles.social) <= g.n, spec.descriptor()
         checked += 1
     assert checked == 40
 

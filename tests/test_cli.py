@@ -169,6 +169,11 @@ def test_corrupt_cached_witness_forces_recompute(capsys, cache_file):
         ({"value": 5, "lo": 5, "hi": 5, "witness": [0, 3, 5, 8, 8]}, False),
         ({"witness": [0, 3, 5, 8.0]}, False),  # the checker cannot take a float
         ({"witness": [False, 3, 5, 8]}, False),  # a bool is not a vertex
+        ({"value": 4.0, "lo": 4.0, "hi": 4.0}, False),  # sizes are ints
+        ({"optimal": 1}, False),  # only true marks an optimal line
+        # true == 1 == len([0]) on X_2, but a bool is not a size
+        ({"descriptor": "ucg:2", "value": True, "lo": True, "hi": True, "witness": [0]},
+         False),
     ],
 )
 def test_self_contradicting_cache_line_forces_recompute(capsys, cache_file, edit, served):
@@ -179,12 +184,14 @@ def test_self_contradicting_cache_line_forces_recompute(capsys, cache_file, edit
     }
     line.update(edit)
     cache_file.write_text(json.dumps(line) + "\n")
-    code, out, _ = run(capsys, "solve", "gamma", "ucg:30")
+    code, out, _ = run(capsys, "solve", "gamma", line["descriptor"])
     assert code == EXIT_OK
     (rec,) = records(out)
     assert (rec["nodes"] == -1) == served  # -1 marks the hand-written line
-    assert rec["value"] == rec["lo"] == rec["hi"] == len(rec["witness"]) == 4
-    assert ucg_is_dominating(30, rec["witness"])
+    n = int(line["descriptor"].removeprefix("ucg:"))
+    assert all(type(rec[key]) is int for key in ("value", "lo", "hi"))
+    assert rec["value"] == rec["lo"] == rec["hi"] == len(rec["witness"]) == {30: 4, 2: 1}[n]
+    assert ucg_is_dominating(n, rec["witness"])
 
 
 def test_cached_theorem_value_is_rederived(capsys, cache_file):
@@ -214,6 +221,14 @@ def test_cached_theorem_value_is_rederived(capsys, cache_file):
     cache_file.write_text(json.dumps(line) + "\n")
     _, out, _ = run(capsys, "solve", "gamma", spec)
     assert records(out)[0]["nodes"] == -1
+
+
+def test_budget_cut_solve_is_not_cached(capsys, cache_file):
+    code, out, _ = run(capsys, "solve", "upper", "K[1,3]xK[1,3]xK[1,3]xK[1,3]",
+                       "--nodes", "30")
+    assert code == EXIT_OK
+    assert records(out)[0]["optimal"] is False
+    assert not cache_file.exists()
 
 
 def test_cache_tolerates_garbage_lines(capsys, cache_file):

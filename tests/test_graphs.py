@@ -135,19 +135,19 @@ def test_transitive_flag_only_by_construction():
     # root at vertex 0 and prune orbits of the factor symmetry
     assert multipartite(2, 3).factors == ((1, 6, 3),)
     assert complete_graph(4).factors == ((1, 4, 4),)
-    assert complete_graph(1).transitive
+    assert complete_graph(1).factors == ((1, 1, 1),)
     assert unitary_cayley(12).factors == ((1, 4, 2), (1, 3, 3))
     assert product_spec_graph(ProductSpec.from_pairs([(2, 2), (1, 3)])).factors == (
         (3, 4, 2), (1, 3, 3))
-    assert Descriptor.parse("ucg:30").build().transitive
+    assert Descriptor.parse("ucg:30").build().factors == ((1, 2, 2), (1, 3, 3), (1, 5, 5))
     assert Descriptor.parse("K[1,3]xK[2,2]").build().factors == ((3, 4, 2), (1, 3, 3))
     # raw adjacency and anything built from it is never assumed transitive
     k3 = complete_graph(3)
-    assert Graph(k3.adj).factors is None and not Graph(k3.adj).transitive
-    assert not disjoint_union(k3, k3).transitive
+    assert Graph(k3.adj).factors is None
+    assert disjoint_union(k3, k3).factors is None
     rng = random.Random(31)
-    assert not random_graph(rng, 6).transitive
-    assert not random_bipartite_graph(rng, 6).transitive
+    assert random_graph(rng, 6).factors is None
+    assert random_bipartite_graph(rng, 6).factors is None
     with pytest.raises(TypeError):
         Graph(k3.adj, transitive=True)  # one promise, made through factors
 
@@ -171,7 +171,7 @@ def test_factors_give_each_vertex_its_coordinates():
 def test_spec_canonical_order():
     spec = ProductSpec.from_pairs([(1, 5), (2, 2), (1, 3)])
     canon = spec.canonical()
-    assert canon.pairs() == ((2, 2), (1, 3), (1, 5))
+    assert canon == ProductSpec.from_pairs([(2, 2), (1, 3), (1, 5)])
     assert canon.canonical_order and not spec.canonical_order
     assert canon.n_vertices == 60
     assert canon.t == 3
@@ -212,10 +212,10 @@ def test_unitary_cayley_adjacency_rule():
 
 
 def test_ucg_product_spec():
-    assert ucg_product_spec(30).pairs() == ((1, 2), (1, 3), (1, 5))
-    assert ucg_product_spec(12).pairs() == ((2, 2), (1, 3))
-    assert ucg_product_spec(8).pairs() == ((4, 2),)
-    assert ucg_product_spec(45).pairs() == ((3, 3), (1, 5))
+    assert ucg_product_spec(30) == ProductSpec.from_pairs([(1, 2), (1, 3), (1, 5)])
+    assert ucg_product_spec(12) == ProductSpec.from_pairs([(2, 2), (1, 3)])
+    assert ucg_product_spec(8) == ProductSpec.from_pairs([(4, 2)])
+    assert ucg_product_spec(45) == ProductSpec.from_pairs([(3, 3), (1, 5)])
 
 
 @pytest.mark.parametrize("n", [6, 8, 12, 30, 45, 60])
@@ -261,11 +261,11 @@ def test_clique_partition_random_specs():
 
 def test_k2_reduction():
     s, rest = k2_reduction(ProductSpec.from_pairs([(1, 2), (1, 2), (1, 3)]))
-    assert s == 2 and rest.pairs() == ((1, 3),)
+    assert s == 2 and rest == ProductSpec.from_pairs([(1, 3)])
     s, rest = k2_reduction(ProductSpec.from_pairs([(1, 2), (1, 2)]))
     assert s == 2 and rest is None
     s, rest = k2_reduction(ProductSpec.from_pairs([(2, 2), (1, 3)]))
-    assert s == 0 and rest.pairs() == ((2, 2), (1, 3))
+    assert s == 0 and rest == ProductSpec.from_pairs([(2, 2), (1, 3)])
 
 
 # ==== DESCRIPTORS ====

@@ -226,7 +226,7 @@ def test_upper_matches_oracle_random():
 
 
 def test_solver_matches_oracle_on_small_specs():
-    # every graph here is transitive, so each solver runs rooted at 0
+    # every graph here has factors, so each solver runs rooted at 0
     descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 21)] + [
         Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
         for pairs in _enum_small_specs(20, 4)
@@ -234,7 +234,7 @@ def test_solver_matches_oracle_on_small_specs():
     checks = disconnected = 0
     for desc in descs:
         g = desc.build()
-        assert g.transitive
+        assert g.factors is not None
         got = gamma_exact(g)
         assert got.optimal and got.value == gamma_oracle(g, "gamma").value, desc
         assert 0 in got.witness and is_dominating(g, got.witness)
@@ -271,7 +271,7 @@ def test_root_fixing_cuts_the_search():
     got = gamma_total_exact(unitary_cayley(165))
     assert got.optimal and got.value == 5 and got.nodes < 10_000
     k3 = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 3))
-    got = gamma_upper_exact(k3, clique_size=3)
+    got = gamma_upper_exact(k3)
     assert got.optimal and got.value == 9 and got.nodes < 200_000
 
 
@@ -405,14 +405,14 @@ def test_orbit_pruning_cuts_the_search():
     got = gamma_total_exact(unitary_cayley(165))
     assert got.optimal and got.value == 5 and got.nodes < 100
     k3 = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 3))
-    got = gamma_upper_exact(k3, clique_size=3)
+    got = gamma_upper_exact(k3)
     assert got.optimal and got.value == 9 and got.nodes < 6_000
     k334 = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 3), (1, 4)]))
-    got = gamma_upper_exact(k334, clique_size=3)
+    got = gamma_upper_exact(k334)
     assert got.optimal and got.value == 12 and got.nodes < 20_000
-    got = gamma_upper_exact(unitary_cayley(63), clique_size=3)
+    got = gamma_upper_exact(unitary_cayley(63))
     assert got.optimal and got.value == 21 and got.nodes < 1_000
-    got = gamma_upper_exact(unitary_cayley(99), clique_size=3)
+    got = gamma_upper_exact(unitary_cayley(99))
     assert got.optimal and got.value == 33
     g = product_spec_graph(ProductSpec.from_pairs([(1, 2), (1, 3), (1, 5), (1, 7)]))
     got = gamma_exact(g)
@@ -510,7 +510,7 @@ def test_orbit_pruning_matches_unpruned_search(monkeypatch):
     # (and the bipartite rules keep theirs) and prune nothing else: the
     # orbit rules must find the same sets as that search, in no more
     # nodes.  Graph(g.adj) carries no factors, so its search is unrooted,
-    # prunes no orbits and has no packing bound: same values.
+    # prunes no orbits and has no n/2 cap: same values.
     descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 121)] + [
         Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
         for pairs in _enum_small_specs(40, 4)
@@ -550,17 +550,17 @@ def test_known_domination_values():
 
 def test_known_upper_values():
     k33 = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 3)]))
-    assert gamma_upper_exact(k33, clique_size=3).value == 3
+    assert gamma_upper_exact(k33).value == 3
     x20 = unitary_cayley(20)
-    r = gamma_upper_exact(x20, clique_size=2)
+    r = gamma_upper_exact(x20)
     assert r.value == 10 and r.method == "reduction"
-    # without the clique partition bound the search still gets there
+    # without the n/2 cap the search still gets there
     assert gamma_upper_exact(Graph(unitary_cayley(8).adj)).value == 4
 
 
 def test_upper_reads_clique_size_from_factors():
     # b_1 is the least prime of n for X_n and the least b_i of a spec;
-    # reading it from Graph.factors runs the search that was handed it
+    # factors imply cliques of size b_1 >= 2, so the keyword adds nothing
     cases = [(unitary_cayley(n), factorize(n)[0][0]) for n in range(2, 61)] + [
         (product_spec_graph(ProductSpec.from_pairs(pairs)), min(b for _, b in pairs))
         for pairs in _enum_small_specs(30, 4)
@@ -572,8 +572,17 @@ def test_upper_reads_clique_size_from_factors():
         assert got.optimal and want.optimal
         assert (got.value, got.witness, got.method, got.nodes) == (
             want.value, want.witness, want.method, want.nodes), (g, b1)
-        capped += got.method == "reduction"
-    # only the bound's n/2 cap lets a greedy set end the search unsearched
+        if got.method != "reduction":
+            continue
+        # only the n/2 cap lets a greedy set end the search unsearched;
+        # on a graph without factors the keyword is what turns it on
+        bare = Graph(g.adj)
+        cut = gamma_upper_exact(bare, Budget(max_nodes=1, time_limit=None))
+        assert cut.method == "branch-and-bound" and cut.nodes > 0
+        capped_bare = gamma_upper_exact(bare, clique_size=b1)
+        assert (capped_bare.value, capped_bare.witness, capped_bare.method,
+                capped_bare.nodes) == (got.value, got.witness, "reduction", 0)
+        capped += 1
     assert capped > 0
     assert gamma_upper_exact(complete_graph(1)).value == 1
 
@@ -637,7 +646,7 @@ def test_upper_seed_is_minimal():
 
 def test_budget_exhaustion_degrades_gracefully():
     g = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 3), (1, 3)]))
-    r = gamma_upper_exact(g, Budget(max_nodes=30, time_limit=60), clique_size=3)
+    r = gamma_upper_exact(g, Budget(max_nodes=30, time_limit=60))
     assert not r.optimal
     assert r.lo <= 9 <= r.hi
     assert is_minimal_dominating(g, r.witness)
@@ -650,7 +659,7 @@ def test_budget_exhaustion_degrades_gracefully():
 
 def test_budget_time_limit():
     g = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 3), (1, 3)]))
-    r = gamma_upper_exact(g, Budget(max_nodes=10**12, time_limit=0.01), clique_size=3)
+    r = gamma_upper_exact(g, Budget(max_nodes=10**12, time_limit=0.01))
     assert not r.optimal
 
 
@@ -700,7 +709,7 @@ def test_plain_solves_repeat():
     g = product_spec_graph(ProductSpec.from_pairs([(1, 2), (1, 3), (1, 5)]))
     h = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 5)]))
     for solve in (lambda: gamma_exact(g), lambda: gamma_total_exact(g),
-                  lambda: gamma_upper_exact(h, clique_size=3)):
+                  lambda: gamma_upper_exact(h)):
         a, b = solve(), solve()
         assert a.optimal and a.nodes > 0
         assert (a.witness, a.nodes) == (b.witness, b.nodes)

@@ -232,7 +232,7 @@ def test_gamma_bounds_contain_exact_value():
         r = gamma_bounds(spec)
         got = gamma_exact(product_spec_graph(spec))
         assert got.optimal
-        assert r.lo <= got.value <= r.hi, spec.pairs()
+        assert r.lo <= got.value <= r.hi, spec.descriptor()
         done += 1
 
 
@@ -344,8 +344,8 @@ def test_solve_on_ucg_uses_the_consecutive_run_only():
 
 
 def test_solve_reports_open_intervals():
-    # the proven upper side 75 = n - gamma_lo is above the n // 2 = 40
-    # the packing bound gives the search
+    # the proven upper side 75 = n - gamma_lo is above the search's own
+    # n // 2 = 40 cap
     got = solve("K[1,3]xK[1,3]xK[1,3]xK[1,3]", "upper", Budget(max_nodes=25))
     assert not got.optimal and got.method == "branch-and-bound"
     assert got.lo == got.value == 27 and got.hi == 40 and not got.provenance
