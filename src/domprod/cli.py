@@ -34,7 +34,7 @@ from .graphs import (
     ucg_product_spec,
     unitary_cayley,
 )
-from .numbertheory import factorize, jacobsthal, jacobsthal_run
+from .numbertheory import crt_solve, factorize, jacobsthal, jacobsthal_run
 from .solvers import (
     DEFAULT_MAX_NODES,
     DEFAULT_TIME_LIMIT,
@@ -238,8 +238,15 @@ def cmd_conjecture(args) -> int:
     desc = Descriptor.parse(args.descriptor)
     spec = ucg_product_spec(desc.ucg_n) if desc.kind == "ucg" else desc.spec
     check = conjecture_check(spec, _budget(args))
+    result = check.exact
+    if desc.kind == "ucg":
+        # the search ran on the product form; name its vertices as the
+        # residues mod n they are under the CRT
+        moduli = [f.size for f in spec.factors]
+        residues = (crt_solve(zip(spec.coords(v), moduli)).residue for v in result.witness)
+        result = dataclasses.replace(result, witness=tuple(sorted(residues)))
     record = _solve_record(
-        desc.canonical(), check.exact, conjectured=check.conjectured, agrees=check.agrees
+        desc.canonical(), result, conjectured=check.conjectured, agrees=check.agrees
     )
     _emit(record, args.table)
     return EXIT_OK

@@ -55,6 +55,21 @@ through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
     that set of vertices is mapped onto itself by every automorphism
     fixing IN; the search meets the same minimal dominating sets with
     the filter as without it, so the rule stays sound.
+  - gamma_upper_exact keeps only the lex-leader of each orbit under the
+    whole group: sets compare by their membership vectors in vertex
+    order (member = 1), and _lex_generators lists involutions that
+    generate the group.  A node is pruned when one of them maps every
+    completion to a larger set: walking its moved pairs (j, image),
+    j < image, in order while j < idx, every pair up to the first that
+    differs has both ends decided (below idx, or in OUT), and at that
+    pair the image is in IN and j is not.  The largest member of its
+    orbit passes this test against every group element, and it leaves
+    out every vertex in OUT: the filter moves only vertices in no
+    minimal dominating set of the subtree, and the orbit-mate rule
+    keeps the largest member of each orbit.  The in-first search meets
+    sets in decreasing order, so each set it records beats the best so
+    far and is met before any smaller member of its orbit: it is the
+    largest one.  So the test never drops a set the search records.
 When exactly one factor has b = 2 (_side_symmetry), the graph is
 connected and bipartite, and the automorphisms that keep its two sides
 act transitively on each.  Then the bipartite split of gamma_total
@@ -783,6 +798,41 @@ def _later_mates(g: Graph, idx: int) -> int:
     return sum(1 << w for w in range(idx + 1, g.n) if key(w) == mine)
 
 
+def _lex_generators(factors, n: int) -> list[list[tuple[int, int]]]:
+    """Involutions that generate the factor symmetry group, each as the
+    ascending list of the pairs (j, image of j) it moves, with j <
+    image: per factor, the swaps of two neighbouring partite sets and of
+    two neighbouring residues within one partite set; and the swaps of
+    two neighbouring factors with equal (size, b).  They move O(t*n)
+    vertices in all."""
+    residues = [tuple(v // stride % size for stride, size, _ in factors) for v in range(n)]
+    vertex = {c: v for v, c in enumerate(residues)}
+    gens = []
+    last: dict[tuple[int, int], int] = {}  # (size, b) -> latest factor seen
+    for i, (_, size, b) in enumerate(factors):
+        having = [[] for _ in range(size)]  # the vertices by residue in factor i
+        for v, c in enumerate(residues):
+            having[c[i]].append(v)
+        # each swap as the residue pairs (r, s) it exchanges
+        swaps = [[(r, r + 1) for r in range(p, size, b)] for p in range(b - 1)]
+        swaps += [[(r, r + b)] for r in range(size - b)]
+        for links in swaps:
+            pairs = []
+            for r, s in links:
+                for v in having[r]:
+                    c = residues[v]
+                    w = vertex[c[:i] + (s,) + c[i + 1:]]
+                    pairs.append((v, w) if v < w else (w, v))
+            gens.append(sorted(pairs))
+        k = last.get((size, b))
+        if k is not None:
+            images = (vertex[c[:k] + (c[i],) + c[k + 1:i] + (c[k],) + c[i + 1:]]
+                      for c in residues)
+            gens.append([(v, w) for v, w in enumerate(images) if v < w])
+        last[size, b] = i
+    return gens
+
+
 def _unaddable(adj: Sequence[int], closed: Sequence[int], in_mask: int, cand: int) -> int:
     """The members of cand (disjoint from in_mask) that cannot join IN =
     in_mask without breaking Ore's criterion for IN plus themselves.
@@ -859,6 +909,7 @@ def gamma_upper_exact(
         if g.factors is not None else (0, 0, 0, 0)
     )
     mates: dict[int, int] = {}
+    gens = [] if g.factors is None else _lex_generators(g.factors, n)
 
     def rec(idx: int, in_mask: int, out_mask: int, covered: int) -> None:
         """In/out search in index order for a minimal dominating set
@@ -874,6 +925,14 @@ def gamma_upper_exact(
         for u in iter_bits(full & ~covered):
             if closed[u] & ~out_mask == 0:
                 return  # u can never be dominated now
+        for pairs in gens:  # lex-leader test: walk the decided pairs
+            for j, w in pairs:
+                if j >= idx or (w >= idx and not out_mask >> w & 1):
+                    break
+                if (in_mask >> j ^ in_mask >> w) & 1:
+                    if in_mask >> w & 1:
+                        return  # this generator maps every completion higher
+                    break
         if idx == n:
             if covered == full:
                 best_mask, best_size = in_mask, in_cnt

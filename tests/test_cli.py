@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from domprod import Descriptor, cli, is_dominating, is_minimal_dominating
+from domprod import Descriptor, cli, is_dominating, is_minimal_dominating, unitary_cayley
 from domprod.cli import EXIT_BAD_INPUT, EXIT_CAP, EXIT_MISMATCH, EXIT_OK, main
 from domprod.theorems import ucg_is_dominating, ucg_is_total_dominating
 
@@ -283,6 +283,16 @@ def test_conjecture_command(capsys):
     assert code == EXIT_OK
     (rec,) = records(out)
     assert rec["agrees"] is None
+
+
+def test_conjecture_ucg_witness_is_in_residues(capsys):
+    # the search runs on the product form of X_n; the record names its
+    # witness in residues mod n, so it checks on X_n itself
+    for n in range(2, 61):
+        _, out, _ = run(capsys, "conjecture", f"ucg:{n}")
+        (rec,) = records(out)
+        assert len(rec["witness"]) == rec["value"], n
+        assert is_minimal_dominating(unitary_cayley(n), rec["witness"]), n
 
 
 # ==== CONSTRUCT / WITNESS ====

@@ -33,6 +33,7 @@ from domprod.solvers import (
     _factor_swaps,
     _greedy_independent,
     _later_mates,
+    _lex_generators,
     _max_cover_atleast,
     _orbit_key,
     _SearchState,
@@ -393,23 +394,57 @@ def test_upper_later_mates_are_images_under_the_prefix_stabilizer():
     assert mates_checked == 27470
 
 
+def test_lex_generators_are_automorphisms():
+    # each generator is a set of disjoint transpositions (j, w), j < w,
+    # listed by ascending j, whose vertex map carries every adj row onto
+    # the row of the image; together they reach every vertex from 0
+    gens_checked = 0
+    for g in _orbit_graphs(36):
+        gens = _lex_generators(g.factors, g.n)
+        reach = 1
+        for pairs in gens:
+            assert pairs and all(j < w for j, w in pairs)
+            assert [j for j, _ in pairs] == sorted(j for j, _ in pairs)
+            image = list(range(g.n))
+            for j, w in pairs:
+                assert image[j] == j and image[w] == w, (g, pairs)
+                image[j], image[w] = w, j
+            for x in range(g.n):
+                row = sum(1 << image[y] for y in iter_bits(g.adj[x]))
+                assert g.adj[image[x]] == row, (g, pairs)
+            gens_checked += 1
+        while True:
+            grown = reach
+            for pairs in gens:
+                for j, w in pairs:
+                    if (grown >> j ^ grown >> w) & 1:
+                        grown |= 1 << j | 1 << w
+            if grown == reach:
+                break
+            reach = grown
+        assert reach == g.full_mask(), g
+    assert gens_checked > 1_000
+
+
 def test_orbit_pruning_cuts_the_search():
     # searches rooted at vertex 0 with no orbit pruning need 35,133,
     # 3,601 and 131,581 nodes; without the factor swaps K3^3 needs
     # 62,870, and without the bipartite rules the other two need 21,881
     # and 64,687.  Without the addable filter and its count bound, Gamma
     # needs 32,901 nodes on K3^3, 237,663 on K3xK3xK4 and 113,501 on
-    # X_63, and X_99 is unfinished after 2,000,000
+    # X_63, and X_99 is unfinished after 2,000,000.  Without the
+    # lex-leader test it needs 4,818 on K3^3 and 16,763 on K3xK3xK4,
+    # and with it 995 and 2,512
     got = gamma_exact(unitary_cayley(483))
     assert got.optimal and got.value == 4 and got.nodes < 1_000
     got = gamma_total_exact(unitary_cayley(165))
     assert got.optimal and got.value == 5 and got.nodes < 100
     k3 = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 3))
     got = gamma_upper_exact(k3)
-    assert got.optimal and got.value == 9 and got.nodes < 6_000
+    assert got.optimal and got.value == 9 and got.nodes < 1_200
     k334 = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 3), (1, 4)]))
     got = gamma_upper_exact(k334)
-    assert got.optimal and got.value == 12 and got.nodes < 20_000
+    assert got.optimal and got.value == 12 and got.nodes < 3_000
     got = gamma_upper_exact(unitary_cayley(63))
     assert got.optimal and got.value == 21 and got.nodes < 1_000
     got = gamma_upper_exact(unitary_cayley(99))
@@ -506,11 +541,12 @@ def test_rooted_max_cover_matches_unrooted():
 
 
 def test_orbit_pruning_matches_unpruned_search(monkeypatch):
-    # With every stabilizer reported trivial the searches keep their roots
-    # (and the bipartite rules keep theirs) and prune nothing else: the
-    # orbit rules must find the same sets as that search, in no more
-    # nodes.  Graph(g.adj) carries no factors, so its search is unrooted,
-    # prunes no orbits and has no n/2 cap: same values.
+    # With every stabilizer reported trivial and no lex-leader generators
+    # the searches keep their roots (and the bipartite rules keep theirs)
+    # and prune nothing else: the orbit rules must find the same sets as
+    # that search, in no more nodes.  Graph(g.adj) carries no factors, so
+    # its search is unrooted, prunes no orbits and has no n/2 cap: same
+    # values.
     descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 121)] + [
         Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
         for pairs in _enum_small_specs(40, 4)
@@ -526,6 +562,7 @@ def test_orbit_pruning_matches_unpruned_search(monkeypatch):
     pruned = [solve_all(g, 30) for g in graphs]
     with monkeypatch.context() as m:
         m.setattr(solvers, "_orbit_key", lambda factors, fixed: None)
+        m.setattr(solvers, "_lex_generators", lambda factors, n: [])
         rooted = [solve_all(g, 30) for g in graphs]
     for desc, g, got_all, want_all in zip(descs, graphs, pruned, rooted):
         assert g.factors is not None
@@ -536,6 +573,50 @@ def test_orbit_pruning_matches_unpruned_search(monkeypatch):
             assert got.nodes <= want.nodes, desc
         plain = solve_all(Graph(g.adj), 24)
         assert [r.value for r in plain] == [r.value for r in got_all[:len(plain)]], desc
+
+
+def test_lex_leader_test_keeps_witnesses_on_larger_specs(monkeypatch):
+    # K[2,3] has two residues per partite set, so the first spec uses the
+    # within-set swaps; without the lex-leader test these need 134,485
+    # and 35,562 nodes
+    specs = ["K[2,3]xK[1,3]xK[1,3]", "K[1,3]xK[1,3]xK[1,5]"]
+    graphs = [Descriptor.parse(d).build() for d in specs]
+    got_all = [gamma_upper_exact(g) for g in graphs]
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_lex_generators", lambda factors, n: [])
+        want_all = [gamma_upper_exact(g) for g in graphs]
+    for desc, got, want in zip(specs, got_all, want_all):
+        assert got.optimal and want.optimal
+        assert (got.value, got.witness, got.method) == (
+            want.value, want.witness, want.method), desc
+        assert got.nodes <= want.nodes, desc
+    assert [r.value for r in got_all] == [18, 15]
+
+
+def test_upper_symmetry_rules_keep_witnesses_without_an_incumbent(monkeypatch):
+    # On every graph of the parity tests above the greedy seed is already
+    # a maximum set (n/b_1 of them), so Gamma records no set there, and a
+    # rule that pruned too much would still return the seed.  Starting
+    # from an empty incumbent the search must record its sets itself;
+    # with and without the orbit-mate rule and the lex-leader test it
+    # must record the same ones
+    descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 60)] + [
+        Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
+        for pairs in _enum_small_specs(30, 4)
+    ]
+    graphs = [desc.build() for desc in descs]
+    monkeypatch.setattr(solvers, "_greedy_independent", lambda g: 0)
+    pruned = [gamma_upper_exact(g) for g in graphs]
+    monkeypatch.setattr(solvers, "_orbit_key", lambda factors, fixed: None)
+    monkeypatch.setattr(solvers, "_lex_generators", lambda factors, n: [])
+    rooted = [gamma_upper_exact(g) for g in graphs]
+    for desc, g, got, want in zip(descs, graphs, pruned, rooted):
+        assert got.optimal and want.optimal
+        assert (got.value, got.witness, got.method) == (
+            want.value, want.witness, want.method), desc
+        assert got.nodes <= want.nodes, desc
+        assert is_minimal_dominating(g, got.witness), desc
+    assert sum(r.nodes for r in pruned) * 4 < sum(r.nodes for r in rooted)
 
 
 # ==== KNOWN VALUES ====
