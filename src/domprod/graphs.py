@@ -55,12 +55,14 @@ class Graph:
     mod b, and u ~ v iff their partite sets differ in every factor.  So
     every product of per-factor permutations that map partite sets to
     partite sets is an automorphism, and so is every swap of two factors
-    with equal (size, b); the exact solvers use that symmetry.  When
-    exactly one factor has b = 2 the graph is connected and bipartite,
-    with the partite sets of that factor as its sides, and the solvers'
-    bipartite searches use the symmetry too.  Only builders whose output
-    has this form by construction set it; it is never inferred, and a
-    false promise gives wrong answers.
+    with equal (size, b); the exact solvers use that symmetry.  Every
+    factor has b >= 2, so such a graph has n >= 2.  When exactly one
+    factor has b = 2 the graph is connected and bipartite, with the
+    partite sets of that factor as its sides, and the solvers' bipartite
+    searches use the symmetry too.  Only the builders set it, whose
+    output has this form by construction: product_spec_graph, its
+    one-factor case multipartite (K[1,n] is K_n), and unitary_cayley.
+    It is never inferred, and a false promise gives wrong answers.
     """
 
     __slots__ = ("n", "adj", "factors")
@@ -181,15 +183,6 @@ def multipartite(a: int, b: int) -> Graph:
     The partite sets are the residue classes mod b.
     """
     return product_spec_graph(ProductSpec.from_pairs([(a, b)]))
-
-
-def complete_graph(n: int) -> Graph:
-    """K_n; n = 1 gives the single vertex with no edges."""
-    if n < 1:
-        raise ValueError(f"complete graph needs n >= 1, got {n}")
-    _check_cap(n)
-    full = (1 << n) - 1
-    return Graph([full ^ (1 << v) for v in range(n)], factors=((1, n, n),))
 
 
 def ucg_rows(n: int, residues) -> Iterator[int]:

@@ -2,10 +2,11 @@
 Jacobsthal's function, and Chinese-remainder solving.
 
 Everything works on plain Python integers.  Inputs are human-scale, so
-factorize() uses trial division; it rejects n above 2**63 - 1 so a
-pathological input cannot wedge a scan.  Jacobsthal's function is computed
-exactly from the bit mask of the residues of the radical that are not
-coprime to it, in omega + g(n) bigint operations on a radical-bit int.
+factorize() uses trial division and rejects n above FACTOR_INPUT_LIMIT.
+Jacobsthal's function is computed exactly from the bit mask of the
+residues of the radical that are not coprime to it, in omega + g(n)
+bigint operations on a radical-bit int; jacobsthal_run rejects a radical
+above JACOBSTHAL_RADICAL_LIMIT, whose masks would not fit in memory.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
 FACTOR_INPUT_LIMIT = 2**63 - 1
+# jacobsthal_run holds a few masks of rad(n) bits at once.  Peak RSS,
+# CPython 3.11: 80 MB at the prime 99,999,989 just below this limit and
+# 187 MB at radical 2.2e8; n = 99,999,999,999 (radical 33,333,333,333)
+# would need 3.9 GiB for each mask.
+JACOBSTHAL_RADICAL_LIMIT = 10**8
 
 
 class Congruence(NamedTuple):
@@ -125,6 +131,10 @@ def jacobsthal_run(n: int) -> JacobsthalRun:
     if n == 1:
         return JacobsthalRun(1, 0, 0)
     r = radical(n)
+    if r > JACOBSTHAL_RADICAL_LIMIT:
+        raise ValueError(
+            f"jacobsthal({n}): radical {r} exceeds {JACOBSTHAL_RADICAL_LIMIT}"
+        )
     run = ((1 << r) - 1) & ~unit_mask(r)  # nonzero: 0 shares every factor
     length = 1
     while run & (run >> 1):

@@ -25,8 +25,8 @@ join any larger IN either, and IN itself always satisfies Ore.  A node
 is pruned when IN plus its still addable vertices is no larger than the
 best set, or when some vertex can no longer be dominated.  A graph that
 splits into cliques of size at least 2 has no minimal dominating set of
-more than n/2 vertices, and a product of K[a_i,b_i] (n >= 2) splits
-into cliques of size b_1 = min b_i >= 2, so with Graph.factors set the
+more than n/2 vertices, and a product of K[a_i,b_i] splits into
+cliques of size b_1 = min b_i >= 2, so with Graph.factors set the
 search stops at the first set of n/2.
 
 A caller that knows a proven lower bound on gamma can hand it in:
@@ -38,9 +38,11 @@ Symmetry comes only from Graph.factors, which only builders set: the
 graph is a product of balanced complete multipartite factors, so every
 product of per-factor residue permutations that keep partite sets
 together is an automorphism, and so is every swap of two factors with
-equal (size, b) (_orbit_key names the orbits of the pointwise
-stabilizers of this whole group).  Such a graph is vertex-transitive,
-so for all three invariants some optimal set contains vertex 0: each
+equal (size, b).  _orbit_key names the orbits of the pointwise
+stabilizers of this whole group by a canonical form read off the fixed
+vertices' residue columns, without listing any group element.  Such a
+graph is vertex-transitive, so for all three invariants some optimal
+set contains vertex 0: each
 decision probe of gamma_exact and gamma_total_exact looks only for sets
 through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
   - a probe skips, and bans, a branching candidate in the same orbit as
@@ -90,8 +92,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Sequence
 
 from .graphs import Graph, iter_bits
@@ -316,110 +316,50 @@ class _CoverInstance:
         self.factors = factors
 
 
-@lru_cache(maxsize=32)
-def _factor_swaps(factors) -> tuple[tuple[int, ...], ...]:
-    """Every permutation sigma of the factor indices (sigma[i] is the
-    image of factor i) that maps each factor to one with equal (size, b),
-    the identity first."""
-    classes: dict[tuple[int, int], list[int]] = {}
-    for i, (_, size, b) in enumerate(factors):
-        classes.setdefault((size, b), []).append(i)
-    sigmas = [tuple(range(len(factors)))]
-    for members in classes.values():
-        if len(members) < 2:
-            continue
-        grown = []
-        for sigma in sigmas:
-            for images in permutations(members):
-                new = list(sigma)
-                for i, j in zip(members, images):
-                    new[i] = j
-                grown.append(tuple(new))
-        sigmas = grown
-    return tuple(sigmas)
-
-
-def _realised(factors, coords, sigma) -> bool:
-    """Whether some element with factor permutation sigma fixes every
-    vertex of residue tuples `coords`: per factor i, residues and
-    partite sets in factor i and in factor sigma[i] correspond one to
-    one."""
-    for i, (_, _, b) in enumerate(factors):
-        j = sigma[i]
-        if j == i:
-            continue
-        pairs = {(c[i], c[j]) for c in coords}
-        sets = {(r % b, s % b) for r, s in pairs}
-        for links in (pairs, sets):
-            if not len(links) == len(dict(links)) == len({y for _, y in links}):
-                return False
-    return True
-
-
 def _orbit_key(factors, fixed: Iterable[int]):
     """Key function whose equal values are vertices in one orbit of the
     pointwise stabilizer of `fixed` in the factor symmetry group, or
     None when that stabilizer is trivial (every orbit is one vertex).
 
-    An element of the group is a permutation sigma of equal factors (see
-    Graph.factors) with one bijection h_i from the residues of factor i
-    onto those of factor sigma[i] that maps partite sets onto partite
-    sets; residue r in factor i goes to h_i(r) in factor sigma[i].  It
-    fixes a vertex iff each h_i maps the vertex's residue in factor i to
-    its residue in factor sigma[i].
-
-    Per factor, a residue that some member of `fixed` has is labelled by
-    itself, the other residues of a partite set that holds such a member
-    by that set, and the residues of the untouched partite sets by None.
-    Some stabilizer element has factor permutation sigma iff, for every
-    i, the members' residues in factors i and sigma[i] correspond one to
-    one, and so do their partite sets; its h_i then carry each label of
-    factor i onto one label of factor sigma[i], and can send a residue
-    to any residue of that label.  So the orbit of v is the union, over
-    the sigma so realised, of the vertices whose labels are the images
-    of v's, and the key is the least residue tuple in that orbit.
+    An element of the group is a permutation sigma of factors with equal
+    (size, b) (see Graph.factors) with one bijection h_i from the
+    residues of factor i onto those of factor sigma[i] that maps partite
+    sets onto partite sets.  Per factor, each residue has an entry: the
+    first member of `fixed` with that residue and the first in its
+    partite set, -1 for none.  The factor's pattern is the entries of
+    the members' residues, in member order.  An element fixes every
+    member iff each h_i maps the members' residues in factor i onto
+    theirs in factor sigma[i]; such h_i exist iff the two patterns are
+    equal, and then they can carry a residue to any residue of the same
+    entry.  So v and w lie in one orbit iff some class-preserving sigma
+    matches the (pattern, entry) pairs of v's factors to those of w's,
+    that is iff per class of equal factors the multisets of those pairs
+    agree; the key is those multisets, sorted.  Only the identity fixes
+    every member when no entry has two residues and no two equal factors
+    share a pattern.
     """
     fixed = list(fixed)
-    coords = [tuple(v // stride % size for stride, size, _ in factors) for v in fixed]
-    labels = []
-    for i, (_, size, b) in enumerate(factors):
-        residues = {c[i] for c in coords}
-        sets = {r % b for r in residues}
-        labels.append([
-            r if r in residues else -1 - r % b if r % b in sets else None
-            for r in range(size)
-        ])
-    realised = [sigma for sigma in _factor_swaps(factors)
-                if _realised(factors, coords, sigma)]
-    if len(realised) == 1 and all(len(set(lab)) == len(lab) for lab in labels):
+    patterns: dict[tuple, int] = {}  # pattern -> small int
+    classes: dict[tuple[int, int], list] = {}  # (size, b) -> its factors
+    for stride, size, b in factors:
+        column = [v // stride % size for v in fixed]
+        first, first_set = {}, {}  # residue, partite set -> first member in it
+        for m, r in enumerate(column):
+            first.setdefault(r, m)
+            first_set.setdefault(r % b, m)
+        table = [(first.get(r, -1), first_set.get(r % b, -1)) for r in range(size)]
+        pid = patterns.setdefault(tuple(table[r] for r in column), len(patterns))
+        classes.setdefault((size, b), []).append((stride, size, pid, table))
+    groups = list(classes.values())
+    if all(len({pid for _, _, pid, _ in g}) == len(g)
+           and all(len(set(table)) == size for _, size, _, table in g) for g in groups):
         return None
-    least = []  # per factor: label -> the least residue with that label
-    for lab in labels:
-        first: dict = {}
-        for r, label in enumerate(lab):
-            first.setdefault(label, r)
-        least.append(first)
-    # per realised sigma, one column per factor j of the image: the
-    # stride and size of the factor i = sigma^-1(j) it comes from, and a
-    # table taking residue r of factor i to the least residue of factor j
-    # whose label is the image of r's
-    tables = []
-    for sigma in realised:
-        columns = [None] * len(factors)
-        for i, (stride, size, b) in enumerate(factors):
-            image = {c[i]: c[sigma[i]] for c in coords}
-            part = {r % b: s % b for r, s in image.items()}
-            moved = [
-                None if lab is None else image[lab] if lab >= 0 else -1 - part[-1 - lab]
-                for lab in labels[i]
-            ]
-            columns[sigma[i]] = (stride, size, [least[sigma[i]][lab] for lab in moved])
-        tables.append(columns)
 
     def key(v: int) -> tuple:
-        return min(
-            tuple([table[v // stride % size] for stride, size, table in columns])
-            for columns in tables
+        return tuple(
+            tuple(sorted([(pid, table[v // stride % size])
+                          for stride, size, pid, table in group]))
+            for group in groups
         )
 
     return key
@@ -877,8 +817,8 @@ def gamma_upper_exact(
     dominating set has at most n/2 vertices (the cliques of its lonely
     members and the pairs of a social member and its private neighbor
     are disjoint), so the search stops at the first set of that size.
-    That holds whenever g.factors is set and n >= 2: prod K[a_i,b_i]
-    splits into cliques of size b_1 = min b_i.  Any clique_size says the
+    That holds whenever g.factors is set: prod K[a_i,b_i] splits into
+    cliques of size b_1 = min b_i.  Any clique_size says the
     same of a graph without factors; its value is not read, and the
     claim is trusted unchecked.
     """
@@ -894,7 +834,7 @@ def gamma_upper_exact(
     seed = _greedy_independent(g)
     best_mask = seed
     best_size = seed.bit_count()
-    halves = clique_size is not None or (g.factors is not None and n >= 2)
+    halves = clique_size is not None or g.factors is not None
     global_ub = n // 2 if halves else n
     if best_size >= global_ub:
         witness = tuple(iter_bits(best_mask))

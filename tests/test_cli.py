@@ -75,6 +75,18 @@ def test_bad_descriptor_exits_2(capsys):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "ucg:99999999999"),
+    ("solve", "gamma", "ucg:99999999999", "--no-cache"),
+    ("construct", "consecutive", "99999999999"),
+    ("jacobsthal", "99999999999"),
+])
+def test_jacobsthal_radical_limit_exits_2(capsys, argv):
+    # g(n) of this n would need masks of 33,333,333,333 bits
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT and "radical" in err and out == ""
+
+
 def test_vertex_cap_exits_3(capsys):
     code, _, err = run(capsys, "solve", "gamma", "ucg:3000000")
     assert code == EXIT_CAP and "cap" in err

@@ -11,7 +11,6 @@ from domprod import (
     Factor,
     Graph,
     ProductSpec,
-    complete_graph,
     factorize,
     k2_reduction,
     multipartite,
@@ -35,7 +34,7 @@ from helpers import (
 
 
 def test_graph_accessors():
-    g = complete_graph(4)
+    g = multipartite(1, 4)
     assert g.n == 4
     assert g.adj == (0b1110, 0b1101, 0b1011, 0b0111)
     assert g.edge_count() == 6
@@ -44,7 +43,7 @@ def test_graph_accessors():
 
 
 def test_disjoint_union():
-    g = disjoint_union(complete_graph(3), complete_graph(2))
+    g = disjoint_union(multipartite(1, 3), multipartite(1, 2))
     assert g.n == 5
     assert g.adj == (0b00110, 0b00101, 0b00011, 0b10000, 0b01000)
 
@@ -134,15 +133,14 @@ def test_transitive_flag_only_by_construction():
     # products of multipartite factors by construction: the solvers may
     # root at vertex 0 and prune orbits of the factor symmetry
     assert multipartite(2, 3).factors == ((1, 6, 3),)
-    assert complete_graph(4).factors == ((1, 4, 4),)
-    assert complete_graph(1).factors == ((1, 1, 1),)
+    assert multipartite(1, 4).factors == ((1, 4, 4),)
     assert unitary_cayley(12).factors == ((1, 4, 2), (1, 3, 3))
     assert product_spec_graph(ProductSpec.from_pairs([(2, 2), (1, 3)])).factors == (
         (3, 4, 2), (1, 3, 3))
     assert Descriptor.parse("ucg:30").build().factors == ((1, 2, 2), (1, 3, 3), (1, 5, 5))
     assert Descriptor.parse("K[1,3]xK[2,2]").build().factors == ((3, 4, 2), (1, 3, 3))
     # raw adjacency and anything built from it is never assumed transitive
-    k3 = complete_graph(3)
+    k3 = multipartite(1, 3)
     assert Graph(k3.adj).factors is None
     assert disjoint_union(k3, k3).factors is None
     rng = random.Random(31)

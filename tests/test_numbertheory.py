@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -14,7 +15,12 @@ from domprod import (
     radical,
 )
 from domprod.graphs import iter_bits
-from domprod.numbertheory import FACTOR_INPUT_LIMIT, primes_from, unit_mask
+from domprod.numbertheory import (
+    FACTOR_INPUT_LIMIT,
+    JACOBSTHAL_RADICAL_LIMIT,
+    primes_from,
+    unit_mask,
+)
 
 from helpers import windowed_jacobsthal
 
@@ -100,6 +106,22 @@ def test_jacobsthal_radical_identity():
     for _ in range(60):
         n = rng.randint(1, 5000)
         assert jacobsthal(n) == jacobsthal(radical(n))
+
+
+def test_jacobsthal_rejects_a_radical_over_the_limit():
+    # radical 33,333,333,333: each mask would be 3.9 GiB, so the check
+    # must come before any mask is built
+    n = 99_999_999_999
+    assert radical(n) > JACOBSTHAL_RADICAL_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="radical"):
+            jacobsthal_run(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert jacobsthal(10**11) == jacobsthal(10)  # the limit is on the radical
 
 
 def test_jacobsthal_run_is_certificate():
