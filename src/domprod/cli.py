@@ -42,13 +42,11 @@ from .solvers import (
     SolveResult,
     gamma_exact,
     gamma_total_exact,
-    is_dominating,
-    is_minimal_dominating,
-    is_total_dominating,
 )
 from .theorems import (
     InternalConsistencyError,
     bound_report,
+    certifies,
     conjecture_check,
     consecutive_residue_set,
     cube_corner_set,
@@ -68,11 +66,6 @@ EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 
 _QUANTITY_BY_VERB = {"gamma": "gamma", "gammat": "gamma_total", "upper": "upper"}
-_CHECKER = {
-    "gamma": is_dominating,
-    "gamma_total": is_total_dominating,
-    "upper": is_minimal_dominating,
-}
 
 
 # ==== output helpers ====
@@ -172,13 +165,10 @@ class ResultCache:
 def _cached_verified(record: dict, desc: Descriptor) -> bool:
     """Re-verify a cached optimal entry before trusting it: value, lo and
     hi must be ints equal to the witness size, the witness must be
-    distinct int vertices that pass its checker, and a "theorem" entry's
-    value must be the proven side the theorem layer derives afresh (lo
-    for gamma, hi for upper)."""
+    distinct int vertices that pass certifies (which builds only their
+    rows), and a "theorem" entry's value must be the proven side the
+    theorem layer derives afresh (lo for gamma, hi for upper)."""
     quantity = record.get("quantity")
-    checker = _CHECKER.get(quantity)
-    if checker is None:
-        return False
     witness = record.get("witness")
     if not isinstance(witness, list) or not all(type(v) is int for v in witness):
         return False  # bool is an int subclass; floats crash the checker
@@ -194,12 +184,8 @@ def _cached_verified(record: dict, desc: Descriptor) -> bool:
         ):
             return False
     try:
-        graph = desc.build()
-    except CapExceededError:
-        return False
-    try:
-        return checker(graph, witness)
-    except ValueError:  # a witness vertex outside the graph
+        return certifies(desc, quantity, witness)
+    except ValueError:  # an unknown quantity, a vertex outside the graph, or the cap
         return False
 
 

@@ -3,10 +3,13 @@ products, and unitary Cayley graphs.
 
 Vertices are always indices 0..n-1.  Adjacency is stored as one dense
 bit-vector (a Python int) per vertex, which is the representation the
-solvers consume.  A vertex of a product is numbered row-major in the
-spec's factor order: ProductSpec.coords(v) gives its tuple of per-factor
-residues, and ProductSpec.index maps the tuple back.  A vertex of a
-single factor or of a unitary Cayley graph is its own residue.
+solvers consume.  Each family has one source of rows, spec_rows for
+products and ucg_rows for X_n: the builders take every row from it,
+Descriptor.rows only the rows asked for.  A vertex of a product is
+numbered row-major in the spec's factor order: ProductSpec.coords(v)
+gives its tuple of per-factor residues, and ProductSpec.index maps the
+tuple back.  A vertex of a single factor or of a unitary Cayley graph
+is its own residue.
 
 The descriptor mini-language used by the CLI and the result cache lives
 here too: `K[a,b]` for one factor, `x`-separated products, and `ucg:<n>`
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from .numbertheory import factorize, unit_mask
@@ -202,9 +206,8 @@ def ucg_rows(n: int, residues) -> Iterator[int]:
 def unitary_cayley(n: int) -> Graph:
     """X_n on residues 0..n-1; x ~ y iff gcd(x - y, n) = 1.
 
-    Dense adjacency costs n^2/8 bytes; to check a vertex set of X_n
-    for large n, use theorems.ucg_is_dominating or
-    ucg_is_total_dominating, which build only the rows of the set.
+    Dense adjacency costs n^2/8 bytes; to check a vertex set, use
+    theorems.certifies, which builds only the rows of the set.
     """
     if n < 2:
         raise ValueError(f"unitary Cayley graph needs n >= 2, got {n}")
@@ -214,38 +217,52 @@ def unitary_cayley(n: int) -> Graph:
     return Graph(list(ucg_rows(n, range(n))), factors=factors)
 
 
-def product_spec_graph(spec: ProductSpec) -> Graph:
-    """Direct product of the spec's multipartite factors: u ~ v iff in
-    every factor their residues lie in different partite sets.
+def spec_rows(spec: ProductSpec, vertices) -> Iterator[int]:
+    """The neighbourhood in the product of each vertex, numbered by
+    spec.coords, as a mask: u ~ v iff in every factor their residues lie
+    in different partite sets.
 
-    Vertices are numbered by spec.coords, so the stride of factor i is
-    the product of the sizes of the factors after it.
+    This is the one implementation of product adjacency.  A row is
+    everything outside the vertices that share a partite set with v in
+    some factor; each such class mask is built when a row first needs
+    it, so the rows of a few vertices cost a few masks.
     """
+    full = (1 << spec.n_vertices) - 1
+    layout = _layout(spec)
+
+    @cache
+    def same(i: int, r: int) -> int:
+        # the vertices whose residue in factor i lies in partite set r,
+        # i.e. is r mod b_i.  In row-major order, residue c of factor i
+        # fills bits c*stride..(c+1)*stride-1 of every period-bit period.
+        stride, size, b = layout[i]
+        repeat = full // ((1 << stride * size) - 1)  # a 1 at the start of each period
+        block = (1 << stride) - 1
+        return repeat * sum(block << (c * stride) for c in range(r, size, b))
+
+    for v in vertices:
+        blocked = 0
+        for i, (c, f) in enumerate(zip(spec.coords(v), spec.factors)):
+            blocked |= same(i, c % f.b)
+        yield full & ~blocked
+
+
+def _layout(spec: ProductSpec) -> tuple[tuple[int, int, int], ...]:
+    """Graph.factors of the product: (stride, size, b) per factor, where
+    the stride is the product of the sizes of the factors after it."""
+    out, stride = [], spec.n_vertices
+    for f in spec.factors:
+        stride //= f.size
+        out.append((stride, f.size, f.b))
+    return tuple(out)
+
+
+def product_spec_graph(spec: ProductSpec) -> Graph:
+    """Direct product of the spec's multipartite factors, with its rows
+    from spec_rows and its vertices numbered by spec.coords."""
     n = spec.n_vertices
     _check_cap(n)
-    full = (1 << n) - 1
-    # same[i][r]: the vertices whose residue in factor i lies in partite
-    # set r, i.e. is r mod b_i.  In row-major order, residue c of factor
-    # i fills bits c*stride..(c+1)*stride-1 of every period-bit period.
-    same = []
-    factors = []
-    stride = n
-    for f in spec.factors:
-        period, stride = stride, stride // f.size
-        factors.append((stride, f.size, f.b))
-        repeat = full // ((1 << period) - 1)  # a 1 at the start of each period
-        block = (1 << stride) - 1
-        same.append([
-            repeat * sum(block << (c * stride) for c in range(r, f.size, f.b))
-            for r in range(f.b)
-        ])
-    adj = []
-    for v in range(n):
-        blocked = 0
-        for masks, c, f in zip(same, spec.coords(v), spec.factors):
-            blocked |= masks[c % f.b]
-        adj.append(full & ~blocked)
-    return Graph(adj, factors=tuple(factors))
+    return Graph(list(spec_rows(spec, range(n))), factors=_layout(spec))
 
 
 def ucg_product_spec(n: int) -> ProductSpec:
@@ -321,6 +338,21 @@ class Descriptor:
         if self.kind == "ucg":
             return f"ucg:{self.ucg_n}"
         return self.spec.canonical().descriptor()
+
+    @property
+    def n_vertices(self) -> int:
+        """Vertex count; raises CapExceededError where build() would."""
+        n = self.ucg_n if self.kind == "ucg" else self.spec.n_vertices
+        _check_cap(n)
+        return n
+
+    def rows(self, vertices) -> Iterator[int]:
+        """The neighbourhood masks of the given vertices in the numbering
+        of build(), without building the graph."""
+        n = self.n_vertices
+        if self.kind == "ucg":
+            return ucg_rows(n, vertices)
+        return spec_rows(self.spec.canonical(), vertices)
 
     def build(self) -> Graph:
         """Materialize the graph; specs are built in canonical order so

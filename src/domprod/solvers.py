@@ -1,6 +1,10 @@
 """Checkers and exact solvers for domination, total domination, and
 upper domination.
 
+The checkers are one core, _certifies, that reads only the rows of the
+set's members: a Graph's adjacency, or a descriptor's rows built
+without the graph (theorems.certifies).
+
 gamma_exact and gamma_total_exact treat the problem as minimum set cover
 (universe = vertices, sets = closed / open neighborhoods) and run a
 descending sequence of decision searches: a greedy incumbent first, then
@@ -91,7 +95,8 @@ except the checkers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .graphs import Graph, iter_bits
@@ -100,14 +105,6 @@ DEFAULT_MAX_NODES = 10_000_000
 DEFAULT_TIME_LIMIT = 60.0
 
 ORACLE_CAP = {"gamma": 20, "gamma_total": 20, "upper": 16}
-
-
-class NotMinimalError(ValueError):
-    """A social vertex of the set has no private neighbor."""
-
-    def __init__(self, vertex: int):
-        self.vertex = vertex
-        super().__init__(f"vertex {vertex} is social but has no private neighbor")
 
 
 class NoTotalDominationError(ValueError):
@@ -154,13 +151,6 @@ class SolveResult:
     provenance: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass
-class VertexClassification:
-    lonely: tuple[int, ...]
-    social: tuple[int, ...]
-    private_neighbor: dict[int, int] = field(default_factory=dict)
-
-
 class _SearchState:
     __slots__ = ("nodes", "max_nodes", "deadline")
 
@@ -186,66 +176,55 @@ class _SearchState:
 # ==== checkers ====
 
 
-def _mask_from(g: Graph, vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for graph with {g.n} vertices")
-        m |= 1 << v
-    return m
+def _certifies(quantity: str, n: int, d: Iterable[int], rows) -> bool:
+    """Whether d is a dominating (gamma), total dominating (gamma_total)
+    or minimal dominating (upper) set of an n-vertex graph whose
+    neighbourhood masks rows(vertices) yields, reading only the rows of
+    the members.
+
+    With `once` and `twice` the vertices having at least one and at
+    least two neighbours in d, d totally dominates iff once is
+    everything, and dominates iff once | d is.  It is minimal iff, in
+    addition, every member is lonely or has a neighbour outside d |
+    twice (Ore's criterion: that neighbour's only neighbour in d is the
+    member), which a second pass over the rows decides.  This is the
+    reference the searches are tested against, so it shares no code
+    with them.
+    """
+    dm = 0
+    for v in d:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for graph with {n} vertices")
+        dm |= 1 << v
+    once = twice = 0
+    for row in rows(iter_bits(dm)):
+        twice |= once & row
+        once |= row
+    full = (1 << n) - 1
+    if quantity == "gamma_total":
+        return once == full
+    if quantity not in ("gamma", "upper"):
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if once | dm != full:
+        return False
+    private = ~(dm | twice)
+    return quantity == "gamma" or all(
+        row & dm == 0 or row & private for row in rows(iter_bits(dm))
+    )
 
 
 def is_dominating(g: Graph, d: Iterable[int]) -> bool:
-    dm = _mask_from(g, d)
-    cover = 0
-    for v in iter_bits(dm):
-        cover |= g.adj[v]
-    return (cover | dm) == g.full_mask()
+    return _certifies("gamma", g.n, d, partial(map, g.adj.__getitem__))
 
 
 def is_total_dominating(g: Graph, d: Iterable[int]) -> bool:
-    dm = _mask_from(g, d)
-    cover = 0
-    for v in iter_bits(dm):
-        cover |= g.adj[v]
-    return cover == g.full_mask()
-
-
-def classify(g: Graph, d: Iterable[int]) -> VertexClassification:
-    """Split a dominating set into lonely and social vertices, recording a
-    private neighbor (smallest index) for each social vertex.
-
-    Raises NotMinimalError when a social vertex has no private neighbor,
-    and ValueError when d is not dominating at all.
-    """
-    dm = _mask_from(g, d)
-    if not is_dominating(g, d):
-        raise ValueError("set is not dominating")
-    lonely = []
-    social = []
-    private: dict[int, int] = {}
-    for v in iter_bits(dm):
-        if g.adj[v] & dm == 0:
-            lonely.append(v)
-            continue
-        social.append(v)
-        for p in iter_bits(g.adj[v] & ~dm):
-            if g.adj[p] & dm == 1 << v:
-                private[v] = p
-                break
-        else:
-            raise NotMinimalError(v)
-    return VertexClassification(tuple(lonely), tuple(social), private)
+    return _certifies("gamma_total", g.n, d, partial(map, g.adj.__getitem__))
 
 
 def is_minimal_dominating(g: Graph, d: Iterable[int]) -> bool:
     """Ore's criterion: d dominates and every member is lonely or has a
     private neighbor.  Agrees with the remove-one-element definition."""
-    try:
-        classify(g, d)
-    except ValueError:  # not dominating, or NotMinimalError
-        return False
-    return True
+    return _certifies("upper", g.n, d, partial(map, g.adj.__getitem__))
 
 
 # ==== brute-force oracle ====
@@ -262,27 +241,20 @@ def gamma_oracle(g: Graph, kind: str = "gamma") -> SolveResult:
         raise OracleCapError(f"{g.n} vertices exceeds oracle cap {ORACLE_CAP[kind]}")
     if g.n == 0:
         raise ValueError("empty graph")
-    start = time.monotonic()
-    if kind == "upper":
-        for k in range(g.n, 0, -1):
-            for combo in combinations(range(g.n), k):
-                if is_minimal_dominating(g, combo):
-                    return SolveResult(
-                        kind, k, combo, True, "oracle", lo=k, hi=k,
-                        elapsed=time.monotonic() - start,
-                    )
-        raise AssertionError("no minimal dominating set found")  # unreachable
-    check = is_dominating if kind == "gamma" else is_total_dominating
     if kind == "gamma_total" and any(a == 0 for a in g.adj):
         raise NoTotalDominationError("graph has an isolated vertex")
-    for k in range(1, g.n + 1):
+    start = time.monotonic()
+    rows = partial(map, g.adj.__getitem__)
+    for k in range(g.n, 0, -1) if kind == "upper" else range(1, g.n + 1):
         for combo in combinations(range(g.n), k):
-            if check(g, combo):
+            if _certifies(kind, g.n, combo, rows):
                 return SolveResult(
                     kind, k, combo, True, "oracle", lo=k, hi=k,
                     elapsed=time.monotonic() - start,
                 )
-    raise AssertionError("vertex set itself should dominate")  # unreachable
+    # every graph has a minimal dominating set, and without isolated
+    # vertices V itself totally dominates
+    raise AssertionError("unreachable")
 
 
 # ==== set-cover engine ====

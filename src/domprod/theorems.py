@@ -9,18 +9,17 @@ consecutive residues), interval reports whose sides carry provenance
 tags, and congruence-built certificates showing gamma(X_n) or
 gamma_t(X_n) can undercut Jacobsthal's g(n).
 
-Certificates on X_n are checked by ucg_is_dominating and
-ucg_is_total_dominating, which build only the rows of the set
-(graphs.ucg_rows), not the whole graph.
+Every construction and certificate is checked by certifies, which
+reads only the rows of the set's members (Descriptor.rows, from
+graphs.spec_rows or ucg_rows), never the whole graph.
 
 solve is the calculator's entry point, and it starts from this layer.
 For gamma, and for upper on a product spec, it takes the proven
 interval of the bound report.  It returns at once, with method
 "theorem" and no search, when a construction, which runs its own
-checker on the built graph, meets the proven side.  Otherwise a gamma
-search gets the lower side as its floor (gamma_exact), and an upper
-search runs as it is: its proven upper side, n minus a domination lower
-bound, is never below the search's own n/2 cap.  The rest (gamma_total,
+check, meets the proven side.  Otherwise a gamma search gets the lower
+side as its floor (gamma_exact), and an upper search runs as it is:
+its proven upper side, n/2, is the search's own cap.  The rest (gamma_total,
 which has no bound report, and upper on X_n) goes straight to the
 search.  The formula-vs-search cross-checks
 (conjecture_check, the CLI's reproduce suites and scan) call the plain
@@ -36,25 +35,22 @@ from fractions import Fraction
 from math import gcd
 
 from .graphs import (
-    DEFAULT_VERTEX_CAP,
+    CapExceededError,
     Descriptor,
     Factor,
     ProductSpec,
     k2_reduction,
     product_spec_graph,
     ucg_product_spec,
-    ucg_rows,
 )
 from .numbertheory import crt_solve, factorize, is_prime, jacobsthal, primes_from
 from .solvers import (
     Budget,
     SolveResult,
+    _certifies,
     gamma_exact,
     gamma_total_exact,
     gamma_upper_exact,
-    is_dominating,
-    is_minimal_dominating,
-    is_total_dominating,
 )
 
 
@@ -138,38 +134,27 @@ class ConjectureCheck:
     agrees: bool | None  # None when the solver ran out of budget
 
 
-# ==== implicit unitary Cayley checks (no graph materialization) ====
+# ==== certificate checks (no graph materialization) ====
 
 
-def _ucg_open_coverage(n: int, dset) -> int:
-    covered = 0
-    for row in ucg_rows(n, dset):
-        covered |= row
-    return covered
+def certifies(desc: Descriptor, quantity: str, dset) -> bool:
+    """Whether dset is a dominating (gamma), total dominating
+    (gamma_total) or minimal dominating (upper) set of desc's graph, in
+    the vertex numbering of desc.build().  Only the rows of the members
+    are built.  Raises CapExceededError where desc.build() would, and
+    ValueError for a member outside the graph."""
+    return _certifies(quantity, desc.n_vertices, dset, desc.rows)
 
 
-def ucg_is_dominating(n: int, dset) -> bool:
-    """Domination check on X_n that builds only the rows of dset (members
-    are taken mod n), never the whole graph."""
-    covered = _ucg_open_coverage(n, dset)
-    for d in dset:
-        covered |= 1 << d % n
-    return covered == (1 << n) - 1
-
-
-def ucg_is_total_dominating(n: int, dset) -> bool:
-    """Total domination check on X_n that builds only the rows of dset
-    (members are taken mod n), never the whole graph."""
-    return _ucg_open_coverage(n, dset) == (1 << n) - 1
-
-
-def _ucg_certified(n: int, dset, check, failure: str) -> bool:
-    """Run check(n, dset) when X_n is within the vertex cap and report
-    whether it ran; a certificate that fails it is a bug, not an input
-    error."""
-    if n > DEFAULT_VERTEX_CAP:
+def _ucg_certified(n: int, dset, quantity: str, failure: str) -> bool:
+    """Check dset for `quantity` on X_n when it is within the vertex cap
+    and report whether the check ran; a certificate that fails it is a
+    bug, not an input error."""
+    try:
+        ok = certifies(Descriptor("ucg", ucg_n=n), quantity, dset)
+    except CapExceededError:
         return False
-    if not check(n, dset):
+    if not ok:
         raise InternalConsistencyError(failure)
     return True
 
@@ -201,16 +186,18 @@ def consecutive_residue_set(n: int) -> ConstructionResult:
     g = jacobsthal(n)
     dset = tuple(range(g))
     verified = _ucg_certified(
-        n, dset, ucg_is_total_dominating,
+        n, dset, "gamma_total",
         f"consecutive residues 0..{g - 1} failed to totally dominate X_{n}",
     )
     return ConstructionResult(f"ucg:{n}", dset, "total_dominating", verified)
 
 
-def _checked(spec: ProductSpec, dset, kind: str, check, name: str) -> ConstructionResult:
-    """Run the checker for `kind` on the built product; a construction
-    that fails it is a bug, not an input error."""
-    if not check(product_spec_graph(spec), dset):
+def _checked(
+    spec: ProductSpec, dset, kind: str, quantity: str, name: str
+) -> ConstructionResult:
+    """Check dset for `quantity` on the product (spec is in canonical
+    order); a construction that fails it is a bug, not an input error."""
+    if not certifies(Descriptor("spec", spec=spec), quantity, dset):
         raise InternalConsistencyError(f"{name} failed its checker")
     return ConstructionResult(spec.descriptor(), dset, kind, True)
 
@@ -237,7 +224,7 @@ def diagonal_set(spec: ProductSpec, m: int = 0) -> ConstructionResult:
     dset = tuple(
         sorted(spec.index([r % b for b in bs]) for r in range(t + m + 1))
     )
-    return _checked(spec, dset, "total_dominating", is_total_dominating, "diagonal set")
+    return _checked(spec, dset, "total_dominating", "gamma_total", "diagonal set")
 
 
 def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
@@ -257,7 +244,7 @@ def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
     vertices.append([0, 1] + [t] * (t - 2))
     vertices.append([1, 0] + [t] * (t - 2))
     dset = tuple(sorted(spec.index(v) for v in vertices))
-    return _checked(spec, dset, "dominating", is_dominating, "t+2 construction")
+    return _checked(spec, dset, "dominating", "gamma", "t+2 construction")
 
 
 _CORNERS3 = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
@@ -274,7 +261,7 @@ def cube_corner_set(spec: ProductSpec) -> ConstructionResult:
     dset = tuple(
         sorted(spec.index((x,) + corner) for x in (0, 1) for corner in _CORNERS3)
     )
-    return _checked(spec, dset, "dominating", is_dominating, "cube-corner set")
+    return _checked(spec, dset, "dominating", "gamma", "cube-corner set")
 
 
 def partite_column_set(spec: ProductSpec) -> ConstructionResult:
@@ -283,11 +270,10 @@ def partite_column_set(spec: ProductSpec) -> ConstructionResult:
     lonely)."""
     if not spec.canonical_order:
         raise ValueError("needs canonical factor order (b_1 minimal)")
+    n = Descriptor("spec", spec=spec).n_vertices  # the cap, before listing n/b_1 vertices
     b1 = spec.factors[0].b
-    dset = tuple(v for v in range(spec.n_vertices) if spec.coords(v)[0] % b1 == 0)
-    return _checked(
-        spec, dset, "minimal_dominating", is_minimal_dominating, "partite column"
-    )
+    dset = tuple(v for v in range(n) if spec.coords(v)[0] % b1 == 0)
+    return _checked(spec, dset, "minimal_dominating", "upper", "partite column")
 
 
 # ==== piecewise formulas and single-theorem bounds ====
@@ -468,7 +454,9 @@ def upper_bounds(spec: ProductSpec) -> BoundReport:
     The partite-column bound n/b_1 is always a lower bound and is exact
     when b_1 = 2, when t <= 3, or when the clique-partition threshold
     holds; otherwise n/b_1 is reported as conjectured and the proven
-    upper side falls back to n minus the domination lower bound.
+    upper side falls back to n/2: the product splits into cliques of
+    size b_1 >= 2, so no minimal dominating set has more than n/2
+    vertices (see solvers.gamma_upper_exact).
     """
     spec = spec.canonical()
     n = spec.n_vertices
@@ -484,7 +472,7 @@ def upper_bounds(spec: ProductSpec) -> BoundReport:
     elif _clique_threshold_holds(spec):
         his = [(col, "clique-partition-threshold")]
     else:
-        his = [(n - gamma_bounds(spec).lo, "dominating-complement")]
+        his = [(n // 2, "clique-partition-half")]
         return _compose("upper", lows, his, conjectured=col)
     return _compose("upper", lows, his)
 
@@ -550,7 +538,7 @@ def solve(
     result whose lo is that side carries the side's provenance.  upper
     on a spec: an exact report is met by the partite column.  Everything
     else runs the plain search.  The constructions check their own sets
-    (on the built product, or implicitly on X_n); a result outside the
+    from their members' rows (certifies); a result outside the
     proven interval means two implemented results disagree and raises
     InternalConsistencyError.
     """
@@ -665,7 +653,7 @@ def mt_witness(j: int) -> WitnessN:
     dset = tuple(range(q + 2)) + (y,)
 
     verified = _ucg_certified(
-        n, dset, ucg_is_total_dominating, "witness set is not total dominating"
+        n, dset, "gamma_total", "witness set is not total dominating"
     )
     return WitnessN(
         n=n, q=q, k=k, primes=primes, D=dset, y=y, z=z,
@@ -712,9 +700,7 @@ def m_family_witness(family: int, p1: int, p2: int) -> MWitness:
     )
     if len(dset) != len(corners):
         raise InternalConsistencyError("lifted dominating set lost vertices")
-    verified = _ucg_certified(
-        n, dset, ucg_is_dominating, "lifted corner set is not dominating"
-    )
+    verified = _ucg_certified(n, dset, "gamma", "lifted corner set is not dominating")
     if not len(dset) < run_length + 1:
         raise InternalConsistencyError("certificate does not separate gamma from g")
     return MWitness(

@@ -17,7 +17,6 @@ from domprod import (
     Budget,
     NoTotalDominationError,
     ProductSpec,
-    classify,
     diagonal_set,
     factorize,
     gamma_bounds,
@@ -284,9 +283,10 @@ def test_property_suites():
         spec = random_spec(rng, 36, max_t=3)
         g = product_spec_graph(spec)
         d = shrink_to_minimal(g, range(g.n))
-        roles = classify(g, d)
+        dm = sum(1 << v for v in d)
+        lonely = sum(1 for v in d if g.adj[v] & dm == 0)
         b1 = spec.factors[0].b
-        assert b1 * len(roles.lonely) + 2 * len(roles.social) <= g.n, spec.descriptor()
+        assert b1 * lonely + 2 * (len(d) - lonely) <= g.n, spec.descriptor()
         checked += 1
     assert checked == 40
 

@@ -4,13 +4,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from domprod import Descriptor, cli, is_dominating, is_minimal_dominating, unitary_cayley
+from domprod import (
+    Descriptor,
+    certifies,
+    cli,
+    is_dominating,
+    is_minimal_dominating,
+    unitary_cayley,
+)
 from domprod.cli import EXIT_BAD_INPUT, EXIT_CAP, EXIT_MISMATCH, EXIT_OK, main
-from domprod.theorems import ucg_is_dominating, ucg_is_total_dominating
 
 
 @pytest.fixture(autouse=True)
@@ -41,7 +48,7 @@ def test_solve_gamma_record(capsys):
     assert rec["quantity"] == "gamma"
     assert rec["value"] == rec["lo"] == rec["hi"] == 4
     assert rec["optimal"] is True
-    assert ucg_is_dominating(30, rec["witness"])
+    assert certifies(Descriptor("ucg", ucg_n=30), "gamma", rec["witness"])
     assert rec["descriptor"] == "ucg:30"
     assert rec["tool_version"] == cli.__version__
 
@@ -51,7 +58,7 @@ def test_solve_gammat_uses_reduction(capsys):
     assert code == EXIT_OK
     (rec,) = records(out)
     assert rec["value"] == 6 and rec["method"] == "reduction"
-    assert ucg_is_total_dominating(30, rec["witness"])
+    assert certifies(Descriptor("ucg", ucg_n=30), "gamma_total", rec["witness"])
 
 
 def test_solve_upper_bipartite(capsys):
@@ -93,7 +100,7 @@ def test_vertex_cap_exits_3(capsys):
 
 
 def test_budget_exhaustion_still_exits_0(capsys):
-    # the theorems leave Gamma(K3^4) open in [27, 75], so this searches
+    # the theorems leave Gamma(K3^4) open in [27, 40], so this searches
     code, out, _ = run(
         capsys,
         "solve", "upper", "K[1,3]xK[1,3]xK[1,3]xK[1,3]", "--nodes", "25", "--no-cache",
@@ -165,7 +172,25 @@ def test_corrupt_cached_witness_forces_recompute(capsys, cache_file):
     assert code == EXIT_OK
     (fresh,) = records(out)
     assert fresh["value"] == 4
-    assert ucg_is_dominating(105, fresh["witness"])
+    assert certifies(Descriptor("ucg", ucg_n=105), "gamma", fresh["witness"])
+
+
+def test_theorem_solve_and_its_cache_hit_build_no_graph(capsys, cache_file):
+    # the cube corner decides gamma on this 18,480-vertex product; its 8
+    # vertices are checked from their own rows, by the construction and
+    # then by the cache, so neither run builds the ~40 MB adjacency
+    spec = "K[1,2]xK[1,20]xK[1,21]xK[1,22]"
+    for _ in ("solved", "served"):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "solve", "gamma", spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (rec,) = records(out)
+        assert code == EXIT_OK and rec["method"] == "theorem" and rec["value"] == 8
+        assert peak < 4_000_000, peak
+    assert len(cache_file.read_text().splitlines()) == 1  # the second was a hit
 
 
 @pytest.mark.parametrize(
@@ -203,7 +228,7 @@ def test_self_contradicting_cache_line_forces_recompute(capsys, cache_file, edit
     n = int(line["descriptor"].removeprefix("ucg:"))
     assert all(type(rec[key]) is int for key in ("value", "lo", "hi"))
     assert rec["value"] == rec["lo"] == rec["hi"] == len(rec["witness"]) == {30: 4, 2: 1}[n]
-    assert ucg_is_dominating(n, rec["witness"])
+    assert certifies(Descriptor("ucg", ucg_n=n), "gamma", rec["witness"])
 
 
 def test_cached_theorem_value_is_rederived(capsys, cache_file):
@@ -466,7 +491,7 @@ def test_scan_m_small_range(capsys):
         rec = by_n[n]
         assert rec["value"] < rec["g"]
         assert len(rec["witness"]) == rec["value"]
-        assert ucg_is_dominating(n, rec["witness"])
+        assert certifies(Descriptor("ucg", ucg_n=n), "gamma", rec["witness"])
     for n in set(by_n) - members:
         assert by_n[n]["status"] == "non-member"
         assert by_n[n]["lo"] >= by_n[n]["g"]

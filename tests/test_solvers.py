@@ -8,10 +8,8 @@ from domprod import (
     Budget,
     Descriptor,
     NoTotalDominationError,
-    NotMinimalError,
     OracleCapError,
     ProductSpec,
-    classify,
     factorize,
     gamma_exact,
     gamma_oracle,
@@ -70,30 +68,31 @@ def test_checkers_reject_out_of_range():
         is_dominating(g, (3,))
 
 
-def test_classify_identifies_roles():
-    # star K_{1,3}: center 0
+def test_minimal_dominating_with_lonely_members():
+    # star K_{1,3}: center 0; every member of both sets is lonely
     g = Graph([0b1110, 0b0001, 0b0001, 0b0001])
-    roles = classify(g, (0,))
-    assert roles.lonely == (0,)
-    assert roles.social == ()
-    roles = classify(g, (1, 2, 3))
-    assert roles.lonely == (1, 2, 3)
-    with pytest.raises(ValueError):
-        classify(g, (1, 2))  # not dominating
+    assert is_minimal_dominating(g, (0,))
+    assert is_minimal_dominating(g, (1, 2, 3))
+    assert not is_minimal_dominating(g, (1, 2))  # not dominating
+    assert not is_minimal_dominating(g, (0, 1))  # 1 has no private neighbor
 
 
-def test_classify_social_private_neighbors():
+def test_minimal_dominating_with_social_members():
+    # P4 0-1-2-3: the social members 1 and 2 keep private neighbors 0
+    # and 3; adding either end takes its neighbour's away
     p4 = Graph([0b0010, 0b0101, 0b1010, 0b0100])
-    roles = classify(p4, (1, 2))
-    assert roles.social == (1, 2)
-    assert roles.private_neighbor == {1: 0, 2: 3}
+    assert is_minimal_dominating(p4, (1, 2))
+    assert not is_minimal_dominating(p4, (0, 1, 2))
+    assert not is_minimal_dominating(p4, (1, 2, 3))
+    assert is_minimal_dominating(p4, (0, 3)) and is_minimal_dominating(p4, (0, 2))
 
 
-def test_classify_raises_on_redundant_member():
+def test_minimal_dominating_rejects_redundant_member():
+    # K4: in any set of two, each member dominates alone
     g = multipartite(1, 4)
-    with pytest.raises(NotMinimalError) as info:
-        classify(g, (0, 1))
-    assert info.value.vertex in (0, 1)
+    assert is_minimal_dominating(g, (0,))
+    assert not is_minimal_dominating(g, (0, 1))
+    assert not is_minimal_dominating(g, range(4))
 
 
 def test_minimality_matches_deletion_rule_500_pairs():
@@ -671,7 +670,7 @@ def test_upper_reads_clique_size_from_factors():
 
 def _ore_holds(g, members):
     """Ore's criterion for each member of a set that need not dominate,
-    by classify: a new vertex z adjacent to every vertex the set leaves
+    by is_minimal_dominating: a new vertex z adjacent to every vertex the set leaves
     undominated makes the set plus z dominating, with z lonely, and
     touches no member and no vertex a member could have as a private
     neighbor."""
@@ -815,7 +814,8 @@ def test_packing_inequality_on_minimal_sets():
         if not is_dominating(g, seed):
             seed = list(range(g.n))
         d = shrink_to_minimal(g, seed)
-        roles = classify(g, d)
+        dm = sum(1 << v for v in d)
+        lonely = sum(1 for v in d if g.adj[v] & dm == 0)
         b1 = spec.factors[0].b
-        assert b1 * len(roles.lonely) + 2 * len(roles.social) <= g.n
+        assert b1 * lonely + 2 * (len(d) - lonely) <= g.n
         done += 1

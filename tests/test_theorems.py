@@ -8,6 +8,7 @@ from domprod import (
     Budget,
     Descriptor,
     ProductSpec,
+    certifies,
     conjecture_check,
     consecutive_residue_set,
     cube_corner_set,
@@ -29,15 +30,13 @@ from domprod import (
     squarefree_gamma_value,
     t_plus_two_set,
     ucg_gamma_bounds,
-    ucg_is_dominating,
-    ucg_is_total_dominating,
     unitary_cayley,
     upper_bounds,
 )
 from domprod.cli import _enum_small_specs
 from domprod.theorems import InternalConsistencyError, _compose
 
-from helpers import random_spec
+from helpers import random_spec, shrink_to_minimal
 
 
 def spec_of(*bs):
@@ -264,9 +263,9 @@ def test_upper_bounds_open_case_flags_conjecture():
     r = upper_bounds(ProductSpec.from_pairs([(1, 5)] * 4))
     assert not r.exact
     assert r.conjectured == 125
-    assert r.lo == 125 and r.hi == 620
+    assert r.lo == 125 and r.hi == 312
     tags = {tag for tag, _ in r.provenance}
-    assert "dominating-complement" in tags
+    assert "clique-partition-half" in tags
 
 
 def test_conjecture_check():
@@ -336,7 +335,8 @@ def test_solve_on_ucg_uses_the_consecutive_run_only():
     # constructions are not carried to residues, so X_210 is searched
     got = solve("ucg:148", "gamma")
     assert got.method == "theorem" and got.value == 4 and got.nodes == 0
-    assert got.witness == (0, 1, 2, 3) and ucg_is_dominating(148, got.witness)
+    assert got.witness == (0, 1, 2, 3)
+    assert certifies(Descriptor.parse("ucg:148"), "gamma", got.witness)
     got = solve("ucg:210", "gamma")
     assert got.method == "branch-and-bound" and got.value == 8 and got.optimal
     got = solve("ucg:45", "upper")
@@ -344,8 +344,7 @@ def test_solve_on_ucg_uses_the_consecutive_run_only():
 
 
 def test_solve_reports_open_intervals():
-    # the proven upper side 75 = n - gamma_lo is above the search's own
-    # n // 2 = 40 cap
+    # the proven upper side is the search's own n // 2 = 40 cap
     got = solve("K[1,3]xK[1,3]xK[1,3]xK[1,3]", "upper", Budget(max_nodes=25))
     assert not got.optimal and got.method == "branch-and-bound"
     assert got.lo == got.value == 27 and got.hi == 40 and not got.provenance
@@ -372,29 +371,59 @@ def test_solve_rejects_a_search_below_the_proven_side(monkeypatch):
         solve("ucg:105", "gamma")
 
 
-# ==== IMPLICIT UCG CHECKERS ====
+# ==== IMPLICIT CHECKS ====
 
 
 def test_implicit_checkers_match_graph_checkers():
+    # certifies builds only the rows of the set (graphs.spec_rows or
+    # ucg_rows); on every family and quantity it must agree with the
+    # checkers on the built graph.  Random sets rarely dominate, so each
+    # graph also gets a minimal dominating set, that set plus one more
+    # vertex, and a maximal independent set
     rng = random.Random(103)
-    for _ in range(40):
-        n = rng.randint(2, 120)
-        g = unitary_cayley(n)
-        d = [v for v in range(n) if rng.random() < 0.2] or [0]
-        assert ucg_is_dominating(n, d) == is_dominating(g, d)
-        assert ucg_is_total_dominating(n, d) == is_total_dominating(g, d)
-        # members are residues: outside [0, n), negative, repeated; the
-        # multiples of the least prime p | n dominate, yet none of them
-        # has a neighbour in the set, so each must count itself
+    checkers = {
+        "gamma": is_dominating,
+        "gamma_total": is_total_dominating,
+        "upper": is_minimal_dominating,
+    }
+    descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 81)]
+    descs += [Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
+              for pairs in _enum_small_specs(40, 3)]
+    held = Counter()
+    for desc in descs:
+        g = desc.build()
+        n = g.n
+        d = [v for v in range(n) if rng.random() < rng.uniform(0.05, 0.5)] or [0]
+        seed = [v for v in range(n) if rng.random() < 0.7]
+        if not is_dominating(g, seed):
+            seed = range(n)
+        minimal = list(shrink_to_minimal(g, seed))
+        extra = rng.choice([v for v in range(n) if v not in minimal])
+        independent = []
+        for v in rng.sample(range(n), n):
+            if not any(g.adj[v] >> u & 1 for u in independent):
+                independent.append(v)
+        # members may come in any order and repeat
+        sets = [d, minimal, minimal + [extra], independent,
+                d + rng.sample(d, len(d) // 2)]
+        for e in sets:
+            for quantity, check in checkers.items():
+                got = certifies(desc, quantity, e)
+                assert got == check(g, e), (desc.canonical(), quantity, e)
+                held[quantity] += got
+        with pytest.raises(ValueError):
+            certifies(desc, "gamma", [n])
+        with pytest.raises(ValueError):
+            certifies(desc, "gamma", [-1])
+    # each quantity is seen to hold, not only to fail
+    assert min(held.values()) >= 100, held
+    # the multiples of the least prime p | n dominate, yet none of them
+    # has a neighbour in the set, so each must count itself
+    for n in range(2, 81):
         column = list(range(0, n, factorize(n)[0][0]))
-        assert ucg_is_dominating(n, column) and not ucg_is_total_dominating(n, column)
-        for base in (d, column):
-            e = [v + n * rng.choice((-2, -1, 1, 2)) for v in base]
-            e += [-v - n for v in base]
-            e += rng.sample(e, len(e) // 2)
-            reduced = [v % n for v in e]
-            assert ucg_is_dominating(n, e) == is_dominating(g, reduced)
-            assert ucg_is_total_dominating(n, e) == is_total_dominating(g, reduced)
+        desc = Descriptor("ucg", ucg_n=n)
+        assert certifies(desc, "gamma", column) and certifies(desc, "upper", column)
+        assert not certifies(desc, "gamma_total", column)
 
 
 # ==== CERTIFICATES ====
