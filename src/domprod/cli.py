@@ -41,7 +41,6 @@ from .solvers import (
     Budget,
     SolveResult,
     gamma_exact,
-    gamma_total_exact,
 )
 from .theorems import (
     InternalConsistencyError,
@@ -125,8 +124,9 @@ class ResultCache:
     (descriptor, quantity); the latest line for a key wins.
 
     Writers take an advisory lock.  Partially written or stale-version
-    lines, lines that are not JSON objects and lines whose "optimal" is
-    not true are ignored on read.
+    lines, lines that are not JSON objects, lines whose "optimal" is not
+    true and lines whose descriptor or quantity is not a string are
+    ignored on read.
     """
 
     def __init__(self, path: str):
@@ -148,7 +148,10 @@ class ResultCache:
                     continue
                 if rec.get("tool_version") != __version__ or rec.get("optimal") is not True:
                     continue
-                table[(rec.get("descriptor"), rec.get("quantity"))] = rec
+                key = (rec.get("descriptor"), rec.get("quantity"))
+                if not all(isinstance(part, str) for part in key):
+                    continue  # a list or object would be an unhashable key
+                table[key] = rec
         return table
 
     def get(self, descriptor: str, quantity: str) -> dict | None:
@@ -429,18 +432,19 @@ def cmd_scan(args) -> int:
     if lo < 2 or hi < lo:
         raise DescriptorError(f"bad range [{lo}, {hi}]")
     budget = _budget(args)
-    total = gamma_total_exact if args.target == "Mt" else gamma_exact
+    quantity = "gamma_total" if args.target == "Mt" else "gamma"
     for n in range(lo, hi + 1):
         record: dict = {"n": n, "target": args.target, "tool_version": __version__}
+        desc = Descriptor("ucg", ucg_n=n)
         try:
-            graph = unitary_cayley(n)
+            desc.n_vertices  # the cap, before g(n) or any bound is worked out
         except CapExceededError as exc:
             record["status"] = "skipped"
             record["reason"] = str(exc)
             _emit(record, args.table)
             continue
         g = record["g"] = jacobsthal_run(n).value
-        result = total(graph, budget)
+        result = solve(desc, quantity, budget)
         record["lo"] = result.lo
         record["hi"] = result.hi
         record["nodes"] = result.nodes

@@ -86,10 +86,6 @@ These rules only drop subtrees that hold no better answer than one
 already met, so values, and gamma and Gamma witnesses, are those of the
 search without them, found in fewer nodes.  A rooted bipartite split
 may find a different gamma_total witness of the same size.
-
-gamma_oracle is an independent brute force over subsets, used as ground
-truth in tests; it shares nothing with the branch-and-bound code paths
-except the checkers.
 """
 
 from __future__ import annotations
@@ -104,15 +100,9 @@ from .graphs import Graph, iter_bits
 DEFAULT_MAX_NODES = 10_000_000
 DEFAULT_TIME_LIMIT = 60.0
 
-ORACLE_CAP = {"gamma": 20, "gamma_total": 20, "upper": 16}
-
 
 class NoTotalDominationError(ValueError):
     """The graph has an isolated vertex, so no total dominating set exists."""
-
-
-class OracleCapError(ValueError):
-    """Graph too large for the brute-force oracle."""
 
 
 class BudgetExhausted(Exception):
@@ -225,36 +215,6 @@ def is_minimal_dominating(g: Graph, d: Iterable[int]) -> bool:
     """Ore's criterion: d dominates and every member is lonely or has a
     private neighbor.  Agrees with the remove-one-element definition."""
     return _certifies("upper", g.n, d, partial(map, g.adj.__getitem__))
-
-
-# ==== brute-force oracle ====
-
-
-def gamma_oracle(g: Graph, kind: str = "gamma") -> SolveResult:
-    """Independent ground truth: subsets by increasing size for gamma and
-    gamma_total, decreasing size with a minimality check for upper."""
-    from itertools import combinations
-
-    if kind not in ORACLE_CAP:
-        raise ValueError(f"unknown oracle kind {kind!r}")
-    if g.n > ORACLE_CAP[kind]:
-        raise OracleCapError(f"{g.n} vertices exceeds oracle cap {ORACLE_CAP[kind]}")
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if kind == "gamma_total" and any(a == 0 for a in g.adj):
-        raise NoTotalDominationError("graph has an isolated vertex")
-    start = time.monotonic()
-    rows = partial(map, g.adj.__getitem__)
-    for k in range(g.n, 0, -1) if kind == "upper" else range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            if _certifies(kind, g.n, combo, rows):
-                return SolveResult(
-                    kind, k, combo, True, "oracle", lo=k, hi=k,
-                    elapsed=time.monotonic() - start,
-                )
-    # every graph has a minimal dominating set, and without isolated
-    # vertices V itself totally dominates
-    raise AssertionError("unreachable")
 
 
 # ==== set-cover engine ====
@@ -460,6 +420,13 @@ def _max_cover_atleast(
     """Can `count` of the sets cover at least `target` universe elements?
     Exact include/exclude search with a top-marginal-sum bound.
 
+    A node ranks its pool by marginal gain over `covered` once.  It then
+    walks down the ranking: each step includes the best set left (a
+    recursive call, one `left` fewer) and, if that fails, excludes it.
+    Excluding leaves `covered` as it is, so the rest keeps its ranking
+    and marginals, and each exclude step is one node and one loop
+    iteration rather than a frame.  So the depth is at most `count`.
+
     rooted says that automorphisms keeping the universe permute the sets
     transitively, so some best selection holds any given set: the root
     then takes only the "include" branch."""
@@ -478,15 +445,17 @@ def _max_cover_atleast(
         if left == 0 or not pool:
             return False
         ranked = sorted(pool, key=lambda s: (s & ~covered).bit_count())
-        marg = [(ranked[i] & ~covered).bit_count() for i in range(len(ranked))]
-        if covered_cnt + sum(marg[-left:]) < target:
-            return False
-        best = ranked[-1]
-        rest = ranked[:-1]
-        new_cov = covered | best
-        if rec(rest, new_cov, new_cov.bit_count(), left - 1):
-            return True
-        return not root and rec(rest, covered, covered_cnt, left)
+        marg = [(s & ~covered).bit_count() for s in ranked]
+        for end in range(len(ranked), 0, -1):
+            if covered_cnt + sum(marg[max(end - left, 0):end]) < target:
+                return False
+            new_cov = covered | ranked[end - 1]
+            if rec(ranked[:end - 1], new_cov, new_cov.bit_count(), left - 1):
+                return True
+            if root:
+                return False
+            state.tick()  # the node that excludes ranked[end - 1]
+        return False
 
     return rec(pool, 0, 0, count, rooted)
 

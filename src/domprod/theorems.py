@@ -21,10 +21,10 @@ check, meets the proven side.  Otherwise a gamma search gets the lower
 side as its floor (gamma_exact), and an upper search runs as it is:
 its proven upper side, n/2, is the search's own cap.  The rest (gamma_total,
 which has no bound report, and upper on X_n) goes straight to the
-search.  The formula-vs-search cross-checks
-(conjecture_check, the CLI's reproduce suites and scan) call the plain
-solvers, so that they compare a formula with a search and not with
-itself.
+search.  The CLI's scan takes this shortcut too: it asks solve for
+each n.  The formula-vs-search cross-checks (conjecture_check and the
+CLI's reproduce suites) call the plain solvers, so that they compare a
+formula with a search and not with itself.
 """
 
 from __future__ import annotations

@@ -1,13 +1,58 @@
 """Shared test utilities: seeded generators and independent reference
-implementations used to cross-check the package."""
+implementations used to cross-check the package, among them the
+brute-force oracle gamma_oracle."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
-from domprod import Graph, ProductSpec, is_dominating
+from domprod import (
+    Graph,
+    NoTotalDominationError,
+    ProductSpec,
+    SolveResult,
+    is_dominating,
+    is_minimal_dominating,
+    is_total_dominating,
+)
+
+ORACLE_CAP = {"gamma": 20, "gamma_total": 20, "upper": 16}
+
+_ORACLE_CHECK = {
+    "gamma": is_dominating,
+    "gamma_total": is_total_dominating,
+    "upper": is_minimal_dominating,
+}
+
+
+class OracleCapError(ValueError):
+    """Graph too large for the brute-force oracle."""
+
+
+def gamma_oracle(g: Graph, kind: str = "gamma") -> SolveResult:
+    """Independent ground truth: subsets by increasing size for gamma and
+    gamma_total, decreasing size with a minimality check for upper.  It
+    shares nothing with the package's searches; it calls only the public
+    checkers."""
+    if kind not in ORACLE_CAP:
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    if g.n > ORACLE_CAP[kind]:
+        raise OracleCapError(f"{g.n} vertices exceeds oracle cap {ORACLE_CAP[kind]}")
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if kind == "gamma_total" and any(a == 0 for a in g.adj):
+        raise NoTotalDominationError("graph has an isolated vertex")
+    check = _ORACLE_CHECK[kind]
+    for k in range(g.n, 0, -1) if kind == "upper" else range(1, g.n + 1):
+        for combo in combinations(range(g.n), k):
+            if check(g, combo):
+                return SolveResult(kind, k, combo, True, "oracle", lo=k, hi=k)
+    # every graph has a minimal dominating set, and without isolated
+    # vertices V itself totally dominates
+    raise AssertionError("unreachable")
 
 
 def random_graph(rng, n: int, p: float | None = None) -> Graph:

@@ -21,7 +21,6 @@ from domprod import (
     factorize,
     gamma_bounds,
     gamma_exact,
-    gamma_oracle,
     gamma_total_exact,
     gamma_upper_exact,
     is_dominating,
@@ -39,6 +38,7 @@ from domprod.cli import _enum_small_specs, main
 
 from helpers import (
     clique_partition,
+    gamma_oracle,
     minimality_by_deletion,
     random_graph,
     random_spec,

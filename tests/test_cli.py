@@ -13,11 +13,16 @@ from domprod import (
     Descriptor,
     certifies,
     cli,
+    gamma_exact,
+    gamma_total_exact,
     is_dominating,
     is_minimal_dominating,
+    jacobsthal,
+    radical,
     unitary_cayley,
 )
 from domprod.cli import EXIT_BAD_INPUT, EXIT_CAP, EXIT_MISMATCH, EXIT_OK, main
+from domprod.numbertheory import JACOBSTHAL_RADICAL_LIMIT
 
 
 @pytest.fixture(autouse=True)
@@ -269,7 +274,12 @@ def test_budget_cut_solve_is_not_cached(capsys, cache_file):
 
 
 def test_cache_tolerates_garbage_lines(capsys, cache_file):
-    cache_file.write_text("not json\n{\"half\": 1\n7\n[1, 2]\n\"ucg:105\"\n")
+    # the last line is current and optimal, but a list is no cache key
+    unhashable = {"descriptor": ["ucg:105"], "quantity": "gamma",
+                  "tool_version": cli.__version__, "optimal": True}
+    cache_file.write_text(
+        "not json\n{\"half\": 1\n7\n[1, 2]\n\"ucg:105\"\n" + json.dumps(unhashable) + "\n"
+    )
     code, out, _ = run(capsys, "solve", "gamma", "ucg:105")
     assert code == EXIT_OK
     assert records(out)[0]["value"] == 4
@@ -517,6 +527,42 @@ def test_scan_skips_over_cap(capsys, monkeypatch):
     _, out, _ = run(capsys, "scan", "M", "--min", "4849845", "--max", "4849845")
     (rec,) = records(out)
     assert rec["status"] == "skipped" and "cap" in rec["reason"]
+    # the prime radical of 100000007 exceeds JACOBSTHAL_RADICAL_LIMIT, so
+    # the cap must be checked before any bound works out g(n)
+    assert radical(100000007) > JACOBSTHAL_RADICAL_LIMIT
+    for target in ("M", "Mt"):
+        code, out, _ = run(
+            capsys, "scan", target, "--min", "100000007", "--max", "100000007"
+        )
+        (rec,) = records(out)
+        assert code == EXIT_OK
+        assert rec["status"] == "skipped" and "cap" in rec["reason"]
+
+
+@pytest.mark.parametrize("target, hi", [("M", 150), ("Mt", 60)])
+def test_scan_agrees_with_plain_search(capsys, target, hi):
+    # scan asks solve, which takes the theorem layer's shortcut; the
+    # plain search on the built graph must give the same verdicts
+    search = gamma_total_exact if target == "Mt" else gamma_exact
+    code, out, _ = run(capsys, "scan", target, "--min", "2", "--max", str(hi))
+    assert code == EXIT_OK
+    recs = records(out)
+    assert [r["n"] for r in recs] == list(range(2, hi + 1))
+    for rec in recs:
+        n = rec["n"]
+        want = search(unitary_cayley(n))
+        assert want.optimal and rec["g"] == jacobsthal(n), n
+        assert rec["status"] == ("member" if want.value < rec["g"] else "non-member"), n
+        assert rec["value"] == want.value, n
+
+
+def test_scan_2470_exits_0(capsys):
+    # X_2470 is bipartite with sides of 1,235 vertices, more than
+    # Python's default limit of 1,000 frames
+    code, out, _ = run(capsys, "scan", "M", "--min", "2470", "--max", "2470")
+    (rec,) = records(out)
+    assert code == EXIT_OK
+    assert rec["status"] == "non-member" and rec["value"] == rec["g"] == 8
 
 
 def test_scan_undecided_under_tiny_budget(capsys):

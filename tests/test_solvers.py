@@ -8,11 +8,9 @@ from domprod import (
     Budget,
     Descriptor,
     NoTotalDominationError,
-    OracleCapError,
     ProductSpec,
     factorize,
     gamma_exact,
-    gamma_oracle,
     gamma_total_exact,
     gamma_upper_exact,
     is_dominating,
@@ -26,7 +24,6 @@ from domprod import solvers
 from domprod.cli import _enum_small_specs
 from domprod.graphs import Graph, iter_bits
 from domprod.solvers import (
-    ORACLE_CAP,
     _greedy_independent,
     _later_mates,
     _lex_generators,
@@ -39,7 +36,10 @@ from domprod.solvers import (
 )
 
 from helpers import (
+    ORACLE_CAP,
+    OracleCapError,
     disjoint_union,
+    gamma_oracle,
     minimality_by_deletion,
     random_bipartite_graph,
     random_graph,
@@ -538,6 +538,13 @@ def test_rooted_max_cover_matches_unrooted():
                     assert got == want, (g, count, target)
                     checked += 1
     assert checked > 1_000
+
+
+def test_max_cover_excludes_without_recursing():
+    # each set skipped is a loop step, not a frame: 1,500 equal sets
+    # would go past Python's default limit of 1,000 frames
+    state = _SearchState(Budget(max_nodes=10**9, time_limit=None))
+    assert not _max_cover_atleast([0b11] * 1500, (1 << 1500) - 1, 2, 3, state)
 
 
 def test_orbit_pruning_matches_unpruned_search(monkeypatch):
