@@ -32,9 +32,10 @@ from .graphs import (
     ProductSpec,
     product_spec_graph,
     ucg_product_spec,
+    ucg_residues,
     unitary_cayley,
 )
-from .numbertheory import crt_solve, factorize, jacobsthal, jacobsthal_run
+from .numbertheory import factorize, jacobsthal, jacobsthal_run
 from .solvers import (
     DEFAULT_MAX_NODES,
     DEFAULT_TIME_LIMIT,
@@ -169,8 +170,9 @@ def _cached_verified(record: dict, desc: Descriptor) -> bool:
     """Re-verify a cached optimal entry before trusting it: value, lo and
     hi must be ints equal to the witness size, the witness must be
     distinct int vertices that pass certifies (which builds only their
-    rows), and a "theorem" entry's value must be the proven side the
-    theorem layer derives afresh (lo for gamma, hi for upper)."""
+    rows), and a "theorem" entry's value must be the size the theorem
+    layer derives afresh (BoundReport.target: lo for gamma and
+    gamma_total, hi for upper)."""
     quantity = record.get("quantity")
     witness = record.get("witness")
     if not isinstance(witness, list) or not all(type(v) is int for v in witness):
@@ -181,10 +183,7 @@ def _cached_verified(record: dict, desc: Descriptor) -> bool:
            for key in ("value", "lo", "hi")):
         return False  # 4.0 and True compare equal to ints
     if record.get("method") == "theorem":
-        report = bound_report(desc, quantity)
-        if report is None or len(witness) != (
-            report.lo if quantity == "gamma" else report.hi
-        ):
+        if len(witness) != bound_report(desc, quantity).target:
             return False
     try:
         return certifies(desc, quantity, witness)
@@ -215,11 +214,11 @@ def cmd_solve(args) -> int:
 
 def cmd_bounds(args) -> int:
     desc = Descriptor.parse(args.descriptor)
-    for quantity in ("gamma", "upper"):
+    # solve reads every report; bounds prints the ones it always has, which
+    # is what perfbench's record check (_check_bounds) expects
+    for quantity in ("gamma",) if desc.kind == "ucg" else ("gamma", "upper"):
         report = bound_report(desc, quantity)
-        if report is not None:  # no upper report for ucg:n
-            record = _record(report, descriptor=desc.canonical(), exact=report.exact)
-            _emit(record, args.table)
+        _emit(_record(report, descriptor=desc.canonical(), exact=report.exact), args.table)
     return EXIT_OK
 
 
@@ -231,9 +230,7 @@ def cmd_conjecture(args) -> int:
     if desc.kind == "ucg":
         # the search ran on the product form; name its vertices as the
         # residues mod n they are under the CRT
-        moduli = [f.size for f in spec.factors]
-        residues = (crt_solve(zip(spec.coords(v), moduli)).residue for v in result.witness)
-        result = dataclasses.replace(result, witness=tuple(sorted(residues)))
+        result = dataclasses.replace(result, witness=ucg_residues(desc.ucg_n, result.witness))
     record = _solve_record(
         desc.canonical(), result, conjectured=check.conjectured, agrees=check.agrees
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .numbertheory import factorize, unit_mask
+from .numbertheory import crt_solve, factorize, unit_mask
 
 DEFAULT_VERTEX_CAP = 2_000_000
 
@@ -81,9 +81,6 @@ class Graph:
         self.adj = tuple(adj)
         self.factors = factors
 
-    def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -91,7 +88,7 @@ class Graph:
         return self.adj[v] | (1 << v)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.edge_count()})"
+        return f"Graph(n={self.n}, m={sum(a.bit_count() for a in self.adj) // 2})"
 
 
 # ==== factors and product specs ====
@@ -277,24 +274,17 @@ def ucg_product_spec(n: int) -> ProductSpec:
     )
 
 
-# ==== K_2 reduction ====
+def ucg_residues(n: int, vertices) -> tuple[int, ...]:
+    """The residues mod n of vertices of ucg_product_spec(n), sorted.
 
-
-def k2_reduction(spec: ProductSpec) -> tuple[int, ProductSpec | None]:
-    """Split off the K_2 factors: returns (s, rest).
-
-    s counts factors equal to K[1,2]; rest is the spec of the remaining
-    factors, or None when every factor is a K_2.  When s >= 1 the
-    domination number satisfies gamma(spec) = 2^(s-1) * gamma(K_2 x rest).
+    This is the one map from the product form to X_n: by the CRT, vertex
+    v is the residue x with x = coords(v)[i] (mod p_i^e_i) for every
+    factor, and it keeps adjacency, so a dominating, total dominating or
+    minimal dominating set of the product form is one of X_n.
     """
-    k2 = Factor(1, 2)
-    s = sum(1 for f in spec.factors if f == k2)
-    rest = tuple(f for f in spec.factors if f != k2)
-    if s == 0:
-        return 0, spec
-    if not rest:
-        return s, None
-    return s, ProductSpec(rest)
+    spec = ucg_product_spec(n)
+    moduli = [f.size for f in spec.factors]
+    return tuple(sorted(crt_solve(zip(spec.coords(v), moduli)).residue for v in vertices))
 
 
 # ==== descriptor mini-language ====

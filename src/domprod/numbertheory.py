@@ -16,9 +16,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 FACTOR_INPUT_LIMIT = 2**63 - 1
 # jacobsthal_run holds a few masks of rad(n) bits at once.  Peak RSS,
-# CPython 3.11: 80 MB at the prime 99,999,989 just below this limit and
-# 187 MB at radical 2.2e8; n = 99,999,999,999 (radical 33,333,333,333)
-# would need 3.9 GiB for each mask.
+# CPython 3.11: 68 MB at the prime 99,999,989 just below this limit, 93
+# MB at 99,999,985 = 5 * 59 * 257 * 1,319, and 187 MB at radical 2.2e8;
+# n = 99,999,999,999 (radical 33,333,333,333) would need 3.9 GiB for
+# each mask.
 JACOBSTHAL_RADICAL_LIMIT = 10**8
 
 
@@ -104,12 +105,13 @@ def unit_mask(n: int) -> int:
     Start from all n bits and, for each prime p | n, clear
     full // (2^p - 1), which has a 1 at every multiple of p below n
     (exactly, because p divides n): omega(n) bigint operations in place
-    of n gcd calls.
+    of n gcd calls.  When n is prime, its one multiple below n is 0, so
+    only bit 0 is cleared, without the division.
     """
     full = (1 << n) - 1
     units = full
     for p, _ in factorize(n):
-        units &= ~(full // ((1 << p) - 1))
+        units &= ~(1 if p == n else full // ((1 << p) - 1))
     return units
 
 

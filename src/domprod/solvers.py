@@ -33,10 +33,11 @@ more than n/2 vertices, and a product of K[a_i,b_i] splits into
 cliques of size b_1 = min b_i >= 2, so with Graph.factors set the
 search stops at the first set of n/2.
 
-A caller that knows a proven lower bound on gamma can hand it in:
-gamma_exact's keyword `floor` joins the counting lower bound, so the
-probes stop there.  It is a theorem-layer input (theorems.solve); its
-default 0 leaves every search as it was.
+A caller that knows a proven lower bound on gamma or gamma_t can hand
+it in: the keyword `floor` of gamma_exact and gamma_total_exact joins
+the counting lower bound, so the probes stop there.  It is a
+theorem-layer input (theorems.solve); its default 0 leaves every search
+as it was.
 
 Symmetry comes only from Graph.factors, which only builders set: the
 graph is a product of balanced complete multipartite factors, so every
@@ -125,8 +126,9 @@ class SolveResult:
     provenance holds (tag, contribution) pairs such as ("cube-corner",
     "hi 8"), the theorems behind a side the search did not prove.
     theorems.solve sets it on results with method "theorem" (both
-    sides) and on budget-cut gamma searches whose lo is the theorem
-    floor (that side); the solvers here leave it empty.
+    sides) and on budget-cut searches whose unproven side (lo for gamma
+    and gamma_total, hi for upper) is the theorem's (that side); the
+    solvers here leave it empty.
     """
 
     quantity: str
@@ -576,24 +578,29 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
 # ==== gamma and gamma_total ====
 
 
-def _solve_covers(quantity, method, parts, state, start) -> SolveResult:
+def _solve_covers(quantity, method, parts, state, start, floor) -> SolveResult:
     """Minimum covers of independent instances, reported as one set.
 
-    parts holds (instance, refuter, floor) triples for _min_cover; the
-    witness is the union of their covers and lo the sum of their bounds.
+    parts holds (instance, refuter) pairs for _min_cover; the witness is
+    the union of their covers and lo the sum of their bounds, and at
+    least floor, a proven lower bound on the total.  The last instance
+    gets floor less the sizes of the covers before it as its own floor:
+    each of those is at least its instance's minimum.  A part is
+    complete exactly when its bound meets its cover, so the result is
+    optimal when lo meets the witness.
     """
     chosen: list[list[int]] = []
     lo = 0
-    complete = True
-    for inst, refuter, floor in parts:
-        best, lb, ok = _min_cover(inst, state, refuter, floor)
+    for i, (inst, refuter) in enumerate(parts):
+        own = floor - sum(map(len, chosen)) if i == len(parts) - 1 else 0
+        best, lb, _ = _min_cover(inst, state, refuter, own)
         chosen.append(best)
         lo += lb
-        complete = complete and ok
+    lo = max(lo, floor)
     witness = tuple(sorted(v for part in chosen for v in part))
     value = len(witness)
     return SolveResult(
-        quantity, value, witness, complete and lo == value, method,
+        quantity, value, witness, lo == value, method,
         lo=lo, hi=value, nodes=state.nodes, elapsed=time.monotonic() - start,
     )
 
@@ -618,15 +625,22 @@ def gamma_exact(
     sides = bipartition(g)
     refuter = _bipartite_gamma_refuter(g, sides, state) if sides else None
     return _solve_covers(
-        "gamma", "branch-and-bound", [(inst, refuter, floor)], state, start
+        "gamma", "branch-and-bound", [(inst, refuter)], state, start, floor
     )
 
 
-def gamma_total_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
+def gamma_total_exact(
+    g: Graph, budget: Budget | None = None, *, floor: int = 0
+) -> SolveResult:
     """Exact total domination number.  Errors on isolated vertices.  On
     bipartite graphs the problem splits into two independent one-sided
     covers, solved separately (method "reduction"); under _side_symmetry
-    both carry the factor symmetry."""
+    both carry the factor symmetry.
+
+    floor is a proven lower bound on gamma_t(g), as in gamma_exact; on a
+    bipartite graph it reaches the second cover, less the size of the
+    first.
+    """
     if g.n == 0:
         raise ValueError("empty graph")
     for v in range(g.n):
@@ -638,21 +652,17 @@ def gamma_total_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     if sides is None:
         full = g.full_mask()
         return _solve_covers("gamma_total", "branch-and-bound",
-                             [(_CoverInstance(full, g.adj, full, g.factors), None, 0)],
-                             state, start)
+                             [(_CoverInstance(full, g.adj, full, g.factors), None)],
+                             state, start, floor)
     mask_a, mask_b = sides
     factors = _side_symmetry(g)
     # D-members on side A are the only open coverage side B can get
-    parts = [(_CoverInstance(mask_b, g.adj, mask_a, factors), None, 0),
-             (_CoverInstance(mask_a, g.adj, mask_b, factors), None, 0)]
-    return _solve_covers("gamma_total", "reduction", parts, state, start)
+    parts = [(_CoverInstance(mask_b, g.adj, mask_a, factors), None),
+             (_CoverInstance(mask_a, g.adj, mask_b, factors), None)]
+    return _solve_covers("gamma_total", "reduction", parts, state, start, floor)
 
 
 # ==== upper domination ====
-
-
-class _Done(Exception):
-    pass
 
 
 def _greedy_independent(g: Graph) -> int:
@@ -712,6 +722,22 @@ def _lex_generators(factors, n: int) -> list[list[tuple[int, int]]]:
             gens.append([(v, w) for v, w in enumerate(images) if v < w])
         last[size, b] = i
     return gens
+
+
+def _lex_higher(gens, idx: int, in_mask: int, out_mask: int) -> bool:
+    """The lex-leader test: whether some generator maps every completion
+    of the node to a larger set.  It walks each generator's pairs while
+    both ends are decided (below idx, or in OUT); at the first pair that
+    differs, the image must be in IN and j not."""
+    for pairs in gens:
+        for j, w in pairs:
+            if j >= idx or (w >= idx and not out_mask >> w & 1):
+                break
+            if (in_mask >> j ^ in_mask >> w) & 1:
+                if in_mask >> w & 1:
+                    return True
+                break
+    return False
 
 
 def _unaddable(adj: Sequence[int], closed: Sequence[int], in_mask: int, cand: int) -> int:
@@ -783,61 +809,55 @@ def gamma_upper_exact(
                            lo=best_size, hi=best_size, nodes=0,
                            elapsed=time.monotonic() - start)
 
-    # (idx, in, out, covered); some maximum minimal dominating set
-    # of a graph with factors (vertex-transitive) contains 0
+    # In/out search in index order for a minimal dominating set larger
+    # than best_size; it stops at the first one of global_ub.  OUT holds
+    # every undecided vertex that cannot join IN, so IN always satisfies
+    # Ore's criterion.  A frame is (idx, in, out, covered, mated): the
+    # "out" frame of vertex idx - 1 sits under its "in" frame, so it is
+    # popped once that whole subtree is searched, and it then leaves out
+    # the later orbit mates of `mated` too (-1 for none).  Some maximum
+    # minimal dominating set of a graph with factors (vertex-transitive)
+    # contains 0.
     prefix = (
-        (1, 1, _unaddable(adj, closed, 1, full & ~1), closed[0])
-        if g.factors is not None else (0, 0, 0, 0)
+        (1, 1, _unaddable(adj, closed, 1, full & ~1), closed[0], -1)
+        if g.factors is not None else (0, 0, 0, 0, -1)
     )
     mates: dict[int, int] = {}
     gens = [] if g.factors is None else _lex_generators(g.factors, n)
-
-    def rec(idx: int, in_mask: int, out_mask: int, covered: int) -> None:
-        """In/out search in index order for a minimal dominating set
-        larger than best_size; it stops at the first one of global_ub.
-        OUT holds every undecided vertex that cannot join IN, so IN
-        always satisfies Ore's criterion."""
-        nonlocal best_mask, best_size
-        state.tick()
-        in_cnt = in_mask.bit_count()
-        undecided = full >> idx << idx & ~out_mask
-        if in_cnt + undecided.bit_count() <= best_size:
-            return
-        for u in iter_bits(full & ~covered):
-            if closed[u] & ~out_mask == 0:
-                return  # u can never be dominated now
-        for pairs in gens:  # lex-leader test: walk the decided pairs
-            for j, w in pairs:
-                if j >= idx or (w >= idx and not out_mask >> w & 1):
-                    break
-                if (in_mask >> j ^ in_mask >> w) & 1:
-                    if in_mask >> w & 1:
-                        return  # this generator maps every completion higher
-                    break
-        if idx == n:
-            if covered == full:
-                best_mask, best_size = in_mask, in_cnt
-                if best_size >= global_ub:
-                    raise _Done
-            return
-        bit = 1 << idx
-        if out_mask & bit:  # cannot join, or an orbit mate of an earlier vertex
-            rec(idx + 1, in_mask, out_mask, covered)
-            return
-        grown = in_mask | bit
-        rec(idx + 1, grown, out_mask | _unaddable(adj, closed, grown, undecided & ~bit),
-            covered | closed[idx])
-        if g.factors is not None:
-            if idx not in mates:
-                mates[idx] = _later_mates(g, idx)
-            out_mask |= mates[idx]
-        rec(idx + 1, in_mask, out_mask | bit, covered)
-
+    stack = [prefix]
     optimal = True
     try:
-        rec(*prefix)
-    except _Done:
-        pass
+        while stack:
+            idx, in_mask, out_mask, covered, mated = stack.pop()
+            if mated >= 0:
+                if mated not in mates:
+                    mates[mated] = _later_mates(g, mated)
+                out_mask |= mates[mated]
+            state.tick()
+            in_cnt = in_mask.bit_count()
+            undecided = full >> idx << idx & ~out_mask
+            if in_cnt + undecided.bit_count() <= best_size:
+                continue
+            if any(closed[u] & ~out_mask == 0 for u in iter_bits(full & ~covered)):
+                continue  # some vertex can never be dominated now
+            if _lex_higher(gens, idx, in_mask, out_mask):
+                continue
+            if idx == n:
+                if covered == full:
+                    best_mask, best_size = in_mask, in_cnt
+                    if best_size >= global_ub:
+                        break
+                continue
+            bit = 1 << idx
+            if out_mask & bit:  # cannot join, or an orbit mate of an earlier vertex
+                stack.append((idx + 1, in_mask, out_mask, covered, -1))
+                continue
+            grown = in_mask | bit
+            stack.append((idx + 1, in_mask, out_mask | bit, covered,
+                          -1 if g.factors is None else idx))
+            stack.append((idx + 1, grown,
+                          out_mask | _unaddable(adj, closed, grown, undecided & ~bit),
+                          covered | closed[idx], -1))
     except BudgetExhausted:  # keeps the best set found before the cut
         optimal = False
     witness = tuple(iter_bits(best_mask))

@@ -4,8 +4,8 @@ certificate builders.
 Everything here is an executable counterpart of a structural fact about
 domination in direct products of complete multipartite graphs or in
 unitary Cayley graphs: piecewise formulas for small factor counts,
-explicit dominating sets (diagonals, cube corners, partite columns,
-consecutive residues), interval reports whose sides carry provenance
+explicit dominating sets (diagonals, cube and four corners, partite
+columns, consecutive residues), interval reports whose sides carry provenance
 tags, and congruence-built certificates showing gamma(X_n) or
 gamma_t(X_n) can undercut Jacobsthal's g(n).
 
@@ -13,17 +13,20 @@ Every construction and certificate is checked by certifies, which
 reads only the rows of the set's members (Descriptor.rows, from
 graphs.spec_rows or ucg_rows), never the whole graph.
 
-solve is the calculator's entry point, and it starts from this layer.
-For gamma, and for upper on a product spec, it takes the proven
-interval of the bound report.  It returns at once, with method
-"theorem" and no search, when a construction, which runs its own
-check, meets the proven side.  Otherwise a gamma search gets the lower
-side as its floor (gamma_exact), and an upper search runs as it is:
-its proven upper side, n/2, is the search's own cap.  The rest (gamma_total,
-which has no bound report, and upper on X_n) goes straight to the
-search.  The CLI's scan takes this shortcut too: it asks solve for
-each n.  The formula-vs-search cross-checks (conjecture_check and the
-CLI's reproduce suites) call the plain solvers, so that they compare a
+solve is the calculator's entry point, and it runs one path for all
+three quantities on both families.  bound_report gives the proven
+interval.  A construction whose size meets the side a set decides
+(BoundReport.target: lo for gamma and gamma_total, hi for upper), and
+which runs its own check, returns at once, with method "theorem" and
+no search.  Otherwise one search runs, with the lower side as its
+floor (gamma_exact, gamma_total_exact; a Gamma search has its
+incumbent as its lower side and the n/2 cap as its upper side).
+X_n is the product form ucg_product_spec(n) under the CRT, so its
+constructions are the consecutive run and the product form's own, each
+carried to residues by graphs.ucg_residues and checked on X_n.  The
+CLI's scan takes this path too: it asks solve for each n.  The
+formula-vs-search cross-checks (conjecture_check and the CLI's
+reproduce suites) call the plain solvers, so that they compare a
 formula with a search and not with itself.
 """
 
@@ -39,9 +42,9 @@ from .graphs import (
     Descriptor,
     Factor,
     ProductSpec,
-    k2_reduction,
     product_spec_graph,
     ucg_product_spec,
+    ucg_residues,
 )
 from .numbertheory import crt_solve, factorize, is_prime, jacobsthal, primes_from
 from .solvers import (
@@ -76,6 +79,13 @@ class BoundReport:
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
+
+    @property
+    def target(self) -> int:
+        """The size of a set that decides the quantity: lo for gamma and
+        gamma_total, which a set bounds from above, hi for upper, which
+        a minimal dominating set bounds from below."""
+        return self.hi if self.quantity == "upper" else self.lo
 
 
 @dataclass(frozen=True)
@@ -264,6 +274,17 @@ def cube_corner_set(spec: ProductSpec) -> ConstructionResult:
     return _checked(spec, dset, "dominating", "gamma", "cube-corner set")
 
 
+def _four_corner_set(spec: ProductSpec) -> ConstructionResult:
+    """The 4-vertex dominating set _CORNERS3 of K_{n_1} x K_{n_2} x K_{n_3}:
+    a vertex that is no corner has at most two coordinates in {0, 1},
+    and some corner differs from it in every coordinate."""
+    _require_all_single(spec)
+    if spec.t != 3:
+        raise ValueError(f"need exactly 3 factors, got {spec.t}")
+    dset = tuple(sorted(spec.index(corner) for corner in _CORNERS3))
+    return _checked(spec, dset, "dominating", "gamma", "four-corner set")
+
+
 def partite_column_set(spec: ProductSpec) -> ConstructionResult:
     """All vertices whose first coordinate lies in one partite set of the
     first factor: a minimal dominating set of size n/b_1 (every member is
@@ -337,6 +358,23 @@ def _compose(quantity, lo_entries, hi_entries, conjectured=None) -> BoundReport:
     return BoundReport(quantity, lo, hi, prov, conjectured)
 
 
+def _k2_reduction(spec: ProductSpec) -> tuple[int, ProductSpec | None]:
+    """Split off the K_2 factors: returns (s, rest).
+
+    s counts factors equal to K[1,2]; rest is the spec of the remaining
+    factors, or None when every factor is a K_2.  When s >= 1 the
+    domination number satisfies gamma(spec) = 2^(s-1) * gamma(K_2 x rest).
+    """
+    k2 = Factor(1, 2)
+    s = sum(1 for f in spec.factors if f == k2)
+    rest = tuple(f for f in spec.factors if f != k2)
+    if s == 0:
+        return 0, spec
+    if not rest:
+        return s, None
+    return s, ProductSpec(rest)
+
+
 def gamma_bounds(spec: ProductSpec) -> BoundReport:
     """Tightest interval for gamma(prod K[a_i,b_i]) derivable from the
     implemented structural results.  Factors may come in any order; the
@@ -354,7 +392,7 @@ def gamma_bounds(spec: ProductSpec) -> BoundReport:
     lows: list[tuple[int, str]] = [(1, "trivial")]
     his: list[tuple[int, str]] = [(n, "all-vertices")]
 
-    s, rest = k2_reduction(spec)
+    s, rest = _k2_reduction(spec)
     if s >= 1 and rest is None:
         v = 2 ** (s - 1)
         lows.append((v, "k2-factor-reduction"))
@@ -491,33 +529,79 @@ def conjecture_check(spec: ProductSpec, budget: Budget | None = None) -> Conject
 # ==== the calculator: theorem layer first, search second ====
 
 
-def bound_report(desc: Descriptor, quantity: str) -> BoundReport | None:
-    """The theorem layer's interval for `quantity` on desc, or None where
-    solve has none to start from: gamma_total, and upper on ucg:n."""
+def _product_form(desc: Descriptor) -> ProductSpec:
+    """desc's product spec in canonical order; X_n's is ucg_product_spec(n)."""
+    return desc.spec.canonical() if desc.kind == "spec" else ucg_product_spec(desc.ucg_n)
+
+
+def bound_report(desc: Descriptor, quantity: str) -> BoundReport:
+    """The theorem layer's interval for `quantity` (gamma, gamma_total or
+    upper) on desc.
+
+    upper takes X_n as its product form.  gamma_total takes gamma's lower
+    side, since gamma <= gamma_t, and as its upper side the smallest
+    total dominating set at hand: all vertices, the diagonal, and on
+    ucg:n the consecutive run.
+    """
+    if quantity == "upper":
+        return upper_bounds(_product_form(desc))
+    if quantity not in ("gamma", "gamma_total"):
+        raise ValueError(f"unknown quantity {quantity!r}")
+    gamma = ucg_gamma_bounds(desc.ucg_n) if desc.kind == "ucg" else gamma_bounds(desc.spec)
     if quantity == "gamma":
-        if desc.kind == "ucg":
-            return ucg_gamma_bounds(desc.ucg_n)
-        return gamma_bounds(desc.spec)
-    if quantity == "upper" and desc.kind == "spec":
-        return upper_bounds(desc.spec)
-    return None
-
-
-def _gamma_constructions(desc: Descriptor):
-    """(tag, size, build) for each dominating-set construction that may
-    apply to desc; build() raises ValueError when a hypothesis fails."""
-    if desc.kind == "ucg":
-        n = desc.ucg_n
-        return [("consecutive-run", jacobsthal(n), lambda: consecutive_residue_set(n))]
-    spec = desc.spec.canonical()
-    out = [
-        ("cube-corner", 8, lambda: cube_corner_set(spec)),
-        ("t-plus-two", spec.t + 2, lambda: t_plus_two_set(spec)),
-    ]
+        return gamma
+    spec = _product_form(desc)
+    his = [(spec.n_vertices, "all-vertices")]
     diag = _diagonal_upper(tuple(f.b for f in spec.factors))
     if diag is not None:
-        out.append(("diagonal-total", diag[0], lambda: diagonal_set(spec, diag[1])))
-    return out
+        his.append((diag[0], "diagonal-total"))
+    if desc.kind == "ucg":
+        his.append((jacobsthal(desc.ucg_n), "consecutive-run"))
+    return _compose("gamma_total", [(gamma.lo, tag) for tag, _ in _side(gamma, "lo")], his)
+
+
+def _lifted(n: int, built: ConstructionResult, quantity: str) -> ConstructionResult:
+    """A construction on the product form of X_n, carried to residues by
+    the CRT (ucg_residues) and checked on X_n itself."""
+    dset = ucg_residues(n, built.vertex_set)
+    verified = _ucg_certified(
+        n, dset, quantity, f"set from {built.descriptor} failed its checker on X_{n}"
+    )
+    return ConstructionResult(f"ucg:{n}", dset, built.kind, verified)
+
+
+def _constructions(desc: Descriptor, quantity: str):
+    """(tag, size, build) for each construction of a `quantity` set that
+    may apply to desc; build() raises ValueError when a hypothesis fails.
+
+    On ucg:n the consecutive run comes first, then the product form's
+    constructions, each lifted to residues and checked on X_n.
+    """
+    spec = _product_form(desc)
+    diag = _diagonal_upper(tuple(f.b for f in spec.factors))
+    # the diagonal is total dominating, so it dominates too
+    diagonal = [] if diag is None else [
+        ("diagonal-total", diag[0], lambda: diagonal_set(spec, diag[1]))
+    ]
+    table = {
+        "gamma": [
+            ("cube-corner", 8, lambda: cube_corner_set(spec)),
+            ("t-plus-two", spec.t + 2, lambda: t_plus_two_set(spec)),
+            *diagonal,
+            ("four-corner", 4, lambda: _four_corner_set(spec)),
+        ],
+        "gamma_total": diagonal,
+        "upper": [("partite-column", spec.n_vertices // spec.factors[0].b,
+                   lambda: partite_column_set(spec))],
+    }[quantity]
+    if desc.kind == "spec":
+        return table
+    n = desc.ucg_n
+    lifted = [(tag, size, lambda build=build: _lifted(n, build(), quantity))
+              for tag, size, build in table]
+    if quantity == "upper":
+        return lifted
+    return [("consecutive-run", jacobsthal(n), lambda: consecutive_residue_set(n))] + lifted
 
 
 def _side(report: BoundReport, side: str) -> tuple[tuple[str, str], ...]:
@@ -526,74 +610,69 @@ def _side(report: BoundReport, side: str) -> tuple[tuple[str, str], ...]:
     return tuple(entry for entry in report.provenance if entry[1] == target)
 
 
+# the search solve runs when no construction decides; Gamma's takes no
+# floor, since its lower side is the incumbent it finds
+_SEARCHES = {
+    "gamma": gamma_exact,
+    "gamma_total": gamma_total_exact,
+    "upper": lambda graph, budget, floor: gamma_upper_exact(graph, budget),
+}
+
+
 def solve(
     descriptor: Descriptor | str, quantity: str, budget: Budget | None = None
 ) -> SolveResult:
     """Certified value of `quantity` (gamma, gamma_total or upper) on a
     descriptor, starting from the theorem layer.
 
-    gamma: a construction of the report's lower-side size decides it
-    (method "theorem", nodes 0, provenance of both sides); otherwise
-    gamma_exact runs with that side as its floor, and a budget-cut
-    result whose lo is that side carries the side's provenance.  upper
-    on a spec: an exact report is met by the partite column.  Everything
-    else runs the plain search.  The constructions check their own sets
-    from their members' rows (certifies); a result outside the
-    proven interval means two implemented results disagree and raises
-    InternalConsistencyError.
+    One path for every quantity.  A construction whose size is the
+    bound report's target (lo for gamma and gamma_total, hi for upper)
+    decides it: method "theorem", nodes 0, and the provenance of both
+    sides, the report's and the construction's.  On ucg:n the
+    constructions are the consecutive run and the product form's, each
+    carried to residues by the CRT (graphs.ucg_residues).  Otherwise one
+    search runs with the report's lo as its floor, and a budget-cut
+    result whose side the search did not prove (lo for gamma and
+    gamma_total, hi for upper) equals the report's carries that side's
+    provenance.  Every construction checks its own set from its members'
+    rows (certifies); a result outside the proven interval means two
+    implemented results disagree and raises InternalConsistencyError.
     """
     desc = Descriptor.parse(descriptor) if isinstance(descriptor, str) else descriptor
-    if quantity not in ("gamma", "gamma_total", "upper"):
+    if quantity not in _SEARCHES:
         raise ValueError(f"unknown quantity {quantity!r}")
     start = time.monotonic()
     report = bound_report(desc, quantity)
-
-    def decided(dset, size, provenance) -> SolveResult:
-        if len(dset) != size:
+    side, other = ("hi", "lo") if quantity == "upper" else ("lo", "hi")
+    for tag, size, build in _constructions(desc, quantity):
+        if size != report.target:
+            continue
+        try:
+            built = build()
+        except ValueError:  # a hypothesis of the construction fails
+            continue
+        if not built.verified:  # ucg:n above the vertex cap goes unchecked
+            continue
+        if len(built.vertex_set) != size:
             raise InternalConsistencyError(
-                f"{provenance[-1][0]} set on {desc.canonical()} has {len(dset)} "
+                f"{tag} set on {desc.canonical()} has {len(built.vertex_set)} "
                 f"vertices, not {size}"
             )
+        # lo entries first, as in the report
+        provenance = sorted(_side(report, side) + ((tag, f"{other} {size}"),),
+                            key=lambda entry: entry[1].startswith("hi"))
         return SolveResult(
-            quantity, size, tuple(dset), True, "theorem", lo=size, hi=size,
-            elapsed=time.monotonic() - start, provenance=provenance,
+            quantity, size, built.vertex_set, True, "theorem", lo=size, hi=size,
+            elapsed=time.monotonic() - start, provenance=tuple(provenance),
         )
-
-    if report is not None and quantity == "gamma":
-        for tag, size, build in _gamma_constructions(desc):
-            if size != report.lo:
-                continue
-            try:
-                built = build()
-            except ValueError:  # a hypothesis of the construction fails
-                continue
-            if built.verified:  # ucg:n above the vertex cap goes unchecked
-                return decided(
-                    built.vertex_set, size, _side(report, "lo") + ((tag, f"hi {size}"),)
-                )
-        result = gamma_exact(desc.build(), budget, floor=report.lo)
-        if result.hi < report.lo:
-            raise InternalConsistencyError(
-                f"gamma({desc.canonical()}) has a {result.hi}-vertex dominating "
-                f"set below the proven lower side {report.lo}"
-            )
-        if not result.optimal and result.lo == report.lo:
-            result.provenance = _side(report, "lo")
-        return result
-    if report is not None and report.exact:
-        dset = partite_column_set(desc.spec.canonical()).vertex_set
-        return decided(dset, report.hi, (("partite-column", f"lo {report.lo}"),)
-                       + _side(report, "hi"))
-
-    graph = desc.build()
-    if quantity == "gamma_total":
-        return gamma_total_exact(graph, budget)
-    result = gamma_upper_exact(graph, budget)
-    if report is not None and result.lo > report.hi:
+    result = _SEARCHES[quantity](desc.build(), budget, floor=report.lo)
+    if result.hi < report.lo or result.lo > report.hi:
         raise InternalConsistencyError(
-            f"Gamma({desc.canonical()}) has a {result.lo}-vertex minimal dominating "
-            f"set above the proven upper side {report.hi}"
+            f"{quantity}({desc.canonical()}) searched to [{result.lo}, {result.hi}], "
+            f"outside the proven [{report.lo}, {report.hi}]"
         )
+    if not result.optimal and getattr(result, side) == getattr(report, side):
+        result.provenance = _side(report, side)
     return result
 
 
@@ -693,13 +772,8 @@ def m_family_witness(family: int, p1: int, p2: int) -> MWitness:
         n *= mod
     if not _noncoprime_run(n, x, run_length):
         raise InternalConsistencyError("coprime-free run check failed")
-    dset = tuple(
-        sorted(
-            crt_solve(list(zip(corner, moduli))).residue for corner in corners
-        )
-    )
-    if len(dset) != len(corners):
-        raise InternalConsistencyError("lifted dominating set lost vertices")
+    spec = ucg_product_spec(n)  # its factors are K_m for m in moduli, in that order
+    dset = ucg_residues(n, [spec.index(corner) for corner in corners])
     verified = _ucg_certified(n, dset, "gamma", "lifted corner set is not dominating")
     if not len(dset) < run_length + 1:
         raise InternalConsistencyError("certificate does not separate gamma from g")

@@ -135,7 +135,8 @@ def test_solve_uses_theorem_layer(capsys, verb, descriptor, value, checker):
 
 
 def test_searched_record_has_no_provenance(capsys):
-    _, out, _ = run(capsys, "solve", "gamma", "ucg:105", "--no-cache")
+    # gamma(X_6) = 2 is proven, but no construction of 2 vertices applies
+    _, out, _ = run(capsys, "solve", "gamma", "ucg:6", "--no-cache")
     (rec,) = records(out)
     assert rec["method"] == "branch-and-bound" and "provenance" not in rec
 
@@ -152,15 +153,16 @@ def test_table_mode(capsys):
 
 
 def test_cache_write_then_hit(capsys, cache_file):
-    run(capsys, "solve", "gamma", "ucg:105")
+    # gamma_t(X_105) = 5 takes a search of 14 nodes
+    run(capsys, "solve", "gammat", "ucg:105")
     assert cache_file.exists()
     cached = json.loads(cache_file.read_text().splitlines()[0])
     assert cached["descriptor"] == "ucg:105" and cached["optimal"] is True
     # a budget too small to solve fresh must be served from the cache
-    code, out, _ = run(capsys, "solve", "gamma", "ucg:105", "--nodes", "1")
+    code, out, _ = run(capsys, "solve", "gammat", "ucg:105", "--nodes", "1")
     assert code == EXIT_OK
     (rec,) = records(out)
-    assert rec["optimal"] is True and rec["value"] == 4
+    assert rec["optimal"] is True and rec["value"] == 5
 
 
 def test_no_cache_flag_skips_cache(capsys, cache_file):
@@ -663,7 +665,7 @@ def test_records_keep_their_fields(capsys):
         assert code == EXIT_OK
         return [set(rec) for rec in records(out)]
 
-    assert keys("solve", "gamma", "ucg:105", "--no-cache") == [solved]
+    assert keys("solve", "gamma", "ucg:6", "--no-cache") == [solved]
     assert keys(
         "solve", "upper", "K[1,3]xK[1,3]xK[1,3]", "--no-cache"
     ) == [solved | {"provenance"}]

@@ -12,14 +12,13 @@ from domprod import (
     Graph,
     ProductSpec,
     factorize,
-    k2_reduction,
     multipartite,
     product_spec_graph,
     ucg_product_spec,
     unitary_cayley,
 )
 from domprod.cli import _enum_small_specs
-from domprod.graphs import iter_bits
+from domprod.graphs import iter_bits, ucg_residues
 
 from helpers import (
     clique_partition,
@@ -37,7 +36,7 @@ def test_graph_accessors():
     g = multipartite(1, 4)
     assert g.n == 4
     assert g.adj == (0b1110, 0b1101, 0b1011, 0b0111)
-    assert g.edge_count() == 6
+    assert sum(a.bit_count() for a in g.adj) // 2 == 6
     assert list(iter_bits(g.adj[0])) == [1, 2, 3]
     assert g.closed(1) == g.full_mask()
 
@@ -61,7 +60,7 @@ def test_multipartite_structure():
 def test_multipartite_k1b_is_complete():
     for b in (2, 3, 5):
         g = multipartite(1, b)
-        assert g.edge_count() == b * (b - 1) // 2
+        assert sum(a.bit_count() for a in g.adj) // 2 == b * (b - 1) // 2
 
 
 def test_factor_validation():
@@ -230,7 +229,18 @@ def test_crt_isomorphism_is_edge_exact(n):
             assert g.adj[u] >> v & 1 == h.adj[crt[u]] >> crt[v] & 1
 
 
-# ==== CLIQUE PARTITIONS AND K2 REDUCTION ====
+def test_ucg_residues_inverts_the_crt_map():
+    # the one map from the product form to residues; sorted, like a witness
+    for n in (2, 6, 8, 12, 30, 45, 60, 210, 1001):
+        spec = ucg_product_spec(n)
+        vertex = [spec.index(tuple(x % f.size for f in spec.factors)) for x in range(n)]
+        assert all(ucg_residues(n, [vertex[x]]) == (x,) for x in range(n)), n
+        assert ucg_residues(n, vertex[::-1]) == tuple(range(n))
+    with pytest.raises(ValueError):
+        ucg_residues(30, [30])
+
+
+# ==== CLIQUE PARTITIONS ====
 
 
 def test_clique_partition_examples():
@@ -255,15 +265,6 @@ def test_clique_partition_random_specs():
         cp.validate(product_spec_graph(spec))
         assert len(cp.cliques) == spec.n_vertices // spec.factors[0].b
         done += 1
-
-
-def test_k2_reduction():
-    s, rest = k2_reduction(ProductSpec.from_pairs([(1, 2), (1, 2), (1, 3)]))
-    assert s == 2 and rest == ProductSpec.from_pairs([(1, 3)])
-    s, rest = k2_reduction(ProductSpec.from_pairs([(1, 2), (1, 2)]))
-    assert s == 2 and rest is None
-    s, rest = k2_reduction(ProductSpec.from_pairs([(2, 2), (1, 3)]))
-    assert s == 0 and rest == ProductSpec.from_pairs([(2, 2), (1, 3)])
 
 
 # ==== DESCRIPTORS ====

@@ -96,6 +96,13 @@ def test_jacobsthal_edge_cases():
         assert jacobsthal(p) == 2
 
 
+def test_unit_mask_of_a_prime_is_all_but_zero():
+    # a prime's one multiple below it is 0, so no division is needed
+    for p in (2, 3, 5, 7, 11, 101, 7919, 99_991):
+        assert unit_mask(p) == ((1 << p) - 1) & ~1, p
+        assert jacobsthal(p) == 2, p
+
+
 def test_jacobsthal_matches_windowed_oracle():
     for n in range(1, 120):
         assert jacobsthal(n) == windowed_jacobsthal(n), n

@@ -547,6 +547,17 @@ def test_max_cover_excludes_without_recursing():
     assert not _max_cover_atleast([0b11] * 1500, (1 << 1500) - 1, 2, 3, state)
 
 
+def test_upper_search_on_a_long_path_returns_under_a_budget():
+    # the in/out search keeps its frames on a list, so its depth is not
+    # bounded by Python's default limit of 1,000 frames
+    n = 1500
+    path = Graph([(1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0)
+                  for v in range(n)])
+    r = gamma_upper_exact(path, Budget(max_nodes=5000, time_limit=None))
+    assert not r.optimal and r.nodes == 5001
+    assert r.value == len(r.witness) >= 500 and is_minimal_dominating(path, r.witness)
+
+
 def test_orbit_pruning_matches_unpruned_search(monkeypatch):
     # With every stabilizer reported trivial and no lex-leader generators
     # the searches keep their roots (and the bipartite rules keep theirs)

@@ -16,6 +16,7 @@ from domprod import (
     factorize,
     gamma_bounds,
     gamma_exact,
+    gamma_total_exact,
     gamma_upper_exact,
     is_dominating,
     is_minimal_dominating,
@@ -30,11 +31,13 @@ from domprod import (
     squarefree_gamma_value,
     t_plus_two_set,
     ucg_gamma_bounds,
+    ucg_product_spec,
     unitary_cayley,
     upper_bounds,
 )
 from domprod.cli import _enum_small_specs
-from domprod.theorems import InternalConsistencyError, _compose
+from domprod.graphs import ucg_residues
+from domprod.theorems import InternalConsistencyError, _compose, _constructions, _k2_reduction
 
 from helpers import random_spec, shrink_to_minimal
 
@@ -196,6 +199,15 @@ def test_compose_conflict_raises():
         _compose("gamma", [(5, "a")], [(4, "b")])
 
 
+def test_k2_reduction():
+    s, rest = _k2_reduction(ProductSpec.from_pairs([(1, 2), (1, 2), (1, 3)]))
+    assert s == 2 and rest == ProductSpec.from_pairs([(1, 3)])
+    s, rest = _k2_reduction(ProductSpec.from_pairs([(1, 2), (1, 2)]))
+    assert s == 2 and rest is None
+    s, rest = _k2_reduction(ProductSpec.from_pairs([(2, 2), (1, 3)]))
+    assert s == 0 and rest == ProductSpec.from_pairs([(2, 2), (1, 3)])
+
+
 def test_gamma_bounds_k2_powers():
     for s, want in ((1, 1), (2, 2), (3, 4), (4, 8), (5, 16)):
         r = gamma_bounds(ProductSpec.from_pairs([(1, 2)] * s))
@@ -291,16 +303,16 @@ def test_solve_matches_plain_search():
         Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
         for pairs in _enum_small_specs(40, 4)
     ]
-    theorem = {"gamma": 0, "upper": 0}
+    theorem = Counter()
     checks = 0
     for desc in descs:
         g = desc.build()
-        plain = {"gamma": (gamma_exact(g), is_dominating)}
-        if g.n <= 24:
-            plain["upper"] = (
-                gamma_upper_exact(g),
-                is_minimal_dominating,
-            )
+        plain = {
+            "gamma": (gamma_exact(g), is_dominating),
+            "gamma_total": (gamma_total_exact(g), is_total_dominating),
+        }
+        if desc.kind == "ucg" or g.n <= 24:
+            plain["upper"] = (gamma_upper_exact(g), is_minimal_dominating)
         for quantity, (want, checker) in plain.items():
             got = solve(desc, quantity)
             assert want.optimal and got.optimal, (desc, quantity)
@@ -314,40 +326,82 @@ def test_solve_matches_plain_search():
                 assert got.witness == want.witness and got.nodes <= want.nodes
                 assert not got.provenance
             checks += 1
-    # every spec with at most 24 vertices has an exact upper report, and
-    # upper on ucg:n is always searched
-    assert len(descs) == 387 and checks == 528
-    assert theorem == {"gamma": 69, "upper": 118}
+    # every spec with at most 24 vertices, and every X_n here, has an
+    # exact upper report, met by the partite column
+    assert len(descs) == 387 and checks == 2 * 387 + 118 + 119
+    assert theorem == {"gamma": 95, "gamma_total": 64, "upper": 118 + 119}
 
 
 def test_exact_floor_keeps_the_search_result():
     for desc in ("ucg:105", "ucg:165", "K[1,3]xK[1,6]xK[1,7]", "K[1,2]xK[1,3]xK[1,5]",
                  "K[2,2]xK[1,3]", "K[1,3]xK[1,3]"):
         g = Descriptor.parse(desc).build()
-        want = gamma_exact(g)
-        got = gamma_exact(g, floor=want.value)
-        assert (got.value, got.witness, got.optimal) == (want.value, want.witness, True)
-        assert got.nodes <= want.nodes
+        for search in (gamma_exact, gamma_total_exact):
+            want = search(g)
+            got = search(g, floor=want.value)
+            assert (got.value, got.witness, got.optimal) == (want.value, want.witness, True)
+            assert got.nodes <= want.nodes
 
 
-def test_solve_on_ucg_uses_the_consecutive_run_only():
-    # X_148 (g = 4 = gamma) is decided by the run 0..3; the product-form
-    # constructions are not carried to residues, so X_210 is searched
+def test_solve_on_ucg_lifts_the_product_form_constructions():
+    # X_148 (g = 4 = gamma) is decided by the run 0..3, which comes
+    # first; X_210 by the cube corners of K2xK3xK5xK7 and X_105 by the
+    # four corners of K3xK5xK7, carried to residues by the CRT
     got = solve("ucg:148", "gamma")
     assert got.method == "theorem" and got.value == 4 and got.nodes == 0
     assert got.witness == (0, 1, 2, 3)
     assert certifies(Descriptor.parse("ucg:148"), "gamma", got.witness)
-    got = solve("ucg:210", "gamma")
-    assert got.method == "branch-and-bound" and got.value == 8 and got.optimal
+    for n, tag, value in ((210, "cube-corner", 8), (105, "four-corner", 4)):
+        got = solve(f"ucg:{n}", "gamma")
+        assert got.method == "theorem" and got.value == value and got.nodes == 0
+        assert got.provenance[-1] == (tag, f"hi {value}")
+        assert certifies(Descriptor("ucg", ucg_n=n), "gamma", got.witness)
+    # Gamma(X_45) = 15 is the partite column of K[3,3]xK5: the multiples of 3
     got = solve("ucg:45", "upper")
-    assert got.method == "branch-and-bound" and got.value == 15 and got.optimal
+    assert got.method == "theorem" and got.value == 15 and got.optimal
+    assert got.witness == tuple(range(0, 45, 3))
+    # gamma_t(X_30) = 6 = g(30) is above gamma's lower side 4, so it is searched
+    got = solve("ucg:30", "gamma_total")
+    assert got.method == "reduction" and got.value == 6 and got.optimal
+
+
+def test_lifted_constructions_certify_on_x_n():
+    # every product-form set that ucg_residues carries to residues must
+    # pass certifies on X_n itself, for every squarefree n <= 2000 with
+    # at least three prime factors
+    lifted = Counter()
+    for n in range(2, 2001):
+        fac = factorize(n)
+        if len(fac) < 3 or any(e > 1 for _, e in fac):
+            continue
+        desc = Descriptor("ucg", ucg_n=n)
+        spec_desc = Descriptor("spec", spec=ucg_product_spec(n))
+        for quantity in ("gamma", "gamma_total", "upper"):
+            for tag, size, build in _constructions(spec_desc, quantity):
+                try:
+                    built = build()
+                except ValueError:
+                    continue
+                dset = ucg_residues(n, built.vertex_set)
+                assert len(dset) == size and certifies(desc, quantity, dset), (n, tag)
+                lifted[quantity, tag] += 1
+    # 348 such n: each has a partite column, the 302 with three prime
+    # factors have four corners, 42 of the 46 with four are even (cube
+    # corners), and 194 have a diagonal
+    assert lifted == {
+        ("gamma", "cube-corner"): 42, ("gamma", "diagonal-total"): 194,
+        ("gamma", "four-corner"): 302, ("gamma_total", "diagonal-total"): 194,
+        ("upper", "partite-column"): 348,
+    }
 
 
 def test_solve_reports_open_intervals():
     # the proven upper side is the search's own n // 2 = 40 cap
+    # and names it, as a cut gamma search names its floor
     got = solve("K[1,3]xK[1,3]xK[1,3]xK[1,3]", "upper", Budget(max_nodes=25))
     assert not got.optimal and got.method == "branch-and-bound"
-    assert got.lo == got.value == 27 and got.hi == 40 and not got.provenance
+    assert got.lo == got.value == 27 and got.hi == 40
+    assert got.provenance == (("clique-partition-half", "hi 40"),)
     # a cut gamma search keeps the theorem floor as lo and names it
     got = solve("ucg:1155", "gamma", Budget(max_nodes=200))
     assert not got.optimal and got.method == "branch-and-bound"
