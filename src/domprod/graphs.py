@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .numbertheory import crt_solve, factorize, unit_mask
+from .numbertheory import crt_solve, factorize, periodic_mask, unit_mask
 
 DEFAULT_VERTEX_CAP = 2_000_000
 
@@ -224,18 +224,20 @@ def spec_rows(spec: ProductSpec, vertices) -> Iterator[int]:
     some factor; each such class mask is built when a row first needs
     it, so the rows of a few vertices cost a few masks.
     """
-    full = (1 << spec.n_vertices) - 1
+    n = spec.n_vertices
+    full = (1 << n) - 1
     layout = _layout(spec)
 
     @cache
     def same(i: int, r: int) -> int:
         # the vertices whose residue in factor i lies in partite set r,
         # i.e. is r mod b_i.  In row-major order, residue c of factor i
-        # fills bits c*stride..(c+1)*stride-1 of every period-bit period.
+        # fills bits c*stride..(c+1)*stride-1 of every period of
+        # stride*size bits.
         stride, size, b = layout[i]
-        repeat = full // ((1 << stride * size) - 1)  # a 1 at the start of each period
         block = (1 << stride) - 1
-        return repeat * sum(block << (c * stride) for c in range(r, size, b))
+        pattern = sum(block << (c * stride) for c in range(r, size, b))
+        return periodic_mask(pattern, stride * size, n)
 
     for v in vertices:
         blocked = 0

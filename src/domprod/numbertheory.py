@@ -98,20 +98,31 @@ def primes_from(start: int) -> Iterator[int]:
         p += 1
 
 
+def periodic_mask(pattern: int, period: int, n: int) -> int:
+    """The n-bit mask that repeats the period-bit `pattern` from bit 0:
+    bit x is set iff bit x % period of pattern is.
+
+    Built by doubling (r |= r << w), so it costs log2(n / period)
+    bigint shifts and ors of at most n bits.
+    """
+    r, w = pattern, period
+    while w < n:
+        r |= r << w
+        w *= 2
+    return r & ((1 << n) - 1)
+
+
 def unit_mask(n: int) -> int:
     """The residues mod n coprime to n, as a mask: bit x is set iff
     0 <= x < n and gcd(x, n) = 1.
 
-    Start from all n bits and, for each prime p | n, clear
-    full // (2^p - 1), which has a 1 at every multiple of p below n
-    (exactly, because p divides n): omega(n) bigint operations in place
-    of n gcd calls.  When n is prime, its one multiple below n is 0, so
-    only bit 0 is cleared, without the division.
+    Start from all n bits and, for each prime p | n, clear the mask of
+    the multiples of p below n (periodic_mask of pattern 1 and period
+    p): omega(n) masks in place of n gcd calls.
     """
-    full = (1 << n) - 1
-    units = full
+    units = (1 << n) - 1
     for p, _ in factorize(n):
-        units &= ~(1 if p == n else full // ((1 << p) - 1))
+        units &= ~periodic_mask(1, p, n)
     return units
 
 

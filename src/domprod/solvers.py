@@ -79,10 +79,16 @@ through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
     largest one.  So the test never drops a set the search records.
 When exactly one factor has b = 2 (_side_symmetry), the graph is
 connected and bipartite, and the automorphisms that keep its two sides
-act transitively on each.  Then the bipartite split of gamma_total
-roots each one-sided cover at its first allowed vertex and prunes its
-orbits the same way, and the gamma refuter's max-coverage searches
-always take their first set.
+act transitively on each, while the swap of that factor's two partite
+sets exchanges the sides.  Then:
+  - gamma_total searches only the one-sided cover of side B, rooted at
+    its first allowed vertex and orbit-pruned the same way; the cover of
+    side A is its image under the swap;
+  - the gamma refuter's max-coverage searches ban a refuted set's whole
+    orbit under the stabilizer of the sets already chosen, at every
+    depth (orbital fixing; at the root one side is one orbit, so the
+    first refuted set ends the search), and each question is searched
+    once, for both sides and every split and probe.
 These rules only drop subtrees that hold no better answer than one
 already met, so values, and gamma and Gamma witnesses, are those of the
 search without them, found in fewer nodes.  A rooted bipartite split
@@ -94,6 +100,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import Graph, iter_bits
@@ -235,7 +242,7 @@ class _CoverInstance:
     stabilizer of every allowed vertex.  So some minimum cover holds the
     first allowed position, and once it is chosen, an automorphism
     fixing the chosen positions maps covers to covers of the same size.
-    The whole graph qualifies, and so does each one-sided half of a
+    The whole graph qualifies, and so does the one-sided half of a
     bipartite graph under _side_symmetry."""
 
     __slots__ = ("universe", "covers", "allowed", "positions", "factors")
@@ -412,54 +419,77 @@ def _exists_cover(
 
 
 def _max_cover_atleast(
-    sets: Sequence[int],
+    sets: Iterable[tuple[int, int]],
     universe: int,
     count: int,
     target: int,
     state: _SearchState,
-    rooted: bool = False,
+    factors=None,
 ) -> bool:
     """Can `count` of the sets cover at least `target` universe elements?
-    Exact include/exclude search with a top-marginal-sum bound.
+    Exact include/exclude search with a top-marginal-sum bound.  sets
+    holds (vertex id, set) pairs.
 
     A node ranks its pool by marginal gain over `covered` once.  It then
     walks down the ranking: each step includes the best set left (a
     recursive call, one `left` fewer) and, if that fails, excludes it.
     Excluding leaves `covered` as it is, so the rest keeps its ranking
-    and marginals, and each exclude step is one node and one loop
-    iteration rather than a frame.  So the depth is at most `count`.
+    and marginals, and each exclude step is one loop iteration rather
+    than a frame, and one node unless it leaves no set to try.  So the
+    depth is at most `count`.  A child gets the ranked pool as it is
+    and ranks it again by its own marginals.
 
-    rooted says that automorphisms keeping the universe permute the sets
-    transitively, so some best selection holds any given set: the root
-    then takes only the "include" branch."""
+    factors, when given, says that the sets are the neighbourhoods of
+    one side of a graph under _side_symmetry, and the universe is the
+    other side.  Then an exclude step drops the excluded set's whole
+    orbit under the pointwise stabilizer of the node's chosen vertices
+    C (orbital fixing).  Every automorphism that maps a vertex of one
+    side into that side keeps both sides, so it maps a selection
+    through an orbit mate onto one through the refuted set, with the
+    same coverage.  That selection comes from the node's pool, too:
+    each pool is the root's less whole orbits of the stabilizers of its
+    ancestors' chosen sets, and less the ancestors' chosen sets, so
+    the stabilizer of C keeps it.  At the root, C is empty and the side
+    is one orbit, so the root's first refuted set ends it.  The keys
+    are built only when a node's first include fails."""
     if target <= 0:
         return True
     if count <= 0:
         return False
-    pool = [s & universe for s in sets if s & universe]
+    # pool entries are (marginal, set, vertex); the root ranks its own
+    pool = [(0, s & universe, v) for v, s in sets if s & universe]
 
-    def rec(
-        pool: list[int], covered: int, covered_cnt: int, left: int, root: bool = False
-    ) -> bool:
+    def rec(pool, chosen: list[int], covered: int, left: int, factors) -> bool:
         state.tick()
-        if covered_cnt >= target:
+        base = covered.bit_count()
+        if base >= target:
             return True
         if left == 0 or not pool:
             return False
-        ranked = sorted(pool, key=lambda s: (s & ~covered).bit_count())
-        marg = [(s & ~covered).bit_count() for s in ranked]
-        for end in range(len(ranked), 0, -1):
-            if covered_cnt + sum(marg[max(end - left, 0):end]) < target:
+        ranked = sorted([((s & ~covered).bit_count(), s, v) for _, s, v in pool],
+                        key=itemgetter(0))
+        keys = None  # the orbit keys of ranked, from the first refutation on
+        while ranked:
+            if base + sum(m for m, _, _ in ranked[-left:]) < target:
                 return False
-            new_cov = covered | ranked[end - 1]
-            if rec(ranked[:end - 1], new_cov, new_cov.bit_count(), left - 1):
+            _, s, v = ranked.pop()
+            if rec(ranked, chosen + [v], covered | s, left - 1, factors):
                 return True
-            if root:
-                return False
-            state.tick()  # the node that excludes ranked[end - 1]
+            if factors is not None and keys is None:
+                key = _orbit_key(factors, chosen)
+                if key is None:  # a trivial stabilizer stays trivial below
+                    factors = None
+                else:
+                    keys = [key(w) for _, _, w in ranked]
+            if keys is not None:
+                mine = key(v)
+                ranked = [e for e, k in zip(ranked, keys) if k != mine]
+                keys = [k for k in keys if k != mine]
+            if ranked:
+                state.tick()  # the node that excludes v, with its orbit
         return False
 
-    return rec(pool, 0, 0, count, rooted)
+    return rec(pool, [], 0, count, factors)
 
 
 def _min_cover(
@@ -551,25 +581,30 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
     i neighborhoods reach |B|-j elements (and symmetrically), the split
     is impossible.  All splits impossible proves gamma > k.  Balanced
     splits come first: they are the likeliest to survive, and one that
-    survives ends the probe.  Under _side_symmetry the neighborhoods of
-    a side are permuted transitively, so the max-coverage searches are
-    rooted.
+    survives ends the probe.  Each max-coverage question (side, count,
+    target) is searched once per closure, across splits and probes.
+    Under _side_symmetry the searches fix orbits, and the swap of the
+    b = 2 factor's partite sets maps one side onto the other, so both
+    sides give the same answers and share them.
     """
-    mask_a, mask_b = sides
-    a_sets = [g.adj[v] for v in iter_bits(mask_a)]
-    b_sets = [g.adj[v] for v in iter_bits(mask_b)]
-    na = mask_a.bit_count()
-    nb = mask_b.bit_count()
-    rooted = _side_symmetry(g) is not None
+    factors = _side_symmetry(g)
+    halves = [([(v, g.adj[v]) for v in iter_bits(mine)], other,
+               other.bit_count()) for mine, other in (sides, sides[::-1])]
+    memo: dict[tuple[int, int, int], bool] = {}
+
+    def reaches(side: int, count: int, short: int) -> bool:
+        # can `count` sets of this side cover all but `short` of the other
+        sets, universe, size = halves[side]
+        key = (side if factors is None else 0, count, size - short)
+        if key not in memo:
+            memo[key] = _max_cover_atleast(sets, universe, count, size - short,
+                                           state, factors)
+        return memo[key]
 
     def refute(k: int) -> bool:
         for i in sorted(range(k + 1), key=lambda i: abs(2 * i - k)):
-            j = k - i
-            if not _max_cover_atleast(a_sets, mask_b, i, nb - j, state, rooted):
-                continue
-            if not _max_cover_atleast(b_sets, mask_a, j, na - i, state, rooted):
-                continue
-            return False  # split survives the relaxation: inconclusive
+            if reaches(0, i, k - i) and reaches(1, k - i, i):
+                return False  # split survives the relaxation: inconclusive
         return True
 
     return refute
@@ -578,24 +613,34 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
 # ==== gamma and gamma_total ====
 
 
-def _solve_covers(quantity, method, parts, state, start, floor) -> SolveResult:
+def _solve_covers(
+    quantity, method, parts, state, start, floor, mirror=None
+) -> SolveResult:
     """Minimum covers of independent instances, reported as one set.
 
     parts holds (instance, refuter) pairs for _min_cover; the witness is
     the union of their covers and lo the sum of their bounds, and at
     least floor, a proven lower bound on the total.  The last instance
     gets floor less the sizes of the covers before it as its own floor:
-    each of those is at least its instance's minimum.  A part is
+    each of those is at least its instance's minimum.  mirror, when
+    given, is an automorphism that maps the one instance of parts onto
+    the other half of the problem: that half's cover is the image of the
+    cover found and its bound is the same, so lo counts twice and the
+    instance searched gets half the floor, rounded up.  A part is
     complete exactly when its bound meets its cover, so the result is
     optimal when lo meets the witness.
     """
+    copies = 1 if mirror is None else 2
     chosen: list[list[int]] = []
     lo = 0
     for i, (inst, refuter) in enumerate(parts):
-        own = floor - sum(map(len, chosen)) if i == len(parts) - 1 else 0
+        own = -((sum(map(len, chosen)) - floor) // copies) if i == len(parts) - 1 else 0
         best, lb, _ = _min_cover(inst, state, refuter, own)
         chosen.append(best)
         lo += lb
+    if mirror is not None:
+        chosen.append([mirror(v) for v in chosen[0]])
+        lo *= 2
     lo = max(lo, floor)
     witness = tuple(sorted(v for part in chosen for v in part))
     value = len(witness)
@@ -635,11 +680,13 @@ def gamma_total_exact(
     """Exact total domination number.  Errors on isolated vertices.  On
     bipartite graphs the problem splits into two independent one-sided
     covers, solved separately (method "reduction"); under _side_symmetry
-    both carry the factor symmetry.
+    the two are mirror images, so one is searched, with the factor
+    symmetry, and the other is its image.
 
     floor is a proven lower bound on gamma_t(g), as in gamma_exact; on a
     bipartite graph it reaches the second cover, less the size of the
-    first.
+    first, or half of it, rounded up, the one cover searched under
+    _side_symmetry.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -657,9 +704,15 @@ def gamma_total_exact(
     mask_a, mask_b = sides
     factors = _side_symmetry(g)
     # D-members on side A are the only open coverage side B can get
-    parts = [(_CoverInstance(mask_b, g.adj, mask_a, factors), None),
-             (_CoverInstance(mask_a, g.adj, mask_b, factors), None)]
-    return _solve_covers("gamma_total", "reduction", parts, state, start, floor)
+    parts = [(_CoverInstance(mask_b, g.adj, mask_a, factors), None)]
+    if factors is None:
+        parts.append((_CoverInstance(mask_a, g.adj, mask_b), None))
+        return _solve_covers("gamma_total", "reduction", parts, state, start, floor)
+    # the swap of the b = 2 factor's partite sets (residue c -> c ^ 1)
+    # maps side A onto side B and the half covering B onto the other
+    (stride, size, _), = [f for f in factors if f[2] == 2]
+    return _solve_covers("gamma_total", "reduction", parts, state, start, floor,
+                         lambda v: v + stride * (1 - 2 * (v // stride % size & 1)))
 
 
 # ==== upper domination ====
@@ -695,7 +748,7 @@ def _lex_generators(factors, n: int) -> list[list[tuple[int, int]]]:
     image: per factor, the swaps of two neighbouring partite sets and of
     two neighbouring residues within one partite set; and the swaps of
     two neighbouring factors with equal (size, b).  They move O(t*n)
-    vertices in all."""
+    vertices in all, and they are listed by their first moved j."""
     residues = [tuple(v // stride % size for stride, size, _ in factors) for v in range(n)]
     vertex = {c: v for v, c in enumerate(residues)}
     gens = []
@@ -721,6 +774,7 @@ def _lex_generators(factors, n: int) -> list[list[tuple[int, int]]]:
                       for c in residues)
             gens.append([(v, w) for v, w in enumerate(images) if v < w])
         last[size, b] = i
+    gens.sort(key=lambda pairs: pairs[0][0])
     return gens
 
 
@@ -728,8 +782,12 @@ def _lex_higher(gens, idx: int, in_mask: int, out_mask: int) -> bool:
     """The lex-leader test: whether some generator maps every completion
     of the node to a larger set.  It walks each generator's pairs while
     both ends are decided (below idx, or in OUT); at the first pair that
-    differs, the image must be in IN and j not."""
+    differs, the image must be in IN and j not.  gens are listed by
+    their first moved j, and a generator whose first j is not below idx
+    stops at its first pair, so the walk stops at the first of those."""
     for pairs in gens:
+        if pairs[0][0] >= idx:
+            break
         for j, w in pairs:
             if j >= idx or (w >= idx and not out_mask >> w & 1):
                 break

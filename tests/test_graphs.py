@@ -18,7 +18,8 @@ from domprod import (
     unitary_cayley,
 )
 from domprod.cli import _enum_small_specs
-from domprod.graphs import iter_bits, ucg_residues
+from domprod.graphs import _layout, iter_bits, ucg_residues
+from domprod.numbertheory import periodic_mask
 
 from helpers import (
     clique_partition,
@@ -89,6 +90,24 @@ def test_product_spec_graph_adjacency_rule():
                         for x, y, f in zip(coords[u], coords[v], spec.factors)
                     )
                 )
+
+
+def test_partite_set_masks_match_the_division_formula():
+    # spec_rows once built each partite-set mask as a long division,
+    # full // (2^period - 1) * pattern; the doubling build must agree
+    checked = 0
+    for pairs in _enum_small_specs(40, 4):
+        spec = ProductSpec.from_pairs(pairs)
+        n = spec.n_vertices
+        full = (1 << n) - 1
+        for stride, size, b in _layout(spec):
+            block = (1 << stride) - 1
+            for r in range(b):
+                pattern = sum(block << (c * stride) for c in range(r, size, b))
+                want = full // ((1 << stride * size) - 1) * pattern
+                assert periodic_mask(pattern, stride * size, n) == want, (pairs, r)
+                checked += 1
+    assert checked > 1_000
 
 
 def test_product_spec_coords_index_roundtrip():

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from math import gcd
 
@@ -97,10 +98,29 @@ def test_jacobsthal_edge_cases():
 
 
 def test_unit_mask_of_a_prime_is_all_but_zero():
-    # a prime's one multiple below it is 0, so no division is needed
+    # a prime's one multiple below it is 0
     for p in (2, 3, 5, 7, 11, 101, 7919, 99_991):
         assert unit_mask(p) == ((1 << p) - 1) & ~1, p
         assert jacobsthal(p) == 2, p
+
+
+def test_unit_mask_matches_the_division_formula():
+    # the multiples of p below n were once built as full // (2^p - 1), a
+    # long division quadratic in n; the doubling build must agree with it
+    for n in range(2, 2001):
+        full = (1 << n) - 1
+        want = full
+        for p, _ in factorize(n):
+            want &= ~(1 if p == n else full // ((1 << p) - 1))
+        assert unit_mask(n) == want, n
+
+
+def test_unit_mask_of_a_large_n_is_fast():
+    # 2 * 999,983: the division formula took about 1.9 s on a 2-core VM,
+    # doubling takes milliseconds
+    start = time.monotonic()
+    assert jacobsthal(1_999_966) == 4
+    assert time.monotonic() - start < 1.0
 
 
 def test_jacobsthal_matches_windowed_oracle():

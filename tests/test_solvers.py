@@ -517,34 +517,48 @@ def test_orbit_key_matches_exact_stabilizer_orbits():
         assert len(set(shapes)) == len(shapes), n
 
 
-def test_rooted_max_cover_matches_unrooted():
+def test_orbit_pruned_max_cover_matches_unpruned():
     # under the guard the sides are the partite sets of the one b = 2
-    # factor, and the rooted search gives every verdict of the unrooted one
+    # factor, and the search that bans orbits at every depth gives every
+    # verdict of the search without symmetry, in no more nodes
     checked = 0
     for g in _orbit_graphs(36):
-        if _side_symmetry(g) is None:
+        factors = _side_symmetry(g)
+        if factors is None:
             continue
-        (stride, size, _), = [f for f in g.factors if f[2] == 2]
+        (stride, size, _), = [f for f in factors if f[2] == 2]
         side0 = sum(1 << v for v in range(g.n) if v // stride % size % 2 == 0)
         sides = bipartition(g)
         assert sides == (side0, g.full_mask() ^ side0)
         for mine, other in (sides, sides[::-1]):
-            sets = [g.adj[v] for v in iter_bits(mine)]
+            sets = [(v, g.adj[v]) for v in iter_bits(mine)]
             for count in range(mine.bit_count() + 1):
                 for target in range(other.bit_count() + 2):
-                    state = _SearchState(Budget(max_nodes=10**9, time_limit=None))
-                    want = _max_cover_atleast(sets, other, count, target, state)
-                    got = _max_cover_atleast(sets, other, count, target, state, rooted=True)
+                    plain = _SearchState(Budget(max_nodes=10**9, time_limit=None))
+                    pruned = _SearchState(Budget(max_nodes=10**9, time_limit=None))
+                    want = _max_cover_atleast(sets, other, count, target, plain)
+                    got = _max_cover_atleast(sets, other, count, target, pruned, factors)
                     assert got == want, (g, count, target)
+                    assert pruned.nodes <= plain.nodes, (g, count, target)
                     checked += 1
     assert checked > 1_000
+
+
+def test_gamma_on_even_x_n_is_decided_by_the_refuter():
+    # each is bipartite with one b = 2 factor, and the refuter proves
+    # gamma > 9; asking each max-coverage question once and banning
+    # orbits at every depth take 86, 178, 92 and 146 nodes, where the
+    # root-only rule took 57,590, 101,734, 145,314 and 186,182
+    for n in (630, 840, 990, 1260):
+        got = gamma_exact(unitary_cayley(n), Budget(max_nodes=2_000))
+        assert got.optimal and got.value == 10, n
 
 
 def test_max_cover_excludes_without_recursing():
     # each set skipped is a loop step, not a frame: 1,500 equal sets
     # would go past Python's default limit of 1,000 frames
     state = _SearchState(Budget(max_nodes=10**9, time_limit=None))
-    assert not _max_cover_atleast([0b11] * 1500, (1 << 1500) - 1, 2, 3, state)
+    assert not _max_cover_atleast(enumerate([0b11] * 1500), (1 << 1500) - 1, 2, 3, state)
 
 
 def test_upper_search_on_a_long_path_returns_under_a_budget():
