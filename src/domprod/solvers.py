@@ -26,8 +26,14 @@ undecided vertices that can no longer join (_unaddable: IN plus that
 vertex would break Ore's criterion, some member left neither lonely nor
 with a private neighbor) move to OUT; IN only grows, so they could not
 join any larger IN either, and IN itself always satisfies Ore.  A node
-is pruned when IN plus its still addable vertices is no larger than the
-best set, or when some vertex can no longer be dominated.  A graph that
+is pruned when IN plus room for more members is no larger than the best
+set, or when some vertex can no longer be dominated.  The room is the
+smaller of the still addable vertices and the vertices outside N[IN]:
+each member v added later needs a private neighbor p, N[p] meeting the
+final set in v alone, so p is not in N[IN], and distinct members have
+distinct p.  The bound uses no symmetry, and it only drops subtrees
+holding no set larger than the best, so the search records the same
+sets in the same order with it as without it.  A graph that
 splits into cliques of size at least 2 has no minimal dominating set of
 more than n/2 vertices, and a product of K[a_i,b_i] splits into
 cliques of size b_1 = min b_i >= 2, so with Graph.factors set the
@@ -838,6 +844,11 @@ def gamma_upper_exact(
 ) -> SolveResult:
     """Maximum size of a minimal dominating set.
 
+    A node with members IN is pruned once |IN| plus the smaller of its
+    addable vertices and its vertices outside N[IN] is no larger than the
+    best set: every member added later owns a private neighbor outside
+    N[IN], distinct members distinct ones (Ore's criterion).
+
     When the graph splits into cliques of size at least 2, every minimal
     dominating set has at most n/2 vertices (the cliques of its lonely
     members and the pairs of a social member and its private neighbor
@@ -894,9 +905,10 @@ def gamma_upper_exact(
             state.tick()
             in_cnt = in_mask.bit_count()
             undecided = full >> idx << idx & ~out_mask
-            if in_cnt + undecided.bit_count() <= best_size:
+            uncovered = full & ~covered
+            if in_cnt + min(undecided.bit_count(), uncovered.bit_count()) <= best_size:
                 continue
-            if any(closed[u] & ~out_mask == 0 for u in iter_bits(full & ~covered)):
+            if any(closed[u] & ~out_mask == 0 for u in iter_bits(uncovered)):
                 continue  # some vertex can never be dominated now
             if _lex_higher(gens, idx, in_mask, out_mask):
                 continue

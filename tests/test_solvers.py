@@ -223,6 +223,32 @@ def test_upper_matches_oracle_random():
         assert is_minimal_dominating(g, got.witness)
 
 
+def test_upper_matches_oracle_without_an_incumbent(monkeypatch):
+    # From an empty incumbent every set is the search's own.  A later
+    # member's private neighbour lies outside N[IN], not merely among the
+    # undecided vertices: bounding by the undecided ones left undominated
+    # gives 4 and 5 on the first two graphs, whose values are 5 and 6
+    rows = [
+        [31478, 27597, 13307, 27430, 645, 5837, 9511, 10039, 29902, 29887,
+         11232, 25611, 25381, 24527, 15115],
+        [12812, 12224, 5233, 16513, 14180, 148, 16406, 5418, 29330, 21779,
+         10902, 29698, 2965, 19731, 11080],
+    ]
+    rng = random.Random(131)
+    graphs = [Graph(adj) for adj in rows] + [
+        random_graph(rng, rng.randint(13, 16)) for _ in range(6)
+    ]
+    monkeypatch.setattr(solvers, "_greedy_independent", lambda g: 0)
+    values = []
+    for g in graphs:
+        got = gamma_upper_exact(g)
+        want = gamma_oracle(g, "upper")
+        assert got.optimal and got.value == want.value, g.adj
+        assert is_minimal_dominating(g, got.witness), g.adj
+        values.append(got.value)
+    assert values[:2] == [5, 6]
+
+
 def test_solver_matches_oracle_on_small_specs():
     # every graph here has factors, so each solver runs rooted at 0
     descs = [Descriptor("ucg", ucg_n=n) for n in range(2, 21)] + [
@@ -431,19 +457,20 @@ def test_orbit_pruning_cuts_the_search():
     # needs 32,901 nodes on K3^3, 237,663 on K3xK3xK4 and 113,501 on
     # X_63, and X_99 is unfinished after 2,000,000.  Without the
     # lex-leader test it needs 4,818 on K3^3 and 16,763 on K3xK3xK4,
-    # and with it 995 and 2,512
+    # and with it 995 and 2,512.  The private-neighbour room bound takes
+    # those to 313 and 468, and X_63 from 54 nodes to 6
     got = gamma_exact(unitary_cayley(483))
     assert got.optimal and got.value == 4 and got.nodes < 1_000
     got = gamma_total_exact(unitary_cayley(165))
     assert got.optimal and got.value == 5 and got.nodes < 100
     k3 = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 3))
     got = gamma_upper_exact(k3)
-    assert got.optimal and got.value == 9 and got.nodes < 1_200
+    assert got.optimal and got.value == 9 and got.nodes < 400
     k334 = product_spec_graph(ProductSpec.from_pairs([(1, 3), (1, 3), (1, 4)]))
     got = gamma_upper_exact(k334)
-    assert got.optimal and got.value == 12 and got.nodes < 3_000
+    assert got.optimal and got.value == 12 and got.nodes < 600
     got = gamma_upper_exact(unitary_cayley(63))
-    assert got.optimal and got.value == 21 and got.nodes < 1_000
+    assert got.optimal and got.value == 21 and got.nodes < 10
     got = gamma_upper_exact(unitary_cayley(99))
     assert got.optimal and got.value == 33
     g = product_spec_graph(ProductSpec.from_pairs([(1, 2), (1, 3), (1, 5), (1, 7)]))
@@ -451,6 +478,15 @@ def test_orbit_pruning_cuts_the_search():
     assert got.optimal and got.value == 8 and got.nodes < 1_000
     got = gamma_total_exact(unitary_cayley(210))
     assert got.optimal and got.value == 10 and got.nodes < 1_000
+
+
+def test_upper_settles_k3_4():
+    # the paper's conjecture gives n/b_1 = 27; at [27, 40] after 2,000,000
+    # nodes before the private-neighbour room bound, 326,986 with it
+    g = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 4))
+    got = gamma_upper_exact(g, Budget(max_nodes=400_000, time_limit=None))
+    assert got.optimal and got.value == 27 and got.nodes < 400_000
+    assert is_minimal_dominating(g, got.witness)
 
 
 def _partite_permutations(size, b):
@@ -648,7 +684,10 @@ def test_upper_symmetry_rules_keep_witnesses_without_an_incumbent(monkeypatch):
             want.value, want.witness, want.method), desc
         assert got.nodes <= want.nodes, desc
         assert is_minimal_dominating(g, got.witness), desc
-    assert sum(r.nodes for r in pruned) * 4 < sum(r.nodes for r in rooted)
+    # 14,028 nodes against 33,789: the reference search has the
+    # private-neighbour room bound too
+    total = sum(r.nodes for r in pruned)
+    assert total * 2 < sum(r.nodes for r in rooted) and total < 15_000
 
 
 # ==== KNOWN VALUES ====
@@ -771,8 +810,8 @@ def test_budget_exhaustion_degrades_gracefully():
 
 
 def test_budget_time_limit():
-    # Gamma(K3^4) is still open in [27, 40] after 2,000,000 nodes, so a
-    # 10 ms limit always cuts it; K3^3 (995 nodes) can finish within it
+    # Gamma(K3^4) takes 326,986 nodes (some 6 s), so a 10 ms limit
+    # always cuts it; K3^3 (313 nodes) can finish within it
     g = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 4))
     r = gamma_upper_exact(g, Budget(max_nodes=10**12, time_limit=0.01))
     assert not r.optimal
