@@ -100,10 +100,7 @@ def _solve_record(descriptor: str, result: SolveResult, **extra) -> dict:
 
 
 def _budget(args) -> Budget:
-    return Budget(
-        max_nodes=args.nodes if args.nodes is not None else DEFAULT_MAX_NODES,
-        time_limit=args.time_limit if args.time_limit is not None else DEFAULT_TIME_LIMIT,
-    )
+    return Budget(max_nodes=args.nodes, time_limit=args.time_limit)
 
 
 # ==== result cache ====
@@ -434,14 +431,15 @@ def cmd_scan(args) -> int:
         record: dict = {"n": n, "target": args.target, "tool_version": __version__}
         desc = Descriptor("ucg", ucg_n=n)
         try:
-            desc.n_vertices  # the cap, before g(n) or any bound is worked out
+            desc.n_vertices  # the vertex cap, before g(n) or any bound is worked out
+            g = jacobsthal_run(n).value
+            result = solve(desc, quantity, budget)  # the dense cap, if it builds X_n
         except CapExceededError as exc:
             record["status"] = "skipped"
             record["reason"] = str(exc)
             _emit(record, args.table)
             continue
-        g = record["g"] = jacobsthal_run(n).value
-        result = solve(desc, quantity, budget)
+        record["g"] = g
         record["lo"] = result.lo
         record["hi"] = result.hi
         record["nodes"] = result.nodes
@@ -468,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--table", action="store_true",
                        help="aligned table output instead of JSON lines")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--nodes", type=int, default=None,
+    budget.add_argument("--nodes", type=int, default=DEFAULT_MAX_NODES,
                         help="search node budget (default 10^7)")
-    budget.add_argument("--time-limit", type=float, default=None,
+    budget.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
                         help="per-instance wall clock budget in seconds (default 60)")
 
     parser = argparse.ArgumentParser(

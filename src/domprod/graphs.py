@@ -20,16 +20,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator
 
 from .numbertheory import crt_solve, factorize, periodic_mask, unit_mask
 
+# the vertex cap bounds the sets that certifies checks, building only
+# their rows; the dense cap bounds built graphs, whose n rows of n bits
+# take n^2/8 bytes (512 MiB here), and the solvers keep a second copy
 DEFAULT_VERTEX_CAP = 2_000_000
+DENSE_VERTEX_CAP = 65_536
 
 
 class CapExceededError(ValueError):
-    """A construction would exceed the configured vertex cap."""
+    """A graph would exceed the vertex cap, or a built graph the dense cap."""
 
 
 class DescriptorError(ValueError):
@@ -178,6 +181,13 @@ def _check_cap(n: int) -> None:
         raise CapExceededError(f"graph with {n} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
 
 
+def _check_dense(n: int) -> None:
+    if n > DENSE_VERTEX_CAP:
+        raise CapExceededError(
+            f"building a graph with {n} vertices exceeds the dense cap {DENSE_VERTEX_CAP}"
+        )
+
+
 def multipartite(a: int, b: int) -> Graph:
     """K[a,b] on vertices 0..ab-1; x ~ y iff x and y differ mod b.
 
@@ -208,7 +218,7 @@ def unitary_cayley(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError(f"unitary Cayley graph needs n >= 2, got {n}")
-    _check_cap(n)
+    _check_dense(n)
     # by CRT, residue x is the vertex (x mod p^e)_p of prod K[p^(e-1), p]
     factors = tuple((1, p**e, p) for p, e in factorize(n))
     return Graph(list(ucg_rows(n, range(n))), factors=factors)
@@ -221,28 +231,22 @@ def spec_rows(spec: ProductSpec, vertices) -> Iterator[int]:
 
     This is the one implementation of product adjacency.  A row is
     everything outside the vertices that share a partite set with v in
-    some factor; each such class mask is built when a row first needs
-    it, so the rows of a few vertices cost a few masks.
+    some factor.  In row-major order, residue c of a factor fills bits
+    c*stride..(c+1)*stride-1 of every period of stride*size bits, so its
+    partite set r (the residues r mod b) is its partite set 0 shifted up
+    by r*stride: one mask per factor serves every row.
     """
     n = spec.n_vertices
     full = (1 << n) - 1
-    layout = _layout(spec)
-
-    @cache
-    def same(i: int, r: int) -> int:
-        # the vertices whose residue in factor i lies in partite set r,
-        # i.e. is r mod b_i.  In row-major order, residue c of factor i
-        # fills bits c*stride..(c+1)*stride-1 of every period of
-        # stride*size bits.
-        stride, size, b = layout[i]
-        block = (1 << stride) - 1
-        pattern = sum(block << (c * stride) for c in range(r, size, b))
-        return periodic_mask(pattern, stride * size, n)
-
+    set0 = [
+        (stride, b, periodic_mask(sum(((1 << stride) - 1) << (c * stride)
+                                      for c in range(0, size, b)), stride * size, n))
+        for stride, size, b in _layout(spec)
+    ]
     for v in vertices:
         blocked = 0
-        for i, (c, f) in enumerate(zip(spec.coords(v), spec.factors)):
-            blocked |= same(i, c % f.b)
+        for c, (stride, b, mask) in zip(spec.coords(v), set0):
+            blocked |= mask << (c % b * stride)
         yield full & ~blocked
 
 
@@ -260,7 +264,7 @@ def product_spec_graph(spec: ProductSpec) -> Graph:
     """Direct product of the spec's multipartite factors, with its rows
     from spec_rows and its vertices numbered by spec.coords."""
     n = spec.n_vertices
-    _check_cap(n)
+    _check_dense(n)
     return Graph(list(spec_rows(spec, range(n))), factors=_layout(spec))
 
 
@@ -333,7 +337,8 @@ class Descriptor:
 
     @property
     def n_vertices(self) -> int:
-        """Vertex count; raises CapExceededError where build() would."""
+        """Vertex count; raises CapExceededError above the vertex cap.
+        build() raises above the smaller dense cap."""
         n = self.ucg_n if self.kind == "ucg" else self.spec.n_vertices
         _check_cap(n)
         return n

@@ -11,7 +11,7 @@ above JACOBSTHAL_RADICAL_LIMIT, whose masks would not fit in memory.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
 FACTOR_INPUT_LIMIT = 2**63 - 1
@@ -77,16 +77,8 @@ def radical(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    """Whether n is prime; like factorize, rejects n above FACTOR_INPUT_LIMIT."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def primes_from(start: int) -> Iterator[int]:

@@ -43,7 +43,8 @@ A caller that knows a proven lower bound on gamma or gamma_t can hand
 it in: the keyword `floor` of gamma_exact and gamma_total_exact joins
 the counting lower bound, so the probes stop there.  It is a
 theorem-layer input (theorems.solve); its default 0 leaves every search
-as it was.
+as it was.  Each solve keeps its clock and node count in one
+_SearchState, from which its budget, nodes and elapsed time come.
 
 Symmetry comes only from Graph.factors, which only builders set: the
 graph is a product of balanced complete multipartite factors, so every
@@ -61,7 +62,8 @@ through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
     automorphism fixing them maps its covers to the sibling's, of which
     there are none;
   - gamma_upper_exact, leaving vertex i out, also leaves out the later
-    vertices in its orbit under the stabilizer of 0..i-1; each set so
+    vertices in its orbit under the stabilizer of 0..i-1 (the "out"
+    frame of i is pushed with them in its OUT); each set so
     dropped is the image of a set of the same size through i, which the
     "in" branch has already searched.  The vertices the addable filter
     moves to OUT are in no minimal dominating set of the subtree, and
@@ -105,7 +107,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -157,14 +159,23 @@ class SolveResult:
 
 
 class _SearchState:
-    __slots__ = ("nodes", "max_nodes", "deadline")
+    """One solve's clock and node count: it starts when the solve does,
+    and a node past the budget (None: the default Budget) raises
+    BudgetExhausted."""
 
-    def __init__(self, budget: Budget):
+    __slots__ = ("nodes", "max_nodes", "start", "deadline")
+
+    def __init__(self, budget: Budget | None):
+        budget = budget or Budget()
         self.nodes = 0
         self.max_nodes = budget.max_nodes
+        self.start = time.monotonic()
         self.deadline = (
-            None if budget.time_limit is None else time.monotonic() + budget.time_limit
+            None if budget.time_limit is None else self.start + budget.time_limit
         )
+
+    def elapsed(self) -> float:
+        return time.monotonic() - self.start
 
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -500,10 +511,11 @@ def _max_cover_atleast(
 
 def _min_cover(
     inst: _CoverInstance, state: _SearchState, refuter=None, floor: int = 0
-) -> tuple[list[int], int, bool]:
+) -> tuple[list[int], int]:
     """Minimum cover by descending decision probes.
 
-    Returns (best set positions, proven lower bound, optimal).  The
+    Returns (best set positions, proven lower bound); the search
+    finished exactly when the bound meets the cover's size.  The
     refuter, when given, may prove "no k-cover" cheaply; returning False
     just falls through to the exact search.  floor is a lower bound the
     caller has proven: it joins the counting bound, so the probes stop
@@ -511,12 +523,12 @@ def _min_cover(
     allowed position, so each probe only searches the covers through it.
     """
     if inst.universe == 0:
-        return [], 0, True
+        return [], 0
     best = _greedy_cover(inst, state)
     maxgain = max(inst.covers[i].bit_count() for i in inst.positions)
     lb = max(-(-inst.universe.bit_count() // maxgain), floor)
     if state.expired():  # the greedy pass used up the time limit
-        return best, lb, len(best) == lb
+        return best, lb
     root = [] if inst.factors is None else inst.positions[:1]
     try:
         while len(best) > lb:
@@ -529,9 +541,9 @@ def _min_cover(
                 lb = len(best)
                 break
             best = found
-        return best, lb, True
     except BudgetExhausted:
-        return best, lb, False
+        pass
+    return best, lb
 
 
 # ==== bipartite structure ====
@@ -619,9 +631,7 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
 # ==== gamma and gamma_total ====
 
 
-def _solve_covers(
-    quantity, method, parts, state, start, floor, mirror=None
-) -> SolveResult:
+def _solve_covers(quantity, method, parts, state, floor, mirror=None) -> SolveResult:
     """Minimum covers of independent instances, reported as one set.
 
     parts holds (instance, refuter) pairs for _min_cover; the witness is
@@ -641,7 +651,7 @@ def _solve_covers(
     lo = 0
     for i, (inst, refuter) in enumerate(parts):
         own = -((sum(map(len, chosen)) - floor) // copies) if i == len(parts) - 1 else 0
-        best, lb, _ = _min_cover(inst, state, refuter, own)
+        best, lb = _min_cover(inst, state, refuter, own)
         chosen.append(best)
         lo += lb
     if mirror is not None:
@@ -652,7 +662,7 @@ def _solve_covers(
     value = len(witness)
     return SolveResult(
         quantity, value, witness, lo == value, method,
-        lo=lo, hi=value, nodes=state.nodes, elapsed=time.monotonic() - start,
+        lo=lo, hi=value, nodes=state.nodes, elapsed=state.elapsed(),
     )
 
 
@@ -669,15 +679,12 @@ def gamma_exact(
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    start = time.monotonic()
-    state = _SearchState(budget or Budget())
+    state = _SearchState(budget)
     full = g.full_mask()
     inst = _CoverInstance(full, [g.closed(v) for v in range(g.n)], full, g.factors)
     sides = bipartition(g)
     refuter = _bipartite_gamma_refuter(g, sides, state) if sides else None
-    return _solve_covers(
-        "gamma", "branch-and-bound", [(inst, refuter)], state, start, floor
-    )
+    return _solve_covers("gamma", "branch-and-bound", [(inst, refuter)], state, floor)
 
 
 def gamma_total_exact(
@@ -699,25 +706,24 @@ def gamma_total_exact(
     for v in range(g.n):
         if g.adj[v] == 0:
             raise NoTotalDominationError(f"vertex {v} is isolated")
-    start = time.monotonic()
-    state = _SearchState(budget or Budget())
+    state = _SearchState(budget)
     sides = bipartition(g)
     if sides is None:
         full = g.full_mask()
         return _solve_covers("gamma_total", "branch-and-bound",
                              [(_CoverInstance(full, g.adj, full, g.factors), None)],
-                             state, start, floor)
+                             state, floor)
     mask_a, mask_b = sides
     factors = _side_symmetry(g)
     # D-members on side A are the only open coverage side B can get
     parts = [(_CoverInstance(mask_b, g.adj, mask_a, factors), None)]
     if factors is None:
         parts.append((_CoverInstance(mask_a, g.adj, mask_b), None))
-        return _solve_covers("gamma_total", "reduction", parts, state, start, floor)
+        return _solve_covers("gamma_total", "reduction", parts, state, floor)
     # the swap of the b = 2 factor's partite sets (residue c -> c ^ 1)
     # maps side A onto side B and the half covering B onto the other
     (stride, size, _), = [f for f in factors if f[2] == 2]
-    return _solve_covers("gamma_total", "reduction", parts, state, start, floor,
+    return _solve_covers("gamma_total", "reduction", parts, state, floor,
                          lambda v: v + stride * (1 - 2 * (v // stride % size & 1)))
 
 
@@ -861,8 +867,7 @@ def gamma_upper_exact(
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    start = time.monotonic()
-    state = _SearchState(budget or Budget())
+    state = _SearchState(budget)
     adj = g.adj
     closed = [g.closed(v) for v in range(n)]
     full = g.full_mask()
@@ -876,32 +881,26 @@ def gamma_upper_exact(
         witness = tuple(iter_bits(best_mask))
         return SolveResult("upper", best_size, witness, True, "reduction",
                            lo=best_size, hi=best_size, nodes=0,
-                           elapsed=time.monotonic() - start)
+                           elapsed=state.elapsed())
 
     # In/out search in index order for a minimal dominating set larger
     # than best_size; it stops at the first one of global_ub.  OUT holds
     # every undecided vertex that cannot join IN, so IN always satisfies
-    # Ore's criterion.  A frame is (idx, in, out, covered, mated): the
-    # "out" frame of vertex idx - 1 sits under its "in" frame, so it is
-    # popped once that whole subtree is searched, and it then leaves out
-    # the later orbit mates of `mated` too (-1 for none).  Some maximum
-    # minimal dominating set of a graph with factors (vertex-transitive)
-    # contains 0.
-    prefix = (
-        (1, 1, _unaddable(adj, closed, 1, full & ~1), closed[0], -1)
-        if g.factors is not None else (0, 0, 0, 0, -1)
-    )
-    mates: dict[int, int] = {}
-    gens = [] if g.factors is None else _lex_generators(g.factors, n)
+    # Ore's criterion.  A frame is (idx, in, out, covered), covered being
+    # N[IN].  The "out" frame of vertex idx - 1 sits under its "in" frame,
+    # so it is popped once that whole subtree is searched; its OUT holds
+    # the later orbit mates of idx - 1 too.  Some maximum minimal
+    # dominating set of a graph with factors (vertex-transitive) contains 0.
+    if g.factors is None:
+        prefix, gens, later = (0, 0, 0, 0), [], lambda idx: 0
+    else:
+        prefix = (1, 1, _unaddable(adj, closed, 1, full & ~1), closed[0])
+        gens, later = _lex_generators(g.factors, n), cache(partial(_later_mates, g))
     stack = [prefix]
     optimal = True
     try:
         while stack:
-            idx, in_mask, out_mask, covered, mated = stack.pop()
-            if mated >= 0:
-                if mated not in mates:
-                    mates[mated] = _later_mates(g, mated)
-                out_mask |= mates[mated]
+            idx, in_mask, out_mask, covered = stack.pop()
             state.tick()
             in_cnt = in_mask.bit_count()
             undecided = full >> idx << idx & ~out_mask
@@ -920,14 +919,13 @@ def gamma_upper_exact(
                 continue
             bit = 1 << idx
             if out_mask & bit:  # cannot join, or an orbit mate of an earlier vertex
-                stack.append((idx + 1, in_mask, out_mask, covered, -1))
+                stack.append((idx + 1, in_mask, out_mask, covered))
                 continue
             grown = in_mask | bit
-            stack.append((idx + 1, in_mask, out_mask | bit, covered,
-                          -1 if g.factors is None else idx))
+            stack.append((idx + 1, in_mask, out_mask | bit | later(idx), covered))
             stack.append((idx + 1, grown,
                           out_mask | _unaddable(adj, closed, grown, undecided & ~bit),
-                          covered | closed[idx], -1))
+                          covered | closed[idx]))
     except BudgetExhausted:  # keeps the best set found before the cut
         optimal = False
     witness = tuple(iter_bits(best_mask))
@@ -935,5 +933,5 @@ def gamma_upper_exact(
     return SolveResult(
         "upper", best_size, witness, optimal,
         "branch-and-bound", lo=best_size, hi=hi,
-        nodes=state.nodes, elapsed=time.monotonic() - start,
+        nodes=state.nodes, elapsed=state.elapsed(),
     )

@@ -457,13 +457,13 @@ def ucg_gamma_bounds(n: int) -> BoundReport:
     base = gamma_bounds(ucg_product_spec(n))
     lows = [(base.lo, tag) for tag, _ in _side(base, "lo")]
     his = [(base.hi, tag) for tag, _ in _side(base, "hi")]
-    his.append((jacobsthal(n), "consecutive-run"))
+    g = jacobsthal(n)
+    his.append((g, "consecutive-run"))
     if squarefree and w <= 3:
         v = squarefree_gamma_value(n)
         lows.append((v, "squarefree-small-omega"))
         his.append((v, "squarefree-small-omega"))
     if not squarefree and w <= 3:
-        g = jacobsthal(n)
         lows.append((g, "nonsquarefree-jacobsthal-exact"))
         his.append((g, "nonsquarefree-jacobsthal-exact"))
         frac = repeated_factor_lower(n)
@@ -540,8 +540,8 @@ def bound_report(desc: Descriptor, quantity: str) -> BoundReport:
 
     upper takes X_n as its product form.  gamma_total takes gamma's lower
     side, since gamma <= gamma_t, and as its upper side the smallest
-    total dominating set at hand: all vertices, the diagonal, and on
-    ucg:n the consecutive run.
+    total dominating set at hand: all vertices, or one of
+    _constructions (on ucg:n the consecutive run, then the diagonal).
     """
     if quantity == "upper":
         return upper_bounds(_product_form(desc))
@@ -550,13 +550,8 @@ def bound_report(desc: Descriptor, quantity: str) -> BoundReport:
     gamma = ucg_gamma_bounds(desc.ucg_n) if desc.kind == "ucg" else gamma_bounds(desc.spec)
     if quantity == "gamma":
         return gamma
-    spec = _product_form(desc)
-    his = [(spec.n_vertices, "all-vertices")]
-    diag = _diagonal_upper(tuple(f.b for f in spec.factors))
-    if diag is not None:
-        his.append((diag[0], "diagonal-total"))
-    if desc.kind == "ucg":
-        his.append((jacobsthal(desc.ucg_n), "consecutive-run"))
+    his = [(_product_form(desc).n_vertices, "all-vertices")]
+    his += [(size, tag) for tag, size, _ in _constructions(desc, "gamma_total")]
     return _compose("gamma_total", [(gamma.lo, tag) for tag, _ in _side(gamma, "lo")], his)
 
 

@@ -21,6 +21,7 @@ from domprod import (
     radical,
     unitary_cayley,
 )
+from domprod import graphs
 from domprod.cli import EXIT_BAD_INPUT, EXIT_CAP, EXIT_MISMATCH, EXIT_OK, main
 from domprod.numbertheory import JACOBSTHAL_RADICAL_LIMIT
 
@@ -539,6 +540,19 @@ def test_scan_skips_over_cap(capsys, monkeypatch):
         (rec,) = records(out)
         assert code == EXIT_OK
         assert rec["status"] == "skipped" and "cap" in rec["reason"]
+
+
+def test_dense_cap_exits_3_and_scan_skips(capsys, monkeypatch):
+    # gamma_t(X_105) = 5 takes a search, so solve must build X_105; the
+    # cap is lowered so that no test can allocate much
+    monkeypatch.setattr(graphs, "DENSE_VERTEX_CAP", 100)
+    code, out, err = run(capsys, "solve", "gammat", "ucg:105", "--no-cache")
+    assert code == EXIT_CAP and "dense cap" in err and out == ""
+    code, out, _ = run(capsys, "scan", "Mt", "--min", "104", "--max", "106")
+    assert code == EXIT_OK
+    recs = records(out)
+    assert [r["n"] for r in recs] == [104, 105, 106]
+    assert recs[1]["status"] == "skipped" and "dense cap" in recs[1]["reason"]
 
 
 @pytest.mark.parametrize("target, hi", [("M", 150), ("Mt", 60)])

@@ -17,6 +17,7 @@ from domprod import (
     ucg_product_spec,
     unitary_cayley,
 )
+from domprod import graphs
 from domprod.cli import _enum_small_specs
 from domprod.graphs import _layout, iter_bits, ucg_residues
 from domprod.numbertheory import periodic_mask
@@ -93,21 +94,28 @@ def test_product_spec_graph_adjacency_rule():
 
 
 def test_partite_set_masks_match_the_division_formula():
-    # spec_rows once built each partite-set mask as a long division,
-    # full // (2^period - 1) * pattern; the doubling build must agree
+    # the mask of a factor's partite set r (residues r mod b) is the long
+    # division full // (2^period - 1) * pattern; the doubling build must
+    # agree, and so must partite set 0 shifted up by r * stride, the one
+    # mask per factor that spec_rows keeps, in either factor order
     checked = 0
     for pairs in _enum_small_specs(40, 4):
-        spec = ProductSpec.from_pairs(pairs)
-        n = spec.n_vertices
-        full = (1 << n) - 1
-        for stride, size, b in _layout(spec):
-            block = (1 << stride) - 1
-            for r in range(b):
-                pattern = sum(block << (c * stride) for c in range(r, size, b))
-                want = full // ((1 << stride * size) - 1) * pattern
-                assert periodic_mask(pattern, stride * size, n) == want, (pairs, r)
-                checked += 1
-    assert checked > 1_000
+        for order in (pairs, pairs[::-1]):
+            spec = ProductSpec.from_pairs(order)
+            n = spec.n_vertices
+            full = (1 << n) - 1
+            for stride, size, b in _layout(spec):
+                block = (1 << stride) - 1
+                set0 = periodic_mask(
+                    sum(block << (c * stride) for c in range(0, size, b)), stride * size, n
+                )
+                for r in range(b):
+                    pattern = sum(block << (c * stride) for c in range(r, size, b))
+                    want = full // ((1 << stride * size) - 1) * pattern
+                    assert periodic_mask(pattern, stride * size, n) == want, (order, r)
+                    assert set0 << (r * stride) == want, (order, r)
+                    checked += 1
+    assert checked > 2_000
 
 
 def test_product_spec_coords_index_roundtrip():
@@ -198,6 +206,25 @@ def test_vertex_cap():
         unitary_cayley(3_000_000)
     with pytest.raises(CapExceededError):
         product_spec_graph(ProductSpec.from_pairs([(1, 2)] * 21))
+    with pytest.raises(CapExceededError):
+        Descriptor.parse("ucg:3000000").n_vertices
+
+
+def test_dense_cap(monkeypatch):
+    # both builders refuse a graph above the dense cap (lowered here, so
+    # no test allocates much); rows alone keep the larger vertex cap
+    monkeypatch.setattr(graphs, "DENSE_VERTEX_CAP", 50)
+    with pytest.raises(CapExceededError):
+        unitary_cayley(51)
+    with pytest.raises(CapExceededError):
+        product_spec_graph(ProductSpec.from_pairs([(1, 3), (2, 9)]))
+    with pytest.raises(CapExceededError):
+        Descriptor.parse("ucg:51").build()
+    assert unitary_cayley(50).n == 50
+    desc = Descriptor.parse("K[1,3]xK[2,9]")
+    assert desc.n_vertices == 54
+    monkeypatch.setattr(graphs, "DENSE_VERTEX_CAP", 54)
+    assert list(desc.rows([0, 53])) == [desc.build().adj[0], desc.build().adj[53]]
 
 
 # ==== UNITARY CAYLEY GRAPHS ====

@@ -48,6 +48,14 @@ def test_factorize_recomposes():
         assert total == n
 
 
+def test_is_prime_is_the_divisor_check():
+    for n in range(-5, 3001):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
+    # is_prime factorizes, so it shares factorize's input limit
+    with pytest.raises(ValueError):
+        is_prime(FACTOR_INPUT_LIMIT + 2)
+
+
 def test_factorize_rejects_bad_input():
     with pytest.raises(ValueError):
         factorize(0)

@@ -480,6 +480,25 @@ def test_orbit_pruning_cuts_the_search():
     assert got.optimal and got.value == 10 and got.nodes < 1_000
 
 
+def test_node_counts_are_pinned():
+    # exact counts, so a change that moves one fails here, not only in
+    # CI's benchmark step; the first four sum to 469, the pinned
+    # search_nodes of perfbench's search-hard workload
+    cases = [
+        (gamma_upper_exact, "K[1,3]xK[1,3]xK[1,3]", 9, 313, is_minimal_dominating),
+        (gamma_exact, "ucg:483", 4, 24, is_dominating),
+        (gamma_exact, "K[1,2]xK[1,3]xK[1,5]xK[1,7]", 8, 118, is_dominating),
+        (gamma_total_exact, "ucg:165", 5, 14, is_total_dominating),
+        (gamma_upper_exact, "ucg:105", 35, 683, is_minimal_dominating),
+        (gamma_upper_exact, "K[2,3]xK[1,3]xK[1,3]", 18, 1_858, is_minimal_dominating),
+    ]
+    for solver, desc, value, nodes, check in cases:
+        g = Descriptor.parse(desc).build()
+        got = solver(g, Budget(max_nodes=10**6, time_limit=None))
+        assert (got.optimal, got.value, got.nodes) == (True, value, nodes), desc
+        assert len(got.witness) == value and check(g, got.witness), desc
+
+
 def test_upper_settles_k3_4():
     # the paper's conjecture gives n/b_1 = 27; at [27, 40] after 2,000,000
     # nodes before the private-neighbour room bound, 326,986 with it
