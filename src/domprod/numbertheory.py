@@ -11,6 +11,7 @@ above JACOBSTHAL_RADICAL_LIMIT, whose masks would not fit in memory.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -118,6 +119,7 @@ def unit_mask(n: int) -> int:
     return units
 
 
+@lru_cache(maxsize=64)
 def jacobsthal_run(n: int) -> JacobsthalRun:
     """Jacobsthal's g(n) with the extremal run that attains it.
 
@@ -129,7 +131,8 @@ def jacobsthal_run(n: int) -> JacobsthalRun:
     x &= x >> 1 on that mask, bit i survives iff residues i..i+m are all
     non-coprime, so L is one more than the number of rounds that leave a
     bit, and the lowest surviving bit is the smallest start of a longest
-    run.
+    run.  The last 64 answers are kept: a solve asks for g(n) at each
+    step that needs it (its bounds, its constructions, scan's record).
     """
     if n < 1:
         raise ValueError(f"jacobsthal needs n >= 1, got {n}")

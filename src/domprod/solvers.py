@@ -27,7 +27,13 @@ vertex would break Ore's criterion, some member left neither lonely nor
 with a private neighbor) move to OUT; IN only grows, so they could not
 join any larger IN either, and IN itself always satisfies Ore.  A node
 is pruned when IN plus room for more members is no larger than the best
-set, or when some vertex can no longer be dominated.  The room is the
+set, or when some vertex can no longer be dominated.  Each node does
+only new work: it goes straight to its next undecided vertex, past the
+ones in OUT, and its frame carries the masks its children update (the
+vertices with one and with two neighbors in IN, and those just moved to
+OUT), so the undominatable test looks only near the vertices just moved
+to OUT, and a joining vertex redoes only the members whose private
+neighbor pools it changed (_join).  The room is the
 smaller of the still addable vertices and the vertices outside N[IN]:
 each member v added later needs a private neighbor p, N[p] meeting the
 final set in v alone, so p is not in N[IN], and distinct members have
@@ -96,7 +102,9 @@ sets exchanges the sides.  Then:
     orbit under the stabilizer of the sets already chosen, at every
     depth (orbital fixing; at the root one side is one orbit, so the
     first refuted set ends the search), and each question is searched
-    once, for both sides and every split and probe.
+    once, for both sides and every split and probe; since each split
+    asks its question with fewer sets first, a split past the middle
+    finds that question already answered for the mirror split.
 These rules only drop subtrees that hold no better answer than one
 already met, so values, and gamma and Gamma witnesses, are those of the
 search without them, found in fewer nodes.  A rooted bipartite split
@@ -599,11 +607,14 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
     i neighborhoods reach |B|-j elements (and symmetrically), the split
     is impossible.  All splits impossible proves gamma > k.  Balanced
     splits come first: they are the likeliest to survive, and one that
-    survives ends the probe.  Each max-coverage question (side, count,
-    target) is searched once per closure, across splits and probes.
-    Under _side_symmetry the searches fix orbits, and the swap of the
-    b = 2 factor's partite sets maps one side onto the other, so both
-    sides give the same answers and share them.
+    survives ends the probe.  Within a split, the question with fewer
+    sets comes first: it is the likelier to fail, and a failure settles
+    the split without the other.  Each max-coverage question (side,
+    count, target) is searched once per closure, across splits and
+    probes.  Under _side_symmetry the searches fix orbits, and the swap
+    of the b = 2 factor's partite sets maps one side onto the other, so
+    both sides give the same answers and share them: the first question
+    of split i > k/2 is the first of split k - i, already answered.
     """
     factors = _side_symmetry(g)
     halves = [([(v, g.adj[v]) for v in iter_bits(mine)], other,
@@ -621,7 +632,11 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
 
     def refute(k: int) -> bool:
         for i in sorted(range(k + 1), key=lambda i: abs(2 * i - k)):
-            if reaches(0, i, k - i) and reaches(1, k - i, i):
+            # the question with fewer sets first: it fails more often
+            first, second = (0, i, k - i), (1, k - i, i)
+            if 2 * i > k:
+                first, second = second, first
+            if reaches(*first) and reaches(*second):
                 return False  # split survives the relaxation: inconclusive
         return True
 
@@ -810,30 +825,31 @@ def _lex_higher(gens, idx: int, in_mask: int, out_mask: int) -> bool:
     return False
 
 
-def _unaddable(adj: Sequence[int], closed: Sequence[int], in_mask: int, cand: int) -> int:
+def _unaddable(
+    adj: Sequence[int], closed: Sequence[int], in_mask: int, cand: int,
+    once: int, twice: int, members: int,
+) -> int:
     """The members of cand (disjoint from in_mask) that cannot join IN =
-    in_mask without breaking Ore's criterion for IN plus themselves.
+    in_mask without breaking Ore's criterion for IN plus themselves;
+    once and twice are the vertices having at least one and at least
+    two neighbors in IN.
 
-    With `once` and `twice` the vertices having at least one and at
-    least two neighbors in IN, a member d keeps a private neighbor only
-    in its pool adj[d] & ~IN & ~twice, and a newcomer v spoils pool
-    vertex p when v is in closed[p].  So v breaks d when it lies in
-    closed[p] for every p of the pool, and, while d is lonely, also in
-    adj[d].  v itself fails when it has a neighbor in IN but none
-    outside IN | once.  IN only grows, so pools only shrink: a vertex
-    that cannot join IN cannot join any larger IN either.
+    v itself fails when it has a neighbor in IN but none outside
+    N[IN] = IN | once.  A member d keeps a private neighbor only in its
+    pool adj[d] & ~IN & ~twice, and a newcomer v spoils pool vertex p
+    when v is in closed[p].  So v breaks d when it lies in closed[p] for
+    every p of the pool, and, while d is lonely, also in adj[d].  IN
+    only grows, so pools only shrink: a vertex that cannot join IN
+    cannot join any larger IN either.  Only the members of IN in
+    `members` have their pools walked: in_mask for all of them, or those
+    whose pools _join's newcomer changed.
     """
-    once = twice = 0
-    for d in iter_bits(in_mask):
-        twice |= once & adj[d]
-        once |= adj[d]
-    kill = 0
-    free = ~(in_mask | once)
-    for v in iter_bits(cand & once):
-        if adj[v] & free == 0:
-            kill |= 1 << v
+    reach = 0  # the neighbors of the vertices outside N[IN]
+    for u in iter_bits(((1 << len(adj)) - 1) & ~(in_mask | once)):
+        reach |= adj[u]
+    kill = cand & once & ~reach
     outside = ~(in_mask | twice)
-    for d in iter_bits(in_mask):
+    for d in iter_bits(in_mask & members):
         hit = cand & ~kill
         if adj[d] & in_mask == 0:  # lonely while no newcomer sees it
             hit &= adj[d]
@@ -845,6 +861,28 @@ def _unaddable(adj: Sequence[int], closed: Sequence[int], in_mask: int, cand: in
     return kill
 
 
+def _join(
+    adj: Sequence[int], closed: Sequence[int], in_mask: int, once: int, twice: int,
+    v: int, cand: int,
+) -> tuple[int, int, int]:
+    """v joins IN = in_mask, whose once and twice masks are given, when
+    no member of cand is unaddable to IN: the members of cand that can
+    no longer join, and the new once and twice.
+
+    A member's kills depend only on its pool and on whether it is
+    lonely, and those change only for v, for the members next to v, and
+    for the one member next to each pool vertex that v makes twice
+    dominated.  Every other member kills among cand what it killed
+    before, which is nothing; so only the changed members are walked.
+    """
+    row = adj[v]
+    members = 1 << v | in_mask & row
+    for p in iter_bits(once & row & ~(twice | in_mask)):  # newly twice dominated
+        members |= adj[p] & in_mask
+    once, twice = once | row, twice | once & row
+    return _unaddable(adj, closed, in_mask | 1 << v, cand, once, twice, members), once, twice
+
+
 def gamma_upper_exact(
     g: Graph, budget: Budget | None = None, *, clique_size: int | None = None
 ) -> SolveResult:
@@ -854,6 +892,14 @@ def gamma_upper_exact(
     addable vertices and its vertices outside N[IN] is no larger than the
     best set: every member added later owns a private neighbor outside
     N[IN], distinct members distinct ones (Ore's criterion).
+
+    A node branches on its first undecided vertex, stepping over those
+    already in OUT: the room, the undominatable test and the lex-leader
+    test read the same masks at each vertex stepped over, and the last
+    prunes at a later vertex whenever it does at an earlier one.  A
+    vertex becomes undominatable only when a vertex of its closed
+    neighborhood has just moved to OUT, so only the uncovered vertices
+    near those are tested; the parent passed the test for the rest.
 
     When the graph splits into cliques of size at least 2, every minimal
     dominating set has at most n/2 vertices (the cliques of its lonely
@@ -886,46 +932,56 @@ def gamma_upper_exact(
     # In/out search in index order for a minimal dominating set larger
     # than best_size; it stops at the first one of global_ub.  OUT holds
     # every undecided vertex that cannot join IN, so IN always satisfies
-    # Ore's criterion.  A frame is (idx, in, out, covered), covered being
-    # N[IN].  The "out" frame of vertex idx - 1 sits under its "in" frame,
+    # Ore's criterion.  A frame is (idx, in, out, once, twice, fresh):
+    # once and twice as in _unaddable, and fresh the vertices its parent
+    # moved to OUT.  A popped frame goes on to its first undecided
+    # vertex: the tests below read the same masks at every vertex of OUT
+    # it skips.  The "out" frame of a vertex sits under its "in" frame,
     # so it is popped once that whole subtree is searched; its OUT holds
-    # the later orbit mates of idx - 1 too.  Some maximum minimal
+    # the vertex's later orbit mates too.  Some maximum minimal
     # dominating set of a graph with factors (vertex-transitive) contains 0.
     if g.factors is None:
-        prefix, gens, later = (0, 0, 0, 0), [], lambda idx: 0
+        prefix, gens, later = (0, 0, 0, 0, 0, 0), [], lambda idx: 0
     else:
-        prefix = (1, 1, _unaddable(adj, closed, 1, full & ~1), closed[0])
+        kill, once, twice = _join(adj, closed, 0, 0, 0, 0, full & ~1)
+        prefix = (1, 1, kill, once, twice, kill)
         gens, later = _lex_generators(g.factors, n), cache(partial(_later_mates, g))
     stack = [prefix]
     optimal = True
     try:
         while stack:
-            idx, in_mask, out_mask, covered = stack.pop()
+            idx, in_mask, out_mask, once, twice, fresh = stack.pop()
             state.tick()
             in_cnt = in_mask.bit_count()
             undecided = full >> idx << idx & ~out_mask
-            uncovered = full & ~covered
+            uncovered = full & ~(in_mask | once)
             if in_cnt + min(undecided.bit_count(), uncovered.bit_count()) <= best_size:
                 continue
-            if any(closed[u] & ~out_mask == 0 for u in iter_bits(uncovered)):
-                continue  # some vertex can never be dominated now
+            # some vertex can never be dominated now; the parent passed
+            # this test, so only a vertex next to one just moved to OUT
+            # can fail it
+            reach = 0
+            for v in iter_bits(fresh):
+                reach |= closed[v]
+            if any(closed[u] & ~out_mask == 0 for u in iter_bits(uncovered & reach)):
+                continue
+            idx = (undecided & -undecided).bit_length() - 1 if undecided else n
             if _lex_higher(gens, idx, in_mask, out_mask):
                 continue
             if idx == n:
-                if covered == full:
+                if not uncovered:
                     best_mask, best_size = in_mask, in_cnt
                     if best_size >= global_ub:
                         break
                 continue
             bit = 1 << idx
-            if out_mask & bit:  # cannot join, or an orbit mate of an earlier vertex
-                stack.append((idx + 1, in_mask, out_mask, covered))
-                continue
-            grown = in_mask | bit
-            stack.append((idx + 1, in_mask, out_mask | bit | later(idx), covered))
-            stack.append((idx + 1, grown,
-                          out_mask | _unaddable(adj, closed, grown, undecided & ~bit),
-                          covered | closed[idx]))
+            dropped = bit | later(idx)
+            stack.append((idx + 1, in_mask, out_mask | dropped, once, twice,
+                          dropped & ~out_mask))
+            kill, grown_once, grown_twice = _join(adj, closed, in_mask, once, twice,
+                                                  idx, undecided & ~bit)
+            stack.append((idx + 1, in_mask | bit, out_mask | kill, grown_once,
+                          grown_twice, kill))
     except BudgetExhausted:  # keeps the best set found before the cut
         optimal = False
     witness = tuple(iter_bits(best_mask))

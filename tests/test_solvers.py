@@ -24,7 +24,9 @@ from domprod import solvers
 from domprod.cli import _enum_small_specs
 from domprod.graphs import Graph, iter_bits
 from domprod.solvers import (
+    _bipartite_gamma_refuter,
     _greedy_independent,
+    _join,
     _later_mates,
     _lex_generators,
     _max_cover_atleast,
@@ -458,7 +460,8 @@ def test_orbit_pruning_cuts_the_search():
     # X_63, and X_99 is unfinished after 2,000,000.  Without the
     # lex-leader test it needs 4,818 on K3^3 and 16,763 on K3xK3xK4,
     # and with it 995 and 2,512.  The private-neighbour room bound takes
-    # those to 313 and 468, and X_63 from 54 nodes to 6
+    # those to 313 and 468, and X_63 from 54 nodes to 6; going straight
+    # to the next undecided vertex takes K3^3 to 287
     got = gamma_exact(unitary_cayley(483))
     assert got.optimal and got.value == 4 and got.nodes < 1_000
     got = gamma_total_exact(unitary_cayley(165))
@@ -482,15 +485,15 @@ def test_orbit_pruning_cuts_the_search():
 
 def test_node_counts_are_pinned():
     # exact counts, so a change that moves one fails here, not only in
-    # CI's benchmark step; the first four sum to 469, the pinned
+    # CI's benchmark step; the first four sum to 421, the pinned
     # search_nodes of perfbench's search-hard workload
     cases = [
-        (gamma_upper_exact, "K[1,3]xK[1,3]xK[1,3]", 9, 313, is_minimal_dominating),
+        (gamma_upper_exact, "K[1,3]xK[1,3]xK[1,3]", 9, 287, is_minimal_dominating),
         (gamma_exact, "ucg:483", 4, 24, is_dominating),
-        (gamma_exact, "K[1,2]xK[1,3]xK[1,5]xK[1,7]", 8, 118, is_dominating),
+        (gamma_exact, "K[1,2]xK[1,3]xK[1,5]xK[1,7]", 8, 96, is_dominating),
         (gamma_total_exact, "ucg:165", 5, 14, is_total_dominating),
-        (gamma_upper_exact, "ucg:105", 35, 683, is_minimal_dominating),
-        (gamma_upper_exact, "K[2,3]xK[1,3]xK[1,3]", 18, 1_858, is_minimal_dominating),
+        (gamma_upper_exact, "ucg:105", 35, 405, is_minimal_dominating),
+        (gamma_upper_exact, "K[2,3]xK[1,3]xK[1,3]", 18, 1_739, is_minimal_dominating),
     ]
     for solver, desc, value, nodes, check in cases:
         g = Descriptor.parse(desc).build()
@@ -501,7 +504,9 @@ def test_node_counts_are_pinned():
 
 def test_upper_settles_k3_4():
     # the paper's conjecture gives n/b_1 = 27; at [27, 40] after 2,000,000
-    # nodes before the private-neighbour room bound, 326,986 with it
+    # nodes before the private-neighbour room bound, 326,986 with it,
+    # and 302,751 once a popped frame goes straight to its next
+    # undecided vertex
     g = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 4))
     got = gamma_upper_exact(g, Budget(max_nodes=400_000, time_limit=None))
     assert got.optimal and got.value == 27 and got.nodes < 400_000
@@ -599,11 +604,47 @@ def test_orbit_pruned_max_cover_matches_unpruned():
     assert checked > 1_000
 
 
+def _refute_side0_first(g, sides, k):
+    """The refuter's answer for k, asking each split's side-0 question
+    first, by plain max-coverage searches: no memo and no symmetry."""
+    def reaches(mine, other, count, short):
+        state = _SearchState(Budget(max_nodes=10**9, time_limit=None))
+        return _max_cover_atleast([(v, g.adj[v]) for v in iter_bits(mine)], other,
+                                  count, other.bit_count() - short, state)
+
+    a, b = sides
+    return not any(reaches(a, b, i, k - i) and reaches(b, a, k - i, i)
+                   for i in range(k + 1))
+
+
+def test_refuter_asking_fewer_sets_first_keeps_every_answer():
+    # the refuter asks each split's question with fewer sets first, and
+    # under _side_symmetry shares answers between the sides; asked for
+    # every k, largest first as the probes ask, it must answer as the
+    # plain search that asks side 0 first
+    rng = random.Random(127)
+    graphs = [random_bipartite_graph(rng, rng.randint(2, 14)) for _ in range(80)]
+    graphs += [g for g in _orbit_graphs(48) if _side_symmetry(g) is not None]
+    refuted = inconclusive = 0
+    for g in graphs:
+        sides = bipartition(g)
+        refute = _bipartite_gamma_refuter(
+            g, sides, _SearchState(Budget(max_nodes=10**9, time_limit=None)))
+        for k in reversed(range(g.n + 1)):
+            got = refute(k)
+            assert got == _refute_side0_first(g, sides, k), (g.adj, k)
+            refuted += got
+            inconclusive += not got
+    assert refuted > 600 and inconclusive > 4_000
+
+
 def test_gamma_on_even_x_n_is_decided_by_the_refuter():
     # each is bipartite with one b = 2 factor, and the refuter proves
     # gamma > 9; asking each max-coverage question once and banning
     # orbits at every depth take 86, 178, 92 and 146 nodes, where the
-    # root-only rule took 57,590, 101,734, 145,314 and 186,182
+    # root-only rule took 57,590, 101,734, 145,314 and 186,182, and
+    # asking each split's question with fewer sets first 56, 148, 62
+    # and 116
     for n in (630, 840, 990, 1260):
         got = gamma_exact(unitary_cayley(n), Budget(max_nodes=2_000))
         assert got.optimal and got.value == 10, n
@@ -773,19 +814,36 @@ def _ore_holds(g, members):
     return is_minimal_dominating(Graph(adj), [*members, z])
 
 
+def _once_twice(adj, in_mask):
+    """The vertices with at least one and at least two neighbours in in_mask."""
+    once = twice = 0
+    for d in iter_bits(in_mask):
+        twice |= once & adj[d]
+        once |= adj[d]
+    return once, twice
+
+
+def _full_unaddable(g, closed, in_mask, cand):
+    return _unaddable(g.adj, closed, in_mask, cand, *_once_twice(g.adj, in_mask), in_mask)
+
+
 def test_unaddable_matches_ore_by_brute_force():
     # the filter gamma_upper_exact applies: v cannot join IN exactly when
     # Ore's criterion fails on IN | {v}, and it then fails on every larger
-    # IN too, so the filter may drop v from the whole subtree
-    rng = random.Random(109)
-    cases = killed = supersets = 0
+    # IN too, so the filter may drop v from the whole subtree.  The
+    # search grows IN one vertex at a time with _join, which walks only
+    # the members whose pools the newcomer changed: its kills plus the
+    # earlier ones must be the full recompute at every step, and its
+    # once and twice those of the grown IN
+    rng, order = random.Random(109), random.Random(113)
+    cases = killed = supersets = joins = 0
     for _ in range(400):
         g = random_graph(rng, rng.randint(1, 11))
         closed = [g.closed(v) for v in range(g.n)]
         members = [v for v in range(g.n) if rng.random() < rng.uniform(0.1, 0.6)]
         in_mask = sum(1 << v for v in members)
         cand = g.full_mask() & ~in_mask
-        kill = _unaddable(g.adj, closed, in_mask, cand)
+        kill = _full_unaddable(g, closed, in_mask, cand)
         assert kill & ~cand == 0
         for v in iter_bits(cand):
             broken = not _ore_holds(g, members + [v])
@@ -799,9 +857,21 @@ def test_unaddable_matches_ore_by_brute_force():
                 more = members + [w for i, w in enumerate(others) if pick >> i & 1]
                 assert not _ore_holds(g, more + [v]), (g.adj, more, v)
                 larger = in_mask | sum(1 << w for w in more)
-                assert _unaddable(g.adj, closed, larger, 1 << v) == 1 << v
+                assert _full_unaddable(g, closed, larger, 1 << v) == 1 << v
                 supersets += 1
-    assert cases > 1_500 and killed > 900 and supersets > 30_000
+        grown = once = twice = dropped = 0
+        for v in order.sample(members, len(members)):
+            if dropped >> v & 1:
+                break  # v cannot join: the search never adds it
+            rest = g.full_mask() & ~(grown | 1 << v | dropped)
+            kill, once, twice = _join(g.adj, closed, grown, once, twice, v, rest)
+            assert kill & ~rest == 0
+            grown |= 1 << v
+            dropped |= kill
+            assert dropped == _full_unaddable(g, closed, grown, g.full_mask() & ~grown)
+            assert (once, twice) == _once_twice(g.adj, grown), (g.adj, grown)
+            joins += 1
+    assert cases > 1_500 and killed > 900 and supersets > 30_000 and joins > 500
 
 
 def test_upper_seed_is_minimal():
@@ -829,8 +899,8 @@ def test_budget_exhaustion_degrades_gracefully():
 
 
 def test_budget_time_limit():
-    # Gamma(K3^4) takes 326,986 nodes (some 6 s), so a 10 ms limit
-    # always cuts it; K3^3 (313 nodes) can finish within it
+    # Gamma(K3^4) takes 302,751 nodes (some 4 s), so a 10 ms limit
+    # always cuts it; K3^3 (287 nodes) can finish within it
     g = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 4))
     r = gamma_upper_exact(g, Budget(max_nodes=10**12, time_limit=0.01))
     assert not r.optimal

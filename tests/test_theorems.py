@@ -35,6 +35,7 @@ from domprod import (
     unitary_cayley,
     upper_bounds,
 )
+from domprod import numbertheory
 from domprod.cli import _enum_small_specs
 from domprod.graphs import ucg_residues
 from domprod.theorems import InternalConsistencyError, _compose, _constructions, _k2_reduction
@@ -581,3 +582,18 @@ def test_solver_witnesses_at_t_plus_two_have_small_columns():
         got = gamma_exact(product_spec_graph(spec), budget)
         assert got.value == spec.t + 2
         assert _columns_repeat_at_most_twice(spec, got.witness)
+
+
+def test_solve_works_out_g_n_once(monkeypatch):
+    # a solve asks for g(n) in its bound report, its constructions and
+    # its search floor; jacobsthal_run keeps its answers, so unit_mask,
+    # the mask pass behind each g(n), runs once per solve
+    calls = []
+    unit_mask = numbertheory.unit_mask
+    monkeypatch.setattr(numbertheory, "unit_mask", lambda n: calls.append(n) or unit_mask(n))
+    for desc, quantity in [("ucg:105", "gamma_total"), ("ucg:483", "gamma"),
+                           ("ucg:1999905", "gamma")]:
+        numbertheory.jacobsthal_run.cache_clear()
+        calls.clear()
+        assert solve(desc, quantity).optimal, desc
+        assert len(calls) == 1, (desc, quantity, calls)
