@@ -31,7 +31,6 @@ from .graphs import (
     DescriptorError,
     ProductSpec,
     product_spec_graph,
-    ucg_product_spec,
     ucg_residues,
     unitary_cayley,
 )
@@ -221,8 +220,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_conjecture(args) -> int:
     desc = Descriptor.parse(args.descriptor)
-    spec = ucg_product_spec(desc.ucg_n) if desc.kind == "ucg" else desc.spec
-    check = conjecture_check(spec, _budget(args))
+    check = conjecture_check(desc.product_form, _budget(args))
     result = check.exact
     if desc.kind == "ucg":
         # the search ran on the product form; name its vertices as the
@@ -543,9 +541,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DescriptorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

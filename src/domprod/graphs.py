@@ -220,7 +220,7 @@ def unitary_cayley(n: int) -> Graph:
         raise ValueError(f"unitary Cayley graph needs n >= 2, got {n}")
     _check_dense(n)
     # by CRT, residue x is the vertex (x mod p^e)_p of prod K[p^(e-1), p]
-    factors = tuple((1, p**e, p) for p, e in factorize(n))
+    factors = tuple((1, f.size, f.b) for f in ucg_product_spec(n).factors)
     return Graph(list(ucg_rows(n, range(n))), factors=factors)
 
 
@@ -336,6 +336,11 @@ class Descriptor:
         return self.spec.canonical().descriptor()
 
     @property
+    def product_form(self) -> ProductSpec:
+        """The product spec in canonical order; X_n's is ucg_product_spec(n)."""
+        return self.spec.canonical() if self.kind == "spec" else ucg_product_spec(self.ucg_n)
+
+    @property
     def n_vertices(self) -> int:
         """Vertex count; raises CapExceededError above the vertex cap.
         build() raises above the smaller dense cap."""
@@ -349,11 +354,11 @@ class Descriptor:
         n = self.n_vertices
         if self.kind == "ucg":
             return ucg_rows(n, vertices)
-        return spec_rows(self.spec.canonical(), vertices)
+        return spec_rows(self.product_form, vertices)
 
     def build(self) -> Graph:
         """Materialize the graph; specs are built in canonical order so
         witnesses always refer to the canonical vertex numbering."""
         if self.kind == "ucg":
             return unitary_cayley(self.ucg_n)
-        return product_spec_graph(self.spec.canonical())
+        return product_spec_graph(self.product_form)

@@ -357,7 +357,7 @@ def _greedy_cover(inst: _CoverInstance, state: _SearchState) -> list[int]:
 
 
 def _exists_cover(
-    inst: _CoverInstance, k: int, state: _SearchState, chosen: Sequence[int] = ()
+    inst: _CoverInstance, k: int, state: _SearchState, chosen: Sequence[int]
 ) -> list[int] | None:
     """Find set positions (at most k, starting with `chosen`) covering
     the universe, or prove none exist.  Exact decision search.
@@ -518,13 +518,13 @@ def _max_cover_atleast(
 
 
 def _min_cover(
-    inst: _CoverInstance, state: _SearchState, refuter=None, floor: int = 0
+    inst: _CoverInstance, state: _SearchState, refuter, floor: int
 ) -> tuple[list[int], int]:
     """Minimum cover by descending decision probes.
 
     Returns (best set positions, proven lower bound); the search
     finished exactly when the bound meets the cover's size.  The
-    refuter, when given, may prove "no k-cover" cheaply; returning False
+    refuter, when not None, may prove "no k-cover" cheaply; returning False
     just falls through to the exact search.  floor is a lower bound the
     caller has proven: it joins the counting bound, so the probes stop
     there.  With inst.factors some minimum cover contains the first

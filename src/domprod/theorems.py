@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .graphs import (
     CapExceededError,
@@ -179,10 +178,13 @@ def _noncoprime_run(n: int, start: int, length: int) -> bool:
 def _require_all_single(spec: ProductSpec) -> tuple[int, ...]:
     if any(f.a != 1 for f in spec.factors):
         raise ValueError("construction needs complete-graph factors (all a_i = 1)")
-    bs = tuple(f.b for f in spec.factors)
-    if list(bs) != sorted(bs):
+    if not spec.canonical_order:
         raise ValueError("factor sizes must be sorted ascending")
-    return bs
+    return tuple(f.b for f in spec.factors)
+
+
+# the kind of set that decides each quantity
+_KIND = {"gamma": "dominating", "gamma_total": "total_dominating", "upper": "minimal_dominating"}
 
 
 def consecutive_residue_set(n: int) -> ConstructionResult:
@@ -199,17 +201,15 @@ def consecutive_residue_set(n: int) -> ConstructionResult:
         n, dset, "gamma_total",
         f"consecutive residues 0..{g - 1} failed to totally dominate X_{n}",
     )
-    return ConstructionResult(f"ucg:{n}", dset, "total_dominating", verified)
+    return ConstructionResult(f"ucg:{n}", dset, _KIND["gamma_total"], verified)
 
 
-def _checked(
-    spec: ProductSpec, dset, kind: str, quantity: str, name: str
-) -> ConstructionResult:
+def _checked(spec: ProductSpec, dset, quantity: str, name: str) -> ConstructionResult:
     """Check dset for `quantity` on the product (spec is in canonical
     order); a construction that fails it is a bug, not an input error."""
     if not certifies(Descriptor("spec", spec=spec), quantity, dset):
         raise InternalConsistencyError(f"{name} failed its checker")
-    return ConstructionResult(spec.descriptor(), dset, kind, True)
+    return ConstructionResult(spec.descriptor(), dset, _KIND[quantity], True)
 
 
 def diagonal_set(spec: ProductSpec, m: int = 0) -> ConstructionResult:
@@ -234,7 +234,7 @@ def diagonal_set(spec: ProductSpec, m: int = 0) -> ConstructionResult:
     dset = tuple(
         sorted(spec.index([r % b for b in bs]) for r in range(t + m + 1))
     )
-    return _checked(spec, dset, "total_dominating", "gamma_total", "diagonal set")
+    return _checked(spec, dset, "gamma_total", "diagonal set")
 
 
 def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
@@ -254,7 +254,7 @@ def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
     vertices.append([0, 1] + [t] * (t - 2))
     vertices.append([1, 0] + [t] * (t - 2))
     dset = tuple(sorted(spec.index(v) for v in vertices))
-    return _checked(spec, dset, "dominating", "gamma", "t+2 construction")
+    return _checked(spec, dset, "gamma", "t+2 construction")
 
 
 _CORNERS3 = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
@@ -271,7 +271,7 @@ def cube_corner_set(spec: ProductSpec) -> ConstructionResult:
     dset = tuple(
         sorted(spec.index((x,) + corner) for x in (0, 1) for corner in _CORNERS3)
     )
-    return _checked(spec, dset, "dominating", "gamma", "cube-corner set")
+    return _checked(spec, dset, "gamma", "cube-corner set")
 
 
 def _four_corner_set(spec: ProductSpec) -> ConstructionResult:
@@ -282,7 +282,7 @@ def _four_corner_set(spec: ProductSpec) -> ConstructionResult:
     if spec.t != 3:
         raise ValueError(f"need exactly 3 factors, got {spec.t}")
     dset = tuple(sorted(spec.index(corner) for corner in _CORNERS3))
-    return _checked(spec, dset, "dominating", "gamma", "four-corner set")
+    return _checked(spec, dset, "gamma", "four-corner set")
 
 
 def partite_column_set(spec: ProductSpec) -> ConstructionResult:
@@ -294,7 +294,7 @@ def partite_column_set(spec: ProductSpec) -> ConstructionResult:
     n = Descriptor("spec", spec=spec).n_vertices  # the cap, before listing n/b_1 vertices
     b1 = spec.factors[0].b
     dset = tuple(v for v in range(n) if spec.coords(v)[0] % b1 == 0)
-    return _checked(spec, dset, "minimal_dominating", "upper", "partite column")
+    return _checked(spec, dset, "upper", "partite column")
 
 
 # ==== piecewise formulas and single-theorem bounds ====
@@ -317,16 +317,16 @@ def squarefree_gamma_value(n: int) -> int:
     return 4
 
 
-def repeated_factor_lower(n: int) -> Fraction:
-    """Exact rational lower bound p_1 * t / (p_1 - 1) for gamma(X_n) when
-    n is not squarefree and omega(n) <= 3; callers take the ceiling."""
+def repeated_factor_lower(n: int) -> int:
+    """Lower bound ceil(p_1 * t / (p_1 - 1)) for gamma(X_n) when n is not
+    squarefree and omega(n) <= 3."""
     fac = factorize(n)
     if all(e == 1 for _, e in fac):
         raise ValueError(f"{n} is squarefree")
     if len(fac) > 3:
         raise ValueError(f"need omega <= 3, got {len(fac)}")
     p1 = fac[0][0]
-    return Fraction(p1 * len(fac), p1 - 1)
+    return -(-(p1 * len(fac)) // (p1 - 1))
 
 
 def _diagonal_upper(bs: tuple[int, ...]) -> tuple[int, int] | None:
@@ -358,23 +358,6 @@ def _compose(quantity, lo_entries, hi_entries, conjectured=None) -> BoundReport:
     return BoundReport(quantity, lo, hi, prov, conjectured)
 
 
-def _k2_reduction(spec: ProductSpec) -> tuple[int, ProductSpec | None]:
-    """Split off the K_2 factors: returns (s, rest).
-
-    s counts factors equal to K[1,2]; rest is the spec of the remaining
-    factors, or None when every factor is a K_2.  When s >= 1 the
-    domination number satisfies gamma(spec) = 2^(s-1) * gamma(K_2 x rest).
-    """
-    k2 = Factor(1, 2)
-    s = sum(1 for f in spec.factors if f == k2)
-    rest = tuple(f for f in spec.factors if f != k2)
-    if s == 0:
-        return 0, spec
-    if not rest:
-        return s, None
-    return s, ProductSpec(rest)
-
-
 def gamma_bounds(spec: ProductSpec) -> BoundReport:
     """Tightest interval for gamma(prod K[a_i,b_i]) derivable from the
     implemented structural results.  Factors may come in any order; the
@@ -392,15 +375,17 @@ def gamma_bounds(spec: ProductSpec) -> BoundReport:
     lows: list[tuple[int, str]] = [(1, "trivial")]
     his: list[tuple[int, str]] = [(n, "all-vertices")]
 
-    s, rest = _k2_reduction(spec)
-    if s >= 1 and rest is None:
+    # gamma(K_2^s x rest) = 2^(s-1) * gamma(K_2 x rest) for s >= 1
+    k2 = Factor(1, 2)
+    s = spec.factors.count(k2)
+    rest = tuple(f for f in spec.factors if f != k2)
+    if s >= 1 and not rest:
         v = 2 ** (s - 1)
         lows.append((v, "k2-factor-reduction"))
         his.append((v, "k2-factor-reduction"))
         return _compose("gamma", lows, his)
     if s >= 2:
-        inner = ProductSpec((Factor(1, 2),) + rest.factors).canonical()
-        sub = gamma_bounds(inner)
+        sub = gamma_bounds(ProductSpec((k2,) + rest))
         mult = 2 ** (s - 1)
         lows.append((mult * sub.lo, "k2-factor-reduction"))
         his.append((mult * sub.hi, "k2-factor-reduction"))
@@ -449,12 +434,10 @@ def gamma_bounds(spec: ProductSpec) -> BoundReport:
 def ucg_gamma_bounds(n: int) -> BoundReport:
     """Interval for gamma(X_n), combining the product-form bounds with
     the unitary-Cayley-specific results."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    base = gamma_bounds(ucg_product_spec(n))  # rejects n < 2 before factorize
     fac = factorize(n)
     w = len(fac)
     squarefree = all(e == 1 for _, e in fac)
-    base = gamma_bounds(ucg_product_spec(n))
     lows = [(base.lo, tag) for tag, _ in _side(base, "lo")]
     his = [(base.hi, tag) for tag, _ in _side(base, "hi")]
     g = jacobsthal(n)
@@ -466,8 +449,7 @@ def ucg_gamma_bounds(n: int) -> BoundReport:
     if not squarefree and w <= 3:
         lows.append((g, "nonsquarefree-jacobsthal-exact"))
         his.append((g, "nonsquarefree-jacobsthal-exact"))
-        frac = repeated_factor_lower(n)
-        lows.append((-(-frac.numerator // frac.denominator), "repeated-factor-lower"))
+        lows.append((repeated_factor_lower(n), "repeated-factor-lower"))
     return _compose("gamma", lows, his)
 
 
@@ -529,11 +511,6 @@ def conjecture_check(spec: ProductSpec, budget: Budget | None = None) -> Conject
 # ==== the calculator: theorem layer first, search second ====
 
 
-def _product_form(desc: Descriptor) -> ProductSpec:
-    """desc's product spec in canonical order; X_n's is ucg_product_spec(n)."""
-    return desc.spec.canonical() if desc.kind == "spec" else ucg_product_spec(desc.ucg_n)
-
-
 def bound_report(desc: Descriptor, quantity: str) -> BoundReport:
     """The theorem layer's interval for `quantity` (gamma, gamma_total or
     upper) on desc.
@@ -544,13 +521,13 @@ def bound_report(desc: Descriptor, quantity: str) -> BoundReport:
     _constructions (on ucg:n the consecutive run, then the diagonal).
     """
     if quantity == "upper":
-        return upper_bounds(_product_form(desc))
+        return upper_bounds(desc.product_form)
     if quantity not in ("gamma", "gamma_total"):
         raise ValueError(f"unknown quantity {quantity!r}")
     gamma = ucg_gamma_bounds(desc.ucg_n) if desc.kind == "ucg" else gamma_bounds(desc.spec)
     if quantity == "gamma":
         return gamma
-    his = [(_product_form(desc).n_vertices, "all-vertices")]
+    his = [(desc.product_form.n_vertices, "all-vertices")]
     his += [(size, tag) for tag, size, _ in _constructions(desc, "gamma_total")]
     return _compose("gamma_total", [(gamma.lo, tag) for tag, _ in _side(gamma, "lo")], his)
 
@@ -572,7 +549,7 @@ def _constructions(desc: Descriptor, quantity: str):
     On ucg:n the consecutive run comes first, then the product form's
     constructions, each lifted to residues and checked on X_n.
     """
-    spec = _product_form(desc)
+    spec = desc.product_form
     diag = _diagonal_upper(tuple(f.b for f in spec.factors))
     # the diagonal is total dominating, so it dominates too
     diagonal = [] if diag is None else [
@@ -634,8 +611,6 @@ def solve(
     implemented results disagree and raises InternalConsistencyError.
     """
     desc = Descriptor.parse(descriptor) if isinstance(descriptor, str) else descriptor
-    if quantity not in _SEARCHES:
-        raise ValueError(f"unknown quantity {quantity!r}")
     start = time.monotonic()
     report = bound_report(desc, quantity)
     side, other = ("hi", "lo") if quantity == "upper" else ("lo", "hi")
@@ -690,13 +665,12 @@ def mt_witness(j: int) -> WitnessN:
     k = 2 * (q - 1) // 3
     gen = primes_from(q + 3)
     primes = tuple(next(gen) for _ in range(k))
-    n = 3 * q
-    for p in primes:
-        n *= p
+    n = 3 * q * prod(primes)
 
     # moduli a_0..a_{q+2}: 3 at multiples of 3, q at positions 1 and q+1,
-    # one distinct prime at each remaining position
+    # one distinct prime at each remaining position; z + i = 0 (mod a_i)
     a_seq = [0] * (q + 3)
+    congruences = [(0, 3), (-1, q)]
     rest = list(primes)
     for i in range(q + 3):
         if i % 3 == 0:
@@ -705,16 +679,10 @@ def mt_witness(j: int) -> WitnessN:
             a_seq[i] = q
         else:
             a_seq[i] = rest.pop(0)
+            congruences.append((-i, a_seq[i]))
     if rest:
         raise InternalConsistencyError("prime slots and modulus positions differ")
-
-    slot_of = {}
-    for i, a in enumerate(a_seq):
-        if a in primes and a not in slot_of:
-            slot_of[a] = i
-    z = crt_solve(
-        [(0, 3), (-1, q)] + [(-slot_of[p], p) for p in primes]
-    ).residue
+    z = crt_solve(congruences).residue
     for i in range(q + 3):
         if (z + i) % a_seq[i] != 0:
             raise InternalConsistencyError(f"run position {i} misses modulus {a_seq[i]}")
@@ -752,19 +720,17 @@ def m_family_witness(family: int, p1: int, p2: int) -> MWitness:
         if not 3 <= p1 < p2:
             raise ValueError(f"family 1 needs 3 <= p1 < p2, got ({p1}, {p2})")
         moduli = (2, p1, p2)
-        x = crt_solve([(0, 2), (-1, p1), (-3, p2)]).residue
         run_length = 4
         corners = _CORNERS3
     else:
         if not 5 <= p1 < p2:
             raise ValueError(f"family 2 needs 5 <= p1 < p2, got ({p1}, {p2})")
         moduli = (2, 3, p1, p2)
-        x = crt_solve([(0, 2), (-1, 3), (-3, p1), (-5, p2)]).residue
         run_length = 9
         corners = tuple((b,) + c for b in (0, 1) for c in _CORNERS3)
-    n = 1
-    for mod in moduli:
-        n *= mod
+    # x = 0 (mod 2), and x + 2i - 1 = 0 modulo the i-th odd modulus
+    x = crt_solve([(0, 2)] + [(1 - 2 * i, m) for i, m in enumerate(moduli[1:], 1)]).residue
+    n = prod(moduli)
     if not _noncoprime_run(n, x, run_length):
         raise InternalConsistencyError("coprime-free run check failed")
     spec = ucg_product_spec(n)  # its factors are K_m for m in moduli, in that order

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -701,3 +702,133 @@ def test_records_keep_their_fields(capsys):
         "size", "g_lower", "verified", "tool_version",
     }]
     assert keys("conjecture", "K[1,3]xK[1,3]") == [solved | {"conjectured", "agrees"}]
+
+
+# Exact stdout, stderr and exit code, with elapsed_ms blanked: a changed
+# value or a reordered provenance entry fails here, not only a changed key.
+# The cases cover the X_n product form, its K_2 split and repeated-factor
+# bound, each construction's kind, the Theorem 6 and Proposition 1
+# witnesses, the conjecture on X_n, and bad input.
+_PINNED = [
+    (
+        ["bounds", "ucg:12"],
+        '{"conjectured": null, "descriptor": "ucg:12", "exact": true, "hi": 4, '
+        '"lo": 4, "provenance": [["blowup-lower", "lo 2"], '
+        '["nonsquarefree-jacobsthal-exact", "lo 4"], ["repeated-factor-lower", '
+        '"lo 4"], ["all-vertices", "hi 12"], ["consecutive-run", "hi 4"], '
+        '["nonsquarefree-jacobsthal-exact", "hi 4"]], "quantity": "gamma", '
+        '"tool_version": "0.1.0"}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["bounds", "ucg:30"],
+        '{"conjectured": null, "descriptor": "ucg:30", "exact": true, "hi": 4, '
+        '"lo": 4, "provenance": [["complete-product", "lo 4"], '
+        '["squarefree-small-omega", "lo 4"], ["complete-product", "hi 4"], '
+        '["consecutive-run", "hi 6"], ["squarefree-small-omega", "hi 4"]], '
+        '"quantity": "gamma", "tool_version": "0.1.0"}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["bounds", "K[1,2]xK[1,2]xK[1,3]"],
+        '{"conjectured": null, "descriptor": "K[1,2]xK[1,2]xK[1,3]", "exact": true, '
+        '"hi": 4, "lo": 4, "provenance": [["trivial", "lo 1"], ["k2-factor-reduction", '
+        '"lo 4"], ["complete-product", "lo 4"], ["all-vertices", "hi 12"], '
+        '["k2-factor-reduction", "hi 4"], ["complete-product", "hi 4"]], '
+        '"quantity": "gamma", "tool_version": "0.1.0"}\n{"conjectured": null, '
+        '"descriptor": "K[1,2]xK[1,2]xK[1,3]", "exact": true, "hi": 6, "lo": 6, '
+        '"provenance": [["partite-column", "lo 6"], ["matching-partition-exact", '
+        '"hi 6"]], "quantity": "upper", "tool_version": "0.1.0"}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["bounds", "K[2,2]xK[1,3]"],
+        '{"conjectured": null, "descriptor": "K[2,2]xK[1,3]", "exact": false, '
+        '"hi": 12, "lo": 2, "provenance": [["trivial", "lo 1"], ["blowup-lower", '
+        '"lo 2"], ["all-vertices", "hi 12"]], "quantity": "gamma", '
+        '"tool_version": "0.1.0"}\n{"conjectured": null, '
+        '"descriptor": "K[2,2]xK[1,3]", "exact": true, "hi": 6, "lo": 6, '
+        '"provenance": [["partite-column", "lo 6"], ["matching-partition-exact", '
+        '"hi 6"]], "quantity": "upper", "tool_version": "0.1.0"}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["solve", "gamma", "K[1,2]xK[1,3]xK[1,5]xK[1,7]", "--no-cache"],
+        '{"descriptor": "K[1,2]xK[1,3]xK[1,5]xK[1,7]", "elapsed_ms": 0, "hi": 8, '
+        '"lo": 8, "method": "theorem", "nodes": 0, "optimal": true, '
+        '"provenance": [["small-first-factor-lower", "lo 8"], ["cube-corner", "lo 8"], '
+        '["cube-corner", "hi 8"]], "quantity": "gamma", "tool_version": "0.1.0", '
+        '"value": 8, "witness": [0, 8, 36, 42, 105, 113, 141, 147]}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["construct", "diagonal", "K[1,4]xK[1,5]xK[1,7]"],
+        '{"construction": "diagonal", "descriptor": "K[1,4]xK[1,5]xK[1,7]", '
+        '"kind": "total_dominating", "size": 4, "tool_version": "0.1.0", '
+        '"verified": true, "vertex_set": [0, 43, 86, 129]}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["construct", "partite-column", "K[1,3]xK[1,4]"],
+        '{"construction": "partite-column", "descriptor": "K[1,3]xK[1,4]", '
+        '"kind": "minimal_dominating", "size": 4, "tool_version": "0.1.0", '
+        '"verified": true, "vertex_set": [0, 1, 2, 3]}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["construct", "consecutive", "30"],
+        '{"construction": "consecutive", "descriptor": "ucg:30", '
+        '"kind": "total_dominating", "size": 6, "tool_version": "0.1.0", '
+        '"verified": true, "vertex_set": [0, 1, 2, 3, 4, 5]}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["witness", "thm6", "--j", "3"],
+        '{"D": [0, 1, 2, 3, 4, 5, 6, 7, 8, 646645], "g_lower": 11, "j": 3, "k": 4, '
+        '"n": 969969, "primes": [11, 13, 17, 19], "q": 7, "run_length": 10, '
+        '"size": 10, "tool_version": "0.1.0", "verified": true, "witness": "thm6", '
+        '"y": 646645, "z": 913779}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["witness", "prop1", "--family", "1", "--p1", "3", "--p2", "5"],
+        '{"dominating_set": [0, 16, 21, 25], "family": 1, "g_lower": 5, "n": 30, '
+        '"p1": 3, "p2": 5, "run_length": 4, "size": 4, "tool_version": "0.1.0", '
+        '"verified": true, "witness": "prop1", "x": 2}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["witness", "prop1", "--family", "2", "--p1", "5", "--p2", "7"],
+        '{"dominating_set": [0, 36, 85, 91, 105, 141, 190, 196], "family": 2, '
+        '"g_lower": 10, "n": 210, "p1": 5, "p2": 7, "run_length": 9, "size": 8, '
+        '"tool_version": "0.1.0", "verified": true, "witness": "prop1", "x": 2}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["conjecture", "ucg:12"],
+        '{"agrees": true, "conjectured": 6, "descriptor": "ucg:12", "elapsed_ms": 0, '
+        '"hi": 6, "lo": 6, "method": "reduction", "nodes": 0, "optimal": true, '
+        '"quantity": "upper", "tool_version": "0.1.0", "value": 6, "witness": [0, 2, '
+        '4, 6, 8, 10]}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["solve", "gamma", "K[1,1]"],
+        "",
+        "error: bad factor 'K[1,1]': need at least 2 partite sets, got 1\n", EXIT_BAD_INPUT,
+    ),
+    (
+        ["construct", "t-plus-two", "K[1,3]xK[1,3]"],
+        "",
+        "error: need at least 4 factors, got 2\n", EXIT_BAD_INPUT,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, out, err, code", _PINNED, ids=[" ".join(case[0]) for case in _PINNED]
+)
+def test_records_are_pinned(capsys, argv, out, err, code):
+    got_code, got_out, got_err = run(capsys, *argv)
+    got_out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', got_out)
+    assert (got_out, got_err, got_code) == (out, err, code)

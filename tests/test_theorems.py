@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -38,7 +37,7 @@ from domprod import (
 from domprod import numbertheory
 from domprod.cli import _enum_small_specs
 from domprod.graphs import ucg_residues
-from domprod.theorems import InternalConsistencyError, _compose, _constructions, _k2_reduction
+from domprod.theorems import InternalConsistencyError, _compose, _constructions
 
 from helpers import random_spec, shrink_to_minimal
 
@@ -89,9 +88,13 @@ def test_gamma_bounds_small_first_factor_lower():
 
 
 def test_repeated_factor_lower():
-    assert repeated_factor_lower(12) == Fraction(4)
-    assert repeated_factor_lower(45) == Fraction(3)
-    assert repeated_factor_lower(4) == Fraction(2)
+    assert repeated_factor_lower(12) == 4
+    assert repeated_factor_lower(45) == 3
+    assert repeated_factor_lower(4) == 2
+    # the bound is the integer ceiling of p_1 * t / (p_1 - 1)
+    for n, want in ((175, 3), (315, 5)):  # 5/2 and 9/2
+        got = repeated_factor_lower(n)
+        assert got == want and type(got) is int, n
     with pytest.raises(ValueError):
         repeated_factor_lower(30)  # squarefree
     with pytest.raises(ValueError):
@@ -200,19 +203,13 @@ def test_compose_conflict_raises():
         _compose("gamma", [(5, "a")], [(4, "b")])
 
 
-def test_k2_reduction():
-    s, rest = _k2_reduction(ProductSpec.from_pairs([(1, 2), (1, 2), (1, 3)]))
-    assert s == 2 and rest == ProductSpec.from_pairs([(1, 3)])
-    s, rest = _k2_reduction(ProductSpec.from_pairs([(1, 2), (1, 2)]))
-    assert s == 2 and rest is None
-    s, rest = _k2_reduction(ProductSpec.from_pairs([(2, 2), (1, 3)]))
-    assert s == 0 and rest == ProductSpec.from_pairs([(2, 2), (1, 3)])
-
-
 def test_gamma_bounds_k2_powers():
     for s, want in ((1, 1), (2, 2), (3, 4), (4, 8), (5, 16)):
         r = gamma_bounds(ProductSpec.from_pairs([(1, 2)] * s))
         assert r.exact and r.lo == want, s
+    # K[2,2] has two partite sets too, but it is not a K_2
+    tags = {tag for tag, _ in gamma_bounds(ProductSpec.from_pairs([(2, 2), (1, 3)])).provenance}
+    assert "k2-factor-reduction" not in tags
 
 
 def test_gamma_bounds_reduction_identity():
@@ -410,8 +407,9 @@ def test_solve_reports_open_intervals():
     assert got.provenance and all(c == "lo 6" for _, c in got.provenance)
     got = solve("ucg:30", "gamma_total")
     assert got.method == "reduction" and got.value == 6 and not got.provenance
-    with pytest.raises(ValueError):
-        solve("ucg:30", "gamma_t")
+    for quantity in ("gamma_t", "bogus"):
+        with pytest.raises(ValueError, match="unknown quantity"):
+            solve(Descriptor("ucg", ucg_n=30), quantity)
 
 
 def test_solve_rejects_a_search_below_the_proven_side(monkeypatch):
