@@ -203,13 +203,26 @@ def test_compose_conflict_raises():
         _compose("gamma", [(5, "a")], [(4, "b")])
 
 
+def test_k2_reduction():
+    def tags(pairs):
+        return {tag for tag, _ in gamma_bounds(ProductSpec.from_pairs(pairs)).provenance}
+
+    # K_2 x K_2 x K_3 reduces to twice K_2 x K_3
+    outer = gamma_bounds(ProductSpec.from_pairs([(1, 2), (1, 2), (1, 3)]))
+    inner = gamma_bounds(ProductSpec.from_pairs([(1, 2), (1, 3)]))
+    assert "k2-factor-reduction" in tags([(1, 2), (1, 2), (1, 3)])
+    assert outer.exact and inner.exact and outer.lo == 2 * inner.lo
+    # an all-K_2 product has nothing left over
+    r = gamma_bounds(ProductSpec.from_pairs([(1, 2), (1, 2)]))
+    assert r.exact and r.lo == 2 and "k2-factor-reduction" in tags([(1, 2), (1, 2)])
+    # K[2,2] has two partite sets too, but it is not a K_2
+    assert "k2-factor-reduction" not in tags([(2, 2), (1, 3)])
+
+
 def test_gamma_bounds_k2_powers():
     for s, want in ((1, 1), (2, 2), (3, 4), (4, 8), (5, 16)):
         r = gamma_bounds(ProductSpec.from_pairs([(1, 2)] * s))
         assert r.exact and r.lo == want, s
-    # K[2,2] has two partite sets too, but it is not a K_2
-    tags = {tag for tag, _ in gamma_bounds(ProductSpec.from_pairs([(2, 2), (1, 3)])).provenance}
-    assert "k2-factor-reduction" not in tags
 
 
 def test_gamma_bounds_reduction_identity():
