@@ -22,17 +22,13 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numbertheory import crt_solve, factorize, periodic_mask, unit_mask
+from .numbertheory import CapExceededError, crt_solve, factorize, periodic_mask, unit_mask
 
 # the vertex cap bounds the sets that certifies checks, building only
 # their rows; the dense cap bounds built graphs, whose n rows of n bits
 # take n^2/8 bytes (512 MiB here), and the solvers keep a second copy
 DEFAULT_VERTEX_CAP = 2_000_000
 DENSE_VERTEX_CAP = 65_536
-
-
-class CapExceededError(ValueError):
-    """A graph would exceed the vertex cap, or a built graph the dense cap."""
 
 
 class DescriptorError(ValueError):
@@ -53,7 +49,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple graph with dense bit-vector adjacency.
 
-    adj[v] is an int whose bit u is set iff u ~ v.
+    adj[v] is an int whose bit u is set iff u ~ v; an empty adj raises
+    ValueError, so every graph has a vertex.
 
     factors, when not None, is a promise that the graph is a direct
     product of balanced complete multipartite factors, given as one
@@ -67,9 +64,9 @@ class Graph:
     factor has b = 2 the graph is connected and bipartite, with the
     partite sets of that factor as its sides, and the solvers' bipartite
     searches use the symmetry too.  Only the builders set it, whose
-    output has this form by construction: product_spec_graph, its
-    one-factor case multipartite (K[1,n] is K_n), and unitary_cayley.
-    It is never inferred, and a false promise gives wrong answers.
+    output has this form by construction: product_spec_graph (whose
+    one-factor case K[1,n] is K_n) and unitary_cayley.  It is never
+    inferred, and a false promise gives wrong answers.
     """
 
     __slots__ = ("n", "adj", "factors")
@@ -80,6 +77,8 @@ class Graph:
         *,
         factors: tuple[tuple[int, int, int], ...] | None = None,
     ):
+        if not adj:
+            raise ValueError("empty graph")
         self.n = len(adj)
         self.adj = tuple(adj)
         self.factors = factors
@@ -143,8 +142,7 @@ class ProductSpec:
 
     @property
     def canonical_order(self) -> bool:
-        keys = [(f.b, f.a) for f in self.factors]
-        return keys == sorted(keys)
+        return self == self.canonical()
 
     def canonical(self) -> "ProductSpec":
         return ProductSpec(tuple(sorted(self.factors, key=lambda f: (f.b, f.a))))
@@ -188,14 +186,6 @@ def _check_dense(n: int) -> None:
         )
 
 
-def multipartite(a: int, b: int) -> Graph:
-    """K[a,b] on vertices 0..ab-1; x ~ y iff x and y differ mod b.
-
-    The partite sets are the residue classes mod b.
-    """
-    return product_spec_graph(ProductSpec.from_pairs([(a, b)]))
-
-
 def ucg_rows(n: int, residues) -> Iterator[int]:
     """The neighbourhood in X_n of each residue (taken mod n), as a mask
     whose bit u is set iff gcd(u - v, n) = 1.
@@ -216,8 +206,6 @@ def unitary_cayley(n: int) -> Graph:
     Dense adjacency costs n^2/8 bytes; to check a vertex set, use
     theorems.certifies, which builds only the rows of the set.
     """
-    if n < 2:
-        raise ValueError(f"unitary Cayley graph needs n >= 2, got {n}")
     _check_dense(n)
     # by CRT, residue x is the vertex (x mod p^e)_p of prod K[p^(e-1), p]
     factors = tuple((1, f.size, f.b) for f in ucg_product_spec(n).factors)

@@ -6,7 +6,8 @@ factorize() uses trial division and rejects n above FACTOR_INPUT_LIMIT.
 Jacobsthal's function is computed exactly from the bit mask of the
 residues of the radical that are not coprime to it, in omega + g(n)
 bigint operations on a radical-bit int; jacobsthal_run rejects a radical
-above JACOBSTHAL_RADICAL_LIMIT, whose masks would not fit in memory.
+above JACOBSTHAL_RADICAL_LIMIT, whose masks would not fit in memory,
+with CapExceededError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ FACTOR_INPUT_LIMIT = 2**63 - 1
 # n = 99,999,999,999 (radical 33,333,333,333) would need 3.9 GiB for
 # each mask.
 JACOBSTHAL_RADICAL_LIMIT = 10**8
+
+
+class CapExceededError(ValueError):
+    """Valid input beyond a resource cap: JACOBSTHAL_RADICAL_LIMIT here,
+    or the vertex and dense caps of graphs."""
 
 
 class Congruence(NamedTuple):
@@ -140,7 +146,7 @@ def jacobsthal_run(n: int) -> JacobsthalRun:
         return JacobsthalRun(1, 0, 0)
     r = radical(n)
     if r > JACOBSTHAL_RADICAL_LIMIT:
-        raise ValueError(
+        raise CapExceededError(
             f"jacobsthal({n}): radical {r} exceeds {JACOBSTHAL_RADICAL_LIMIT}"
         )
     run = ((1 << r) - 1) & ~unit_mask(r)  # nonzero: 0 shares every factor

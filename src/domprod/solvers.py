@@ -530,8 +530,6 @@ def _min_cover(
     there.  With inst.factors some minimum cover contains the first
     allowed position, so each probe only searches the covers through it.
     """
-    if inst.universe == 0:
-        return [], 0
     best = _greedy_cover(inst, state)
     maxgain = max(inst.covers[i].bit_count() for i in inst.positions)
     lb = max(-(-inst.universe.bit_count() // maxgain), floor)
@@ -692,8 +690,6 @@ def gamma_exact(
     default 0 adds nothing.  A floor above gamma(g) is not detected
     here; the result then claims a lower side it does not have.
     """
-    if g.n == 0:
-        raise ValueError("empty graph")
     state = _SearchState(budget)
     full = g.full_mask()
     inst = _CoverInstance(full, [g.closed(v) for v in range(g.n)], full, g.factors)
@@ -716,8 +712,6 @@ def gamma_total_exact(
     first, or half of it, rounded up, the one cover searched under
     _side_symmetry.
     """
-    if g.n == 0:
-        raise ValueError("empty graph")
     for v in range(g.n):
         if g.adj[v] == 0:
             raise NoTotalDominationError(f"vertex {v} is isolated")
@@ -911,8 +905,6 @@ def gamma_upper_exact(
     claim is trusted unchecked.
     """
     n = g.n
-    if n == 0:
-        raise ValueError("empty graph")
     state = _SearchState(budget)
     adj = g.adj
     closed = [g.closed(v) for v in range(n)]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, prod
 
 from .graphs import (
@@ -45,7 +46,7 @@ from .graphs import (
     ucg_product_spec,
     ucg_residues,
 )
-from .numbertheory import crt_solve, factorize, is_prime, jacobsthal, primes_from
+from .numbertheory import crt_solve, is_prime, jacobsthal, primes_from
 from .solvers import (
     Budget,
     SolveResult,
@@ -115,7 +116,6 @@ class WitnessN:
     y: int
     z: int
     run_length: int
-    a_sequence: tuple[int, ...]
     g_lower: int
     verified: bool
 
@@ -204,10 +204,14 @@ def consecutive_residue_set(n: int) -> ConstructionResult:
     return ConstructionResult(f"ucg:{n}", dset, _KIND["gamma_total"], verified)
 
 
-def _checked(spec: ProductSpec, dset, quantity: str, name: str) -> ConstructionResult:
-    """Check dset for `quantity` on the product (spec is in canonical
+def _checked(spec: ProductSpec, coords, quantity: str, name: str) -> ConstructionResult:
+    """Number the coordinate tuples of a construction's vertices, sorted,
+    and check the set for `quantity` on the product (spec is in canonical
     order); a construction that fails it is a bug, not an input error."""
-    if not certifies(Descriptor("spec", spec=spec), quantity, dset):
+    desc = Descriptor("spec", spec=spec)
+    desc.n_vertices  # the cap, before numbering the set
+    dset = tuple(sorted(spec.index(c) for c in coords))
+    if not certifies(desc, quantity, dset):
         raise InternalConsistencyError(f"{name} failed its checker")
     return ConstructionResult(spec.descriptor(), dset, _KIND[quantity], True)
 
@@ -231,10 +235,8 @@ def diagonal_set(spec: ProductSpec, m: int = 0) -> ConstructionResult:
         )
     if t + m >= bs[1]:
         raise ValueError(f"hypothesis t+m < n_2 fails: {t}+{m} >= {bs[1]}")
-    dset = tuple(
-        sorted(spec.index([r % b for b in bs]) for r in range(t + m + 1))
-    )
-    return _checked(spec, dset, "gamma_total", "diagonal set")
+    coords = [[r % b for b in bs] for r in range(t + m + 1)]
+    return _checked(spec, coords, "gamma_total", "diagonal set")
 
 
 def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
@@ -250,28 +252,25 @@ def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
         raise ValueError(f"need n_2 >= 3, got {bs[1]}")
     if bs[2] < t + 1:
         raise ValueError(f"need n_3 >= t+1 = {t + 1}, got n_3 = {bs[2]}")
-    vertices = [[r % b for b in bs] for r in range(t)]
-    vertices.append([0, 1] + [t] * (t - 2))
-    vertices.append([1, 0] + [t] * (t - 2))
-    dset = tuple(sorted(spec.index(v) for v in vertices))
-    return _checked(spec, dset, "gamma", "t+2 construction")
+    coords = [[r % b for b in bs] for r in range(t)]
+    coords.append([0, 1] + [t] * (t - 2))
+    coords.append([1, 0] + [t] * (t - 2))
+    return _checked(spec, coords, "gamma", "t+2 construction")
 
 
 _CORNERS3 = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+_CUBE_CORNERS = tuple((x,) + corner for x in (0, 1) for corner in _CORNERS3)
 
 
 def cube_corner_set(spec: ProductSpec) -> ConstructionResult:
-    """The 8-vertex dominating set {0,1} x {(0,0,0),(0,1,1),(1,0,1),(1,1,0)}
-    of K_2 x K_{n_2} x K_{n_3} x K_{n_4}."""
+    """The 8-vertex dominating set _CUBE_CORNERS = {0,1} x _CORNERS3 of
+    K_2 x K_{n_2} x K_{n_3} x K_{n_4}."""
     bs = _require_all_single(spec)
     if spec.t != 4:
         raise ValueError(f"need exactly 4 factors, got {spec.t}")
     if bs[0] != 2:
         raise ValueError(f"need n_1 = 2, got {bs[0]}")
-    dset = tuple(
-        sorted(spec.index((x,) + corner) for x in (0, 1) for corner in _CORNERS3)
-    )
-    return _checked(spec, dset, "gamma", "cube-corner set")
+    return _checked(spec, _CUBE_CORNERS, "gamma", "cube-corner set")
 
 
 def _four_corner_set(spec: ProductSpec) -> ConstructionResult:
@@ -281,8 +280,7 @@ def _four_corner_set(spec: ProductSpec) -> ConstructionResult:
     _require_all_single(spec)
     if spec.t != 3:
         raise ValueError(f"need exactly 3 factors, got {spec.t}")
-    dset = tuple(sorted(spec.index(corner) for corner in _CORNERS3))
-    return _checked(spec, dset, "gamma", "four-corner set")
+    return _checked(spec, _CORNERS3, "gamma", "four-corner set")
 
 
 def partite_column_set(spec: ProductSpec) -> ConstructionResult:
@@ -291,42 +289,37 @@ def partite_column_set(spec: ProductSpec) -> ConstructionResult:
     lonely)."""
     if not spec.canonical_order:
         raise ValueError("needs canonical factor order (b_1 minimal)")
-    n = Descriptor("spec", spec=spec).n_vertices  # the cap, before listing n/b_1 vertices
-    b1 = spec.factors[0].b
-    dset = tuple(v for v in range(n) if spec.coords(v)[0] % b1 == 0)
-    return _checked(spec, dset, "upper", "partite column")
+    first, *rest = spec.factors
+    coords = product(range(0, first.size, first.b), *(range(f.size) for f in rest))
+    return _checked(spec, coords, "upper", "partite column")
 
 
 # ==== piecewise formulas and single-theorem bounds ====
 
 
 def squarefree_gamma_value(n: int) -> int:
-    """gamma(X_n) for squarefree n with at most 3 prime factors:
+    """gamma(X_n) for squarefree n with at most 3 prime factors (eq. 7):
     1 for a prime, 2 when p_1 = 2 and omega = 2, 3 when p_1 > 2 and
-    omega = 2, and 4 when omega = 3."""
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac):
+    omega = 2, and 4 when omega = 3: by the CRT, the complete-product
+    value that gamma_bounds gives the product form ucg_product_spec(n)."""
+    spec = ucg_product_spec(n)  # omega = t, squarefree iff every a = 1
+    if any(f.a > 1 for f in spec.factors):
         raise ValueError(f"{n} is not squarefree")
-    w = len(fac)
-    if not 1 <= w <= 3:
-        raise ValueError(f"need 1 <= omega <= 3, got omega({n}) = {w}")
-    if w == 1:
-        return 1
-    if w == 2:
-        return 2 if fac[0][0] == 2 else 3
-    return 4
+    if spec.t > 3:
+        raise ValueError(f"need 1 <= omega <= 3, got omega({n}) = {spec.t}")
+    return gamma_bounds(spec).lo
 
 
 def repeated_factor_lower(n: int) -> int:
     """Lower bound ceil(p_1 * t / (p_1 - 1)) for gamma(X_n) when n is not
     squarefree and omega(n) <= 3."""
-    fac = factorize(n)
-    if all(e == 1 for _, e in fac):
+    spec = ucg_product_spec(n)  # omega = t, p_1 = b_1
+    if all(f.a == 1 for f in spec.factors):
         raise ValueError(f"{n} is squarefree")
-    if len(fac) > 3:
-        raise ValueError(f"need omega <= 3, got {len(fac)}")
-    p1 = fac[0][0]
-    return -(-(p1 * len(fac)) // (p1 - 1))
+    if spec.t > 3:
+        raise ValueError(f"need omega <= 3, got {spec.t}")
+    p1 = spec.factors[0].b
+    return -(-(p1 * spec.t) // (p1 - 1))
 
 
 def _diagonal_upper(bs: tuple[int, ...]) -> tuple[int, int] | None:
@@ -390,12 +383,12 @@ def gamma_bounds(spec: ProductSpec) -> BoundReport:
         lows.append((mult * sub.lo, "k2-factor-reduction"))
         his.append((mult * sub.hi, "k2-factor-reduction"))
 
-    # lower bounds for the complete-graph collapse transfer to blowups
+    # gamma of the complete-graph collapse, known for t <= 3; lower
+    # bounds for the collapse transfer to blowups
+    collapse_gamma = {2: 2 if bs[0] == 2 else 3, 3: 4}.get(t)
     collapse_tag = "complete-product" if all_single else "blowup-lower"
-    if t == 2:
-        lows.append((2 if bs[0] == 2 else 3, collapse_tag))
-    elif t == 3:
-        lows.append((4, collapse_tag))
+    if collapse_gamma is not None:
+        lows.append((collapse_gamma, collapse_tag))
     else:
         lows.append((t + 1, collapse_tag))
         if bs[1] >= 3:
@@ -413,10 +406,8 @@ def gamma_bounds(spec: ProductSpec) -> BoundReport:
         his.append((diag[0], "diagonal-total"))
 
     if all_single:
-        if t == 2:
-            his.append((2 if bs[0] == 2 else 3, "complete-product"))
-        elif t == 3:
-            his.append((4, "complete-product"))
+        if collapse_gamma is not None:
+            his.append((collapse_gamma, "complete-product"))
         else:
             if bs[0] >= t + 1:
                 his.append((t + 1, "complete-product"))
@@ -434,19 +425,17 @@ def gamma_bounds(spec: ProductSpec) -> BoundReport:
 def ucg_gamma_bounds(n: int) -> BoundReport:
     """Interval for gamma(X_n), combining the product-form bounds with
     the unitary-Cayley-specific results."""
-    base = gamma_bounds(ucg_product_spec(n))  # rejects n < 2 before factorize
-    fac = factorize(n)
-    w = len(fac)
-    squarefree = all(e == 1 for _, e in fac)
+    spec = ucg_product_spec(n)  # omega = t, squarefree iff every a = 1
+    base = gamma_bounds(spec)
+    squarefree = all(f.a == 1 for f in spec.factors)
     lows = [(base.lo, tag) for tag, _ in _side(base, "lo")]
     his = [(base.hi, tag) for tag, _ in _side(base, "hi")]
     g = jacobsthal(n)
     his.append((g, "consecutive-run"))
-    if squarefree and w <= 3:
-        v = squarefree_gamma_value(n)
-        lows.append((v, "squarefree-small-omega"))
-        his.append((v, "squarefree-small-omega"))
-    if not squarefree and w <= 3:
+    if squarefree and spec.t <= 3:  # eq. (7) is the product form's value
+        lows.append((base.lo, "squarefree-small-omega"))
+        his.append((base.lo, "squarefree-small-omega"))
+    if not squarefree and spec.t <= 3:
         lows.append((g, "nonsquarefree-jacobsthal-exact"))
         his.append((g, "nonsquarefree-jacobsthal-exact"))
         lows.append((repeated_factor_lower(n), "repeated-factor-lower"))
@@ -501,7 +490,7 @@ def conjecture_check(spec: ProductSpec, budget: Budget | None = None) -> Conject
     """Compare the exact upper domination number against the conjectured
     value n/b_1.  agrees is None when the search ran out of budget."""
     spec = spec.canonical()
-    conjectured = spec.n_vertices // spec.factors[0].b
+    conjectured = upper_bounds(spec).lo  # the partite column, n/b_1
     graph = product_spec_graph(spec)
     result = gamma_upper_exact(graph, budget)
     agrees = (result.value == conjectured) if result.optimal else None
@@ -699,7 +688,7 @@ def mt_witness(j: int) -> WitnessN:
     )
     return WitnessN(
         n=n, q=q, k=k, primes=primes, D=dset, y=y, z=z,
-        run_length=q + 3, a_sequence=tuple(a_seq), g_lower=q + 4,
+        run_length=q + 3, g_lower=q + 4,
         verified=verified,
     )
 
@@ -727,7 +716,7 @@ def m_family_witness(family: int, p1: int, p2: int) -> MWitness:
             raise ValueError(f"family 2 needs 5 <= p1 < p2, got ({p1}, {p2})")
         moduli = (2, 3, p1, p2)
         run_length = 9
-        corners = tuple((b,) + c for b in (0, 1) for c in _CORNERS3)
+        corners = _CUBE_CORNERS
     # x = 0 (mod 2), and x + 2i - 1 = 0 modulo the i-th odd modulus
     x = crt_solve([(0, 2)] + [(1 - 2 * i, m) for i, m in enumerate(moduli[1:], 1)]).residue
     n = prod(moduli)

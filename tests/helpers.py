@@ -17,6 +17,7 @@ from domprod import (
     is_dominating,
     is_minimal_dominating,
     is_total_dominating,
+    product_spec_graph,
 )
 
 ORACLE_CAP = {"gamma": 20, "gamma_total": 20, "upper": 16}
@@ -41,8 +42,6 @@ def gamma_oracle(g: Graph, kind: str = "gamma") -> SolveResult:
         raise ValueError(f"unknown oracle kind {kind!r}")
     if g.n > ORACLE_CAP[kind]:
         raise OracleCapError(f"{g.n} vertices exceeds oracle cap {ORACLE_CAP[kind]}")
-    if g.n == 0:
-        raise ValueError("empty graph")
     if kind == "gamma_total" and any(a == 0 for a in g.adj):
         raise NoTotalDominationError("graph has an isolated vertex")
     check = _ORACLE_CHECK[kind]
@@ -65,6 +64,12 @@ def random_graph(rng, n: int, p: float | None = None) -> Graph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     return Graph(adj)
+
+
+def multipartite(a: int, b: int) -> Graph:
+    """K[a,b] on vertices 0..ab-1, with its Graph.factors; x ~ y iff x
+    and y differ mod b, so the partite sets are the residue classes mod b."""
+    return product_spec_graph(ProductSpec.from_pairs([(a, b)]))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

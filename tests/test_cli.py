@@ -95,10 +95,11 @@ def test_bad_descriptor_exits_2(capsys):
     ("construct", "consecutive", "99999999999"),
     ("jacobsthal", "99999999999"),
 ])
-def test_jacobsthal_radical_limit_exits_2(capsys, argv):
-    # g(n) of this n would need masks of 33,333,333,333 bits
+def test_jacobsthal_radical_limit_exits_3(capsys, argv):
+    # g(n) of this n would need masks of 33,333,333,333 bits: a resource
+    # cap on valid input, not bad input
     code, out, err = run(capsys, *argv)
-    assert code == EXIT_BAD_INPUT and "radical" in err and out == ""
+    assert code == EXIT_CAP and "radical" in err and out == ""
 
 
 def test_vertex_cap_exits_3(capsys):
@@ -707,8 +708,12 @@ def test_records_keep_their_fields(capsys):
 # Exact stdout, stderr and exit code, with elapsed_ms blanked: a changed
 # value or a reordered provenance entry fails here, not only a changed key.
 # The cases cover the X_n product form, its K_2 split and repeated-factor
-# bound, each construction's kind, the Theorem 6 and Proposition 1
-# witnesses, the conjecture on X_n, and bad input.
+# bound, each construction's kind and numbering (a blowup first factor's
+# partite column among them), the order of the complete-product and
+# diagonal sides, a product-form construction lifted to X_n, the Theorem 6
+# witness on both sides of the vertex cap and the Proposition 1
+# witnesses, the conjecture on X_n, a reproduction suite, bad input, and
+# the radical cap.
 _PINNED = [
     (
         ["bounds", "ucg:12"],
@@ -776,6 +781,57 @@ _PINNED = [
         "", EXIT_OK,
     ),
     (
+        ["construct", "t-plus-two", "K[1,4]xK[1,4]xK[1,5]xK[1,5]"],
+        '{"construction": "t-plus-two", "descriptor": "K[1,4]xK[1,4]xK[1,5]xK[1,5]", '
+        '"kind": "dominating", "size": 6, "tool_version": "0.1.0", "verified": true, '
+        '"vertex_set": [0, 49, 124, 131, 262, 393]}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["construct", "cube-corner", "K[1,2]xK[1,3]xK[1,5]xK[1,7]"],
+        '{"construction": "cube-corner", "descriptor": "K[1,2]xK[1,3]xK[1,5]xK[1,7]", '
+        '"kind": "dominating", "size": 8, "tool_version": "0.1.0", "verified": true, '
+        '"vertex_set": [0, 8, 36, 42, 105, 113, 141, 147]}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["construct", "partite-column", "K[2,2]xK[1,3]"],
+        '{"construction": "partite-column", "descriptor": "K[2,2]xK[1,3]", '
+        '"kind": "minimal_dominating", "size": 6, "tool_version": "0.1.0", '
+        '"verified": true, "vertex_set": [0, 1, 2, 6, 7, 8]}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["bounds", "K[1,4]xK[1,5]xK[1,7]"],
+        '{"conjectured": null, "descriptor": "K[1,4]xK[1,5]xK[1,7]", "exact": true, '
+        '"hi": 4, "lo": 4, "provenance": [["trivial", "lo 1"], ["complete-product", '
+        '"lo 4"], ["all-vertices", "hi 140"], ["diagonal-total", "hi 4"], '
+        '["complete-product", "hi 4"]], "quantity": "gamma", "tool_version": "0.1.0"}\n'
+        '{"conjectured": null, "descriptor": "K[1,4]xK[1,5]xK[1,7]", "exact": true, '
+        '"hi": 35, "lo": 35, "provenance": [["partite-column", "lo 35"], '
+        '["three-factor-exact", "hi 35"]], "quantity": "upper", "tool_version": "0.1.0"}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["bounds", "K[1,3]xK[2,3]"],
+        '{"conjectured": null, "descriptor": "K[1,3]xK[2,3]", "exact": false, '
+        '"hi": 18, "lo": 3, "provenance": [["trivial", "lo 1"], ["blowup-lower", '
+        '"lo 3"], ["all-vertices", "hi 18"]], "quantity": "gamma", '
+        '"tool_version": "0.1.0"}\n{"conjectured": null, "descriptor": "K[1,3]xK[2,3]", '
+        '"exact": true, "hi": 6, "lo": 6, "provenance": [["partite-column", "lo 6"], '
+        '["few-factor-exact", "hi 6"]], "quantity": "upper", "tool_version": "0.1.0"}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["solve", "gamma", "ucg:105", "--no-cache"],
+        '{"descriptor": "ucg:105", "elapsed_ms": 0, "hi": 4, "lo": 4, "method": "theorem", '
+        '"nodes": 0, "optimal": true, "provenance": [["complete-product", "lo 4"], '
+        '["squarefree-small-omega", "lo 4"], ["four-corner", "hi 4"]], '
+        '"quantity": "gamma", "tool_version": "0.1.0", "value": 4, '
+        '"witness": [0, 36, 85, 91]}\n',
+        "", EXIT_OK,
+    ),
+    (
         ["construct", "consecutive", "30"],
         '{"construction": "consecutive", "descriptor": "ucg:30", '
         '"kind": "total_dominating", "size": 6, "tool_version": "0.1.0", '
@@ -788,6 +844,15 @@ _PINNED = [
         '"n": 969969, "primes": [11, 13, 17, 19], "q": 7, "run_length": 10, '
         '"size": 10, "tool_version": "0.1.0", "verified": true, "witness": "thm6", '
         '"y": 646645, "z": 913779}\n',
+        "", EXIT_OK,
+    ),
+    (
+        ["witness", "thm6", "--j", "8"],
+        '{"D": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 11327066088025], '
+        '"g_lower": 17, "j": 8, "k": 8, "n": 16990599132039, "primes": [17, 19, 23, '
+        '29, 31, 37, 41, 43], "q": 13, "run_length": 16, "size": 16, '
+        '"tool_version": "0.1.0", "verified": false, "witness": "thm6", '
+        '"y": 11327066088025, "z": 8836739828058}\n',
         "", EXIT_OK,
     ),
     (
@@ -813,6 +878,14 @@ _PINNED = [
         "", EXIT_OK,
     ),
     (
+        ["reproduce", "thm1", "--max", "3"],
+        'descriptor,formula,solver,match\r\n"K[1,2]xK[1,2]",2,2,yes\r\n'
+        '"K[1,2]xK[1,2]xK[1,2]",4,4,yes\r\n"K[1,2]xK[1,2]xK[1,3]",4,4,yes\r\n'
+        '"K[1,2]xK[1,3]",2,2,yes\r\n"K[1,2]xK[1,3]xK[1,3]",4,4,yes\r\n'
+        '"K[1,3]xK[1,3]",3,3,yes\r\n"K[1,3]xK[1,3]xK[1,3]",4,4,yes\r\n',
+        "", EXIT_OK,
+    ),
+    (
         ["solve", "gamma", "K[1,1]"],
         "",
         "error: bad factor 'K[1,1]': need at least 2 partite sets, got 1\n", EXIT_BAD_INPUT,
@@ -821,6 +894,11 @@ _PINNED = [
         ["construct", "t-plus-two", "K[1,3]xK[1,3]"],
         "",
         "error: need at least 4 factors, got 2\n", EXIT_BAD_INPUT,
+    ),
+    (
+        ["jacobsthal", "100000007"],
+        "",
+        "error: jacobsthal(100000007): radical 100000007 exceeds 100000000\n", EXIT_CAP,
     ),
 ]
 

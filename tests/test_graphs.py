@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -12,7 +13,6 @@ from domprod import (
     Graph,
     ProductSpec,
     factorize,
-    multipartite,
     product_spec_graph,
     ucg_product_spec,
     unitary_cayley,
@@ -25,6 +25,7 @@ from domprod.numbertheory import periodic_mask
 from helpers import (
     clique_partition,
     disjoint_union,
+    multipartite,
     random_bipartite_graph,
     random_graph,
     random_spec,
@@ -41,6 +42,12 @@ def test_graph_accessors():
     assert sum(a.bit_count() for a in g.adj) // 2 == 6
     assert list(iter_bits(g.adj[0])) == [1, 2, 3]
     assert g.closed(1) == g.full_mask()
+
+
+def test_graph_rejects_empty_adjacency():
+    # the one check that the solvers and the oracle rely on
+    with pytest.raises(ValueError, match="empty graph"):
+        Graph([])
 
 
 def test_disjoint_union():
@@ -201,6 +208,21 @@ def test_spec_canonical_order():
     assert canon.t == 3
 
 
+def test_canonical_order_is_the_sorted_key_order():
+    # canonical order means the (b, a) keys ascend, ties included
+    rng = random.Random(25)
+    seen = Counter()
+    for _ in range(200):
+        factors = list(random_spec(rng, 200).factors)
+        rng.shuffle(factors)
+        spec = ProductSpec(tuple(factors))
+        keys = [(f.b, f.a) for f in spec.factors]
+        want = keys == sorted(keys)
+        assert spec.canonical_order == want, spec
+        seen[want] += 1
+    assert seen[True] and seen[False]
+
+
 def test_vertex_cap():
     with pytest.raises(CapExceededError):
         unitary_cayley(3_000_000)
@@ -252,6 +274,13 @@ def test_unitary_cayley_adjacency_rule():
         for _ in range(200):
             u, v = rng.randrange(n), rng.randrange(n)
             assert g.adj[u] >> v & 1 == (gcd(u - v, n) == 1), (n, u, v)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_unitary_cayley_needs_n_at_least_2(n):
+    # the product form's check, made before any row is built
+    with pytest.raises(ValueError, match="n >= 2"):
+        unitary_cayley(n)
 
 
 def test_ucg_product_spec():

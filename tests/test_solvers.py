@@ -16,7 +16,6 @@ from domprod import (
     is_dominating,
     is_minimal_dominating,
     is_total_dominating,
-    multipartite,
     product_spec_graph,
     unitary_cayley,
 )
@@ -43,6 +42,7 @@ from helpers import (
     disjoint_union,
     gamma_oracle,
     minimality_by_deletion,
+    multipartite,
     random_bipartite_graph,
     random_graph,
     shrink_to_minimal,

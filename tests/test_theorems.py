@@ -101,6 +101,13 @@ def test_repeated_factor_lower():
         repeated_factor_lower(2 * 2 * 3 * 5 * 7)  # omega = 4
 
 
+@pytest.mark.parametrize("formula", [squarefree_gamma_value, repeated_factor_lower])
+def test_ucg_formulas_need_n_at_least_2(formula):
+    # X_1 has no product form: the check is ucg_product_spec's
+    with pytest.raises(ValueError, match="n >= 2"):
+        formula(1)
+
+
 # ==== CONSTRUCTIONS ====
 
 
@@ -193,6 +200,14 @@ def test_partite_column_set():
     assert partite_column_set(ProductSpec.from_pairs([(1, 2)])).vertex_set == (0,)
     r = partite_column_set(ProductSpec.from_pairs([(2, 2), (1, 3)]))
     assert len(r.vertex_set) == 6 and r.verified
+
+
+def test_partite_column_is_partite_set_0_of_the_first_factor():
+    for pairs in _enum_small_specs(60, 4):
+        spec = ProductSpec.from_pairs(pairs)
+        b1 = spec.factors[0].b
+        want = tuple(v for v in range(spec.n_vertices) if spec.coords(v)[0] % b1 == 0)
+        assert partite_column_set(spec).vertex_set == want, pairs
 
 
 # ==== BOUND COMPOSITION ====
