@@ -56,17 +56,25 @@ Symmetry comes only from Graph.factors, which only builders set: the
 graph is a product of balanced complete multipartite factors, so every
 product of per-factor residue permutations that keep partite sets
 together is an automorphism, and so is every swap of two factors with
-equal (size, b).  _orbit_key names the orbits of the pointwise
-stabilizers of this whole group by a canonical form read off the fixed
-vertices' residue columns, without listing any group element.  Such a
-graph is vertex-transitive, so for all three invariants some optimal
-set contains vertex 0: each
+equal (size, b).  _orbit_mask gives the orbit of a vertex under the
+pointwise stabilizer of a set of fixed vertices as a vertex mask: per
+factor, the residues that the fixed vertices' residue columns do not
+tell apart, one periodic mask each, ANDed across factors and ORed over
+the ways to match equal factors, without listing any group element.  Such a graph is vertex-transitive, so for
+all three invariants some optimal set contains vertex 0: each
 decision probe of gamma_exact and gamma_total_exact looks only for sets
 through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
-  - a probe skips, and bans, a branching candidate in the same orbit as
-    a refuted sibling under the stabilizer of the chosen vertices; an
-    automorphism fixing them maps its covers to the sibling's, of which
+  - a probe that refutes a sibling bans its whole orbit under the
+    stabilizer of the chosen vertices, as one mask (orbital fixing); an
+    automorphism fixing them maps the instance onto itself and covers
+    through an orbit mate onto covers through the sibling, of which
     there are none;
+  - a probe also bans, without a search, a later candidate j that
+    covers a subset of what a refuted sibling i covered of the
+    remaining elements (the set-cover subset rule, here against
+    refuted siblings only): swapping j for i in a cover through j
+    leaves a cover, of no more sets, through i, and there is none.
+    This rule needs no symmetry, so it prunes on every graph;
   - gamma_upper_exact, leaving vertex i out, also leaves out the later
     vertices in its orbit under the stabilizer of 0..i-1 (the "out"
     frame of i is pushed with them in its OUT); each set so
@@ -116,10 +124,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import permutations
+from math import prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import Graph, iter_bits
+from .numbertheory import periodic_mask
 
 DEFAULT_MAX_NODES = 10_000_000
 DEFAULT_TIME_LIMIT = 60.0
@@ -282,10 +293,10 @@ class _CoverInstance:
         self.factors = factors
 
 
-def _orbit_key(factors, fixed: Iterable[int]):
-    """Key function whose equal values are vertices in one orbit of the
-    pointwise stabilizer of `fixed` in the factor symmetry group, or
-    None when that stabilizer is trivial (every orbit is one vertex).
+def _orbit_mask(factors, fixed: Iterable[int], v: int) -> int | None:
+    """The orbit of v under the pointwise stabilizer of `fixed` in the
+    factor symmetry group, as a vertex mask, or None when that stabilizer
+    is trivial (every orbit is one vertex).
 
     An element of the group is a permutation sigma of factors with equal
     (size, b) (see Graph.factors) with one bijection h_i from the
@@ -297,38 +308,75 @@ def _orbit_key(factors, fixed: Iterable[int]):
     member iff each h_i maps the members' residues in factor i onto
     theirs in factor sigma[i]; such h_i exist iff the two patterns are
     equal, and then they can carry a residue to any residue of the same
-    entry.  So v and w lie in one orbit iff some class-preserving sigma
-    matches the (pattern, entry) pairs of v's factors to those of w's,
-    that is iff per class of equal factors the multisets of those pairs
-    agree; the key is those multisets, sorted.  Only the identity fixes
+    entry.  So w lies in v's orbit iff some class-preserving sigma
+    carries each factor's (pattern, entry) pair of v onto w's in the
+    image factor.  The residues with a given entry form one mask: the
+    residue of its member, the free residues of its member's partite
+    set, or those of the free partite sets.  With one factor in its
+    class, the orbit is the AND of those masks over factors; a class of
+    equal factors ORs the ANDs over the distinct ways to deal v's
+    entries to the factors of the same pattern.  Only the identity fixes
     every member when no entry has two residues and no two equal factors
     share a pattern.
     """
     fixed = list(fixed)
+    n = prod(size for _, size, _ in factors)
     patterns: dict[tuple, int] = {}  # pattern -> small int
-    classes: dict[tuple[int, int], list] = {}  # (size, b) -> its factors
+    classes: dict[tuple[int, int], dict] = {}  # (size, b) -> pattern -> factors
+    trivial = True
     for stride, size, b in factors:
-        column = [v // stride % size for v in fixed]
+        column = [w // stride % size for w in fixed]
         first, first_set = {}, {}  # residue, partite set -> first member in it
         for m, r in enumerate(column):
             first.setdefault(r, m)
             first_set.setdefault(r % b, m)
-        table = [(first.get(r, -1), first_set.get(r % b, -1)) for r in range(size)]
-        pid = patterns.setdefault(tuple(table[r] for r in column), len(patterns))
-        classes.setdefault((size, b), []).append((stride, size, pid, table))
-    groups = list(classes.values())
-    if all(len({pid for _, _, pid, _ in g}) == len(g)
-           and all(len(set(table)) == size for _, size, _, table in g) for g in groups):
+        pattern = tuple((first[r], first_set[r % b]) for r in column)
+        group = classes.setdefault((size, b), {}).setdefault(
+            patterns.setdefault(pattern, len(patterns)), [])
+        group.append((stride, size, b, column, first, first_set))
+        # an entry names two residues when a partite set has two free ones
+        # or the free partite sets hold two residues in all
+        a = size // b
+        taken = [0] * b
+        for r in first:
+            taken[r % b] += 1
+        trivial &= len(group) == 1 and (b - len(first_set)) * a <= 1 and all(
+            a - taken[c] <= 1 for c in first_set)
+    if trivial:
         return None
 
-    def key(v: int) -> tuple:
-        return tuple(
-            tuple(sorted([(pid, table[v // stride % size])
-                          for stride, size, pid, table in group]))
-            for group in groups
-        )
+    def residues(factor, entry: tuple[int, int]) -> int:
+        # the vertices whose residue in factor has this entry
+        stride, size, b, column, first, first_set = factor
+        m, m_set = entry
+        if m >= 0:
+            rs = [column[m]]
+        elif m_set >= 0:
+            rs = [r for r in range(column[m_set] % b, size, b) if r not in first]
+        else:
+            rs = [r for r in range(size) if r % b not in first_set]
+        block = (1 << stride) - 1
+        return periodic_mask(sum(block << r * stride for r in rs), stride * size, n)
 
-    return key
+    def entry(factor) -> tuple[int, int]:
+        stride, size, b, _, first, first_set = factor
+        r = v // stride % size
+        return first.get(r, -1), first_set.get(r % b, -1)
+
+    orbit = (1 << n) - 1
+    for by_pattern in classes.values():
+        for group in by_pattern.values():
+            if len(group) == 1:
+                orbit &= residues(group[0], entry(group[0]))
+                continue
+            union = 0
+            for dealt in set(permutations(map(entry, group))):
+                part = orbit
+                for factor, e in zip(group, dealt):
+                    part &= residues(factor, e)
+                union |= part
+            orbit = union
+    return orbit
 
 
 def _greedy_cover(inst: _CoverInstance, state: _SearchState) -> list[int]:
@@ -363,11 +411,20 @@ def _exists_cover(
     the universe, or prove none exist.  Exact decision search.
 
     A position is banned at a node once no cover of at most k sets
-    contains it together with the node's chosen positions.  With
-    inst.factors, a candidate in the same orbit as a refuted sibling
-    under the pointwise stabilizer of the chosen positions is banned
-    without a search: an automorphism fixing them maps its covers onto
-    the sibling's, and the sibling has none.
+    contains it together with the node's chosen positions; so a child
+    that finds no cover avoiding the banned positions proves that none
+    goes through its candidate at all.  Two rules ban positions without
+    a search.  A candidate j whose covers[j] & remaining is a subset of
+    a refuted sibling i's is banned: a cover through j, with j replaced
+    by i, still covers remaining, with no more sets.  Only the node's
+    own siblings are compared; comparing with every banned position
+    saves few nodes and costs more than it saves.  With inst.factors, a
+    refuted sibling's whole orbit under the pointwise stabilizer of the
+    chosen positions is banned among the allowed ones: an automorphism
+    fixing them keeps the universe and the allowed set, and maps covers
+    through an orbit mate onto covers through the sibling, which has
+    none.  The orbit mask is built only when a sibling is refuted, and
+    a trivial stabilizer stops it below the node: children fix more.
     """
     covers = inst.covers
     allowed = inst.allowed
@@ -420,21 +477,25 @@ def _exists_cover(
         order = sorted(
             iter_bits(best_cands), key=lambda i: -(covers[i] & remaining).bit_count()
         )
-        # a trivial stabilizer stays trivial below: children fix more
-        key = None if factors is None else _orbit_key(factors, chosen)
-        if key is None:
-            factors = None
-        refuted = set()  # orbit keys of the refuted siblings
+        refuted = []  # what each refuted sibling covers of remaining
         for i in order:
-            if refuted and key(i) in refuted:
-                banned |= 1 << i
+            if banned >> i & 1:  # in the orbit of a refuted sibling
+                continue
+            mine = covers[i] & remaining
+            if any(mine & ~gain == 0 for gain in refuted):
+                banned |= 1 << i  # dominated by a refuted sibling
                 continue
             res = rec(remaining & ~covers[i], banned, k - 1, chosen + [i], factors)
             if res is not None:
                 return res
             banned |= 1 << i  # anything through i is now fully refuted
-            if key is not None:
-                refuted.add(key(i))
+            refuted.append(mine)
+            if factors is not None:
+                orbit = _orbit_mask(factors, chosen, i)
+                if orbit is None:  # a trivial stabilizer stays trivial below
+                    factors = None
+                else:
+                    banned |= orbit & allowed
         return None
 
     remaining = inst.universe
@@ -475,8 +536,8 @@ def _max_cover_atleast(
     each pool is the root's less whole orbits of the stabilizers of its
     ancestors' chosen sets, and less the ancestors' chosen sets, so
     the stabilizer of C keeps it.  At the root, C is empty and the side
-    is one orbit, so the root's first refuted set ends it.  The keys
-    are built only when a node's first include fails."""
+    is one orbit, so the root's first refuted set ends it.  The orbit
+    masks are built only when an include fails."""
     if target <= 0:
         return True
     if count <= 0:
@@ -493,23 +554,18 @@ def _max_cover_atleast(
             return False
         ranked = sorted([((s & ~covered).bit_count(), s, v) for _, s, v in pool],
                         key=itemgetter(0))
-        keys = None  # the orbit keys of ranked, from the first refutation on
         while ranked:
             if base + sum(m for m, _, _ in ranked[-left:]) < target:
                 return False
             _, s, v = ranked.pop()
             if rec(ranked, chosen + [v], covered | s, left - 1, factors):
                 return True
-            if factors is not None and keys is None:
-                key = _orbit_key(factors, chosen)
-                if key is None:  # a trivial stabilizer stays trivial below
+            if factors is not None:
+                orbit = _orbit_mask(factors, chosen, v)
+                if orbit is None:  # a trivial stabilizer stays trivial below
                     factors = None
                 else:
-                    keys = [key(w) for _, _, w in ranked]
-            if keys is not None:
-                mine = key(v)
-                ranked = [e for e, k in zip(ranked, keys) if k != mine]
-                keys = [k for k in keys if k != mine]
+                    ranked = [e for e in ranked if not orbit >> e[2] & 1]
             if ranked:
                 state.tick()  # the node that excludes v, with its orbit
         return False
@@ -756,11 +812,8 @@ def _later_mates(g: Graph, idx: int) -> int:
     idx under an automorphism that fixes every earlier decision, so
     gamma_upper_exact, having searched idx in, may leave them out with
     idx."""
-    key = _orbit_key(g.factors, range(idx))
-    if key is None:
-        return 0
-    mine = key(idx)
-    return sum(1 << w for w in range(idx + 1, g.n) if key(w) == mine)
+    orbit = _orbit_mask(g.factors, range(idx), idx)
+    return 0 if orbit is None else orbit >> idx + 1 << idx + 1
 
 
 def _lex_generators(factors, n: int) -> list[list[tuple[int, int]]]:

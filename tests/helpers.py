@@ -8,6 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import Iterable
 
 from domprod import (
     Graph,
@@ -52,6 +53,49 @@ def gamma_oracle(g: Graph, kind: str = "gamma") -> SolveResult:
     # every graph has a minimal dominating set, and without isolated
     # vertices V itself totally dominates
     raise AssertionError("unreachable")
+
+
+def orbit_key(factors, fixed: Iterable[int]):
+    """Key function whose equal values are vertices in one orbit of the
+    pointwise stabilizer of `fixed` in the factor symmetry group, or
+    None when that stabilizer is trivial (every orbit is one vertex); an
+    oracle for solvers._orbit_mask, which builds each orbit as a mask.
+
+    Per factor, each residue has an entry: the first member of `fixed`
+    with that residue and the first in its partite set, -1 for none.
+    The factor's pattern is the entries of the members' residues, in
+    member order.  An element of the group fixes every member iff it
+    maps each factor's members' residues onto theirs in the image
+    factor; that needs equal patterns, and then a residue can go to any
+    residue of the same entry.  So v and w lie in one orbit iff per
+    class of equal (size, b) factors the multisets of their (pattern,
+    entry) pairs agree; the key is those multisets, sorted.
+    """
+    fixed = list(fixed)
+    patterns: dict[tuple, int] = {}  # pattern -> small int
+    classes: dict[tuple[int, int], list] = {}  # (size, b) -> its factors
+    for stride, size, b in factors:
+        column = [v // stride % size for v in fixed]
+        first, first_set = {}, {}  # residue, partite set -> first member in it
+        for m, r in enumerate(column):
+            first.setdefault(r, m)
+            first_set.setdefault(r % b, m)
+        table = [(first.get(r, -1), first_set.get(r % b, -1)) for r in range(size)]
+        pid = patterns.setdefault(tuple(table[r] for r in column), len(patterns))
+        classes.setdefault((size, b), []).append((stride, size, pid, table))
+    groups = list(classes.values())
+    if all(len({pid for _, _, pid, _ in g}) == len(g)
+           and all(len(set(table)) == size for _, size, _, table in g) for g in groups):
+        return None
+
+    def key(v: int) -> tuple:
+        return tuple(
+            tuple(sorted([(pid, table[v // stride % size])
+                          for stride, size, pid, table in group]))
+            for group in groups
+        )
+
+    return key
 
 
 def random_graph(rng, n: int, p: float | None = None) -> Graph:
