@@ -13,12 +13,11 @@ A cover instance is the graph's adjacency itself: set positions are
 vertex ids, a mask says which vertices may be chosen, and because
 closed and open adjacency are symmetric, the sets containing element e
 are just row e masked to the allowed vertices.  So setup costs O(n)
-bigint operations and witnesses need no translation.  On bipartite
-graphs two shortcuts apply: total domination splits into two
-independent one-sided covers (side B covered by rows of side A, and the
-reverse), and a domination refutation can often dismiss all ways of
-splitting k vertices across the two sides by max-coverage counting, far
-faster than raw branching.
+bigint operations and witnesses need no translation.  A bipartite graph
+has two one-sided covers (_halves: side B by rows of side A, and the
+reverse): total domination splits into them, and on them a domination
+refutation can often dismiss all ways of splitting k vertices across
+the two sides by max-coverage counting, far faster than raw branching.
 
 gamma_upper_exact maximizes |D| over minimal dominating sets with an
 in/out search in index order.  Each time a vertex joins IN, the
@@ -56,12 +55,14 @@ Symmetry comes only from Graph.factors, which only builders set: the
 graph is a product of balanced complete multipartite factors, so every
 product of per-factor residue permutations that keep partite sets
 together is an automorphism, and so is every swap of two factors with
-equal (size, b).  _orbit_mask gives the orbit of a vertex under the
-pointwise stabilizer of a set of fixed vertices as a vertex mask: per
+equal (size, b).  _stabilizer(factors, fixed) gives the orbits of the
+pointwise stabilizer of a set of fixed vertices as vertex masks: per
 factor, the residues that the fixed vertices' residue columns do not
 tell apart, one periodic mask each, ANDed across factors and ORed over
-the ways to match equal factors, without listing any group element.  Such a graph is vertex-transitive, so for
-all three invariants some optimal set contains vertex 0: each
+the ways to match equal factors, without listing any group element; a
+search node builds it once and asks it for every refuted sibling.  Such
+a graph is vertex-transitive, so for all three invariants some optimal
+set contains vertex 0: each
 decision probe of gamma_exact and gamma_total_exact looks only for sets
 through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
   - a probe that refutes a sibling bans its whole orbit under the
@@ -99,13 +100,13 @@ through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
     sets in decreasing order, so each set it records beats the best so
     far and is met before any smaller member of its orbit: it is the
     largest one.  So the test never drops a set the search records.
-When exactly one factor has b = 2 (_side_symmetry), the graph is
-connected and bipartite, and the automorphisms that keep its two sides
-act transitively on each, while the swap of that factor's two partite
-sets exchanges the sides.  Then:
+When exactly one factor has b = 2, the graph is connected and
+bipartite, the automorphisms that keep its two sides act transitively
+on each, the swap of that factor's two partite sets exchanges the
+sides, and _halves gives both halves the factors.  Then:
   - gamma_total searches only the one-sided cover of side B, rooted at
     its first allowed vertex and orbit-pruned the same way; the cover of
-    side A is its image under the swap;
+    side A is its image under the swap, v -> v + stride;
   - the gamma refuter's max-coverage searches ban a refuted set's whole
     orbit under the stabilizer of the sets already chosen, at every
     depth (orbital fixing; at the root one side is one orbit, so the
@@ -278,8 +279,8 @@ class _CoverInstance:
     stabilizer of every allowed vertex.  So some minimum cover holds the
     first allowed position, and once it is chosen, an automorphism
     fixing the chosen positions maps covers to covers of the same size.
-    The whole graph qualifies, and so does the one-sided half of a
-    bipartite graph under _side_symmetry."""
+    The whole graph qualifies, and so does each half from _halves that
+    carries factors."""
 
     __slots__ = ("universe", "covers", "allowed", "positions", "factors")
 
@@ -293,10 +294,10 @@ class _CoverInstance:
         self.factors = factors
 
 
-def _orbit_mask(factors, fixed: Iterable[int], v: int) -> int | None:
-    """The orbit of v under the pointwise stabilizer of `fixed` in the
-    factor symmetry group, as a vertex mask, or None when that stabilizer
-    is trivial (every orbit is one vertex).
+def _stabilizer(factors, fixed: Iterable[int]):
+    """The pointwise stabilizer of `fixed` in the factor symmetry group,
+    or None when it is trivial (every orbit is one vertex): a function
+    from a vertex to its orbit mask, each residue mask built once.
 
     An element of the group is a permutation sigma of factors with equal
     (size, b) (see Graph.factors) with one bijection h_i from the
@@ -321,6 +322,7 @@ def _orbit_mask(factors, fixed: Iterable[int], v: int) -> int | None:
     """
     fixed = list(fixed)
     n = prod(size for _, size, _ in factors)
+    tables = []  # per factor: stride, size, b, column, first, first_set
     patterns: dict[tuple, int] = {}  # pattern -> small int
     classes: dict[tuple[int, int], dict] = {}  # (size, b) -> pattern -> factors
     trivial = True
@@ -333,7 +335,8 @@ def _orbit_mask(factors, fixed: Iterable[int], v: int) -> int | None:
         pattern = tuple((first[r], first_set[r % b]) for r in column)
         group = classes.setdefault((size, b), {}).setdefault(
             patterns.setdefault(pattern, len(patterns)), [])
-        group.append((stride, size, b, column, first, first_set))
+        group.append(len(tables))
+        tables.append((stride, size, b, column, first, first_set))
         # an entry names two residues when a partite set has two free ones
         # or the free partite sets hold two residues in all
         a = size // b
@@ -345,10 +348,10 @@ def _orbit_mask(factors, fixed: Iterable[int], v: int) -> int | None:
     if trivial:
         return None
 
-    def residues(factor, entry: tuple[int, int]) -> int:
-        # the vertices whose residue in factor has this entry
-        stride, size, b, column, first, first_set = factor
-        m, m_set = entry
+    @cache
+    def residues(i: int, m: int, m_set: int) -> int:
+        # the vertices whose residue in factor i has the entry (m, m_set)
+        stride, size, b, column, first, first_set = tables[i]
         if m >= 0:
             rs = [column[m]]
         elif m_set >= 0:
@@ -358,24 +361,27 @@ def _orbit_mask(factors, fixed: Iterable[int], v: int) -> int | None:
         block = (1 << stride) - 1
         return periodic_mask(sum(block << r * stride for r in rs), stride * size, n)
 
-    def entry(factor) -> tuple[int, int]:
-        stride, size, b, _, first, first_set = factor
-        r = v // stride % size
-        return first.get(r, -1), first_set.get(r % b, -1)
+    def orbit(v: int) -> int:
+        def entry(i: int) -> tuple[int, int]:
+            stride, size, b, _, first, first_set = tables[i]
+            r = v // stride % size
+            return first.get(r, -1), first_set.get(r % b, -1)
 
-    orbit = (1 << n) - 1
-    for by_pattern in classes.values():
-        for group in by_pattern.values():
-            if len(group) == 1:
-                orbit &= residues(group[0], entry(group[0]))
-                continue
-            union = 0
-            for dealt in set(permutations(map(entry, group))):
-                part = orbit
-                for factor, e in zip(group, dealt):
-                    part &= residues(factor, e)
-                union |= part
-            orbit = union
+        mask = (1 << n) - 1
+        for by_pattern in classes.values():
+            for group in by_pattern.values():
+                if len(group) == 1:
+                    mask &= residues(group[0], *entry(group[0]))
+                    continue
+                union = 0
+                for dealt in set(permutations(map(entry, group))):
+                    part = mask
+                    for i, e in zip(group, dealt):
+                        part &= residues(i, *e)
+                    union |= part
+                mask = union
+        return mask
+
     return orbit
 
 
@@ -404,11 +410,10 @@ def _greedy_cover(inst: _CoverInstance, state: _SearchState) -> list[int]:
     return chosen
 
 
-def _exists_cover(
-    inst: _CoverInstance, k: int, state: _SearchState, chosen: Sequence[int]
-) -> list[int] | None:
-    """Find set positions (at most k, starting with `chosen`) covering
-    the universe, or prove none exist.  Exact decision search.
+def _exists_cover(inst: _CoverInstance, k: int, state: _SearchState) -> list[int] | None:
+    """Find set positions (at most k) covering the universe, or prove
+    none exist.  Exact decision search.  With inst.factors some minimum
+    cover holds the first allowed position, so the search starts there.
 
     A position is banned at a node once no cover of at most k sets
     contains it together with the node's chosen positions; so a child
@@ -423,8 +428,10 @@ def _exists_cover(
     chosen positions is banned among the allowed ones: an automorphism
     fixing them keeps the universe and the allowed set, and maps covers
     through an orbit mate onto covers through the sibling, which has
-    none.  The orbit mask is built only when a sibling is refuted, and
-    a trivial stabilizer stops it below the node: children fix more.
+    none.  A node builds the stabilizer of its chosen positions once,
+    when its first sibling is refuted, and asks it for the orbit of
+    each refuted sibling; a trivial stabilizer stops the rule below the
+    node: children fix more.
     """
     covers = inst.covers
     allowed = inst.allowed
@@ -478,6 +485,7 @@ def _exists_cover(
             iter_bits(best_cands), key=lambda i: -(covers[i] & remaining).bit_count()
         )
         refuted = []  # what each refuted sibling covers of remaining
+        orbit = None  # the stabilizer of chosen, once a sibling is refuted
         for i in order:
             if banned >> i & 1:  # in the orbit of a refuted sibling
                 continue
@@ -491,30 +499,24 @@ def _exists_cover(
             banned |= 1 << i  # anything through i is now fully refuted
             refuted.append(mine)
             if factors is not None:
-                orbit = _orbit_mask(factors, chosen, i)
+                orbit = orbit or _stabilizer(factors, chosen)
                 if orbit is None:  # a trivial stabilizer stays trivial below
                     factors = None
                 else:
-                    banned |= orbit & allowed
+                    banned |= orbit(i) & allowed
         return None
 
-    remaining = inst.universe
-    for i in chosen:
-        remaining &= ~covers[i]
-    return rec(remaining, 0, k - len(chosen), list(chosen), inst.factors)
+    root = [] if inst.factors is None else positions[:1]
+    remaining = inst.universe & ~covers[root[0]] if root else inst.universe
+    return rec(remaining, 0, k - len(root), root, inst.factors)
 
 
 def _max_cover_atleast(
-    sets: Iterable[tuple[int, int]],
-    universe: int,
-    count: int,
-    target: int,
-    state: _SearchState,
-    factors=None,
+    inst: _CoverInstance, count: int, target: int, state: _SearchState
 ) -> bool:
-    """Can `count` of the sets cover at least `target` universe elements?
-    Exact include/exclude search with a top-marginal-sum bound.  sets
-    holds (vertex id, set) pairs.
+    """Can `count` of the instance's sets cover at least `target`
+    elements of its universe?  Exact include/exclude search with a
+    top-marginal-sum bound.
 
     A node ranks its pool by marginal gain over `covered` once.  It then
     walks down the ranking: each step includes the best set left (a
@@ -525,25 +527,25 @@ def _max_cover_atleast(
     depth is at most `count`.  A child gets the ranked pool as it is
     and ranks it again by its own marginals.
 
-    factors, when given, says that the sets are the neighbourhoods of
-    one side of a graph under _side_symmetry, and the universe is the
-    other side.  Then an exclude step drops the excluded set's whole
-    orbit under the pointwise stabilizer of the node's chosen vertices
-    C (orbital fixing).  Every automorphism that maps a vertex of one
-    side into that side keeps both sides, so it maps a selection
+    inst.factors, when set, says that inst is a half from _halves with
+    the factor symmetry.  Then an exclude step drops the excluded set's
+    whole orbit under the pointwise stabilizer of the node's chosen
+    vertices C (orbital fixing).  Every automorphism that maps a vertex
+    of one side into that side keeps both sides, so it maps a selection
     through an orbit mate onto one through the refuted set, with the
     same coverage.  That selection comes from the node's pool, too:
     each pool is the root's less whole orbits of the stabilizers of its
-    ancestors' chosen sets, and less the ancestors' chosen sets, so
-    the stabilizer of C keeps it.  At the root, C is empty and the side
-    is one orbit, so the root's first refuted set ends it.  The orbit
-    masks are built only when an include fails."""
+    ancestors' chosen sets, and less the ancestors' chosen sets, so the
+    stabilizer of C keeps it.  At the root, C is empty and the side is
+    one orbit, so the root's first refuted set ends it.  A node builds
+    the stabilizer of C once, when its first include fails."""
     if target <= 0:
         return True
     if count <= 0:
         return False
+    universe, covers = inst.universe, inst.covers
     # pool entries are (marginal, set, vertex); the root ranks its own
-    pool = [(0, s & universe, v) for v, s in sets if s & universe]
+    pool = [(0, covers[v] & universe, v) for v in inst.positions if covers[v] & universe]
 
     def rec(pool, chosen: list[int], covered: int, left: int, factors) -> bool:
         state.tick()
@@ -554,6 +556,7 @@ def _max_cover_atleast(
             return False
         ranked = sorted([((s & ~covered).bit_count(), s, v) for _, s, v in pool],
                         key=itemgetter(0))
+        orbit = None  # the stabilizer of chosen, once an include fails
         while ranked:
             if base + sum(m for m, _, _ in ranked[-left:]) < target:
                 return False
@@ -561,16 +564,17 @@ def _max_cover_atleast(
             if rec(ranked, chosen + [v], covered | s, left - 1, factors):
                 return True
             if factors is not None:
-                orbit = _orbit_mask(factors, chosen, v)
+                orbit = orbit or _stabilizer(factors, chosen)
                 if orbit is None:  # a trivial stabilizer stays trivial below
                     factors = None
                 else:
-                    ranked = [e for e in ranked if not orbit >> e[2] & 1]
+                    mates = orbit(v)
+                    ranked = [e for e in ranked if not mates >> e[2] & 1]
             if ranked:
                 state.tick()  # the node that excludes v, with its orbit
         return False
 
-    return rec(pool, [], 0, count, factors)
+    return rec(pool, [], 0, count, inst.factors)
 
 
 def _min_cover(
@@ -582,23 +586,20 @@ def _min_cover(
     finished exactly when the bound meets the cover's size.  The
     refuter, when not None, may prove "no k-cover" cheaply; returning False
     just falls through to the exact search.  floor is a lower bound the
-    caller has proven: it joins the counting bound, so the probes stop
-    there.  With inst.factors some minimum cover contains the first
-    allowed position, so each probe only searches the covers through it.
+    caller has proven: it joins the counting bound, where probes stop.
     """
     best = _greedy_cover(inst, state)
     maxgain = max(inst.covers[i].bit_count() for i in inst.positions)
     lb = max(-(-inst.universe.bit_count() // maxgain), floor)
     if state.expired():  # the greedy pass used up the time limit
         return best, lb
-    root = [] if inst.factors is None else inst.positions[:1]
     try:
         while len(best) > lb:
             k = len(best) - 1
             if refuter is not None and refuter(k):
                 lb = len(best)
                 break
-            found = _exists_cover(inst, k, state, root)
+            found = _exists_cover(inst, k, state)
             if found is None:
                 lb = len(best)
                 break
@@ -635,26 +636,30 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
     return side[0], side[1]
 
 
-def _side_symmetry(g: Graph):
-    """g.factors when its symmetry acts on each side of g's bipartition,
-    else None.
-
-    That holds when exactly one factor has b = 2.  The product is then
-    connected (Weichsel: a direct product of connected graphs is
-    connected when at most one of them is bipartite), so its bipartition
-    is unique: the partite sets of that factor.  Every automorphism keeps
-    or swaps the two sides, those that keep them act transitively on
-    each side, and the stabilizer of any vertex keeps them.  With two
-    such factors the product is disconnected, and its BFS sides need not
-    be unions of orbits.
+def _halves(g: Graph) -> tuple[_CoverInstance, _CoverInstance] | None:
+    """The two one-sided covers of a bipartite g, or None on an odd
+    cycle: with (A, B) = bipartition(g), B covered by the open rows of
+    A, then A by those of B.  They carry g.factors when exactly one
+    factor has b = 2.  The product is then connected (Weichsel: a direct
+    product of connected graphs is connected when at most one of them is
+    bipartite), so its bipartition is unique: the partite sets of that
+    factor, A those of even residue.  Every automorphism keeps or swaps
+    the sides, those that keep them act transitively on each, and the
+    stabilizer of any vertex keeps them, as _CoverInstance asks.  With
+    two such factors the product is disconnected, and its BFS sides need
+    not be unions of orbits.
     """
-    if g.factors is not None and sum(b == 2 for _, _, b in g.factors) == 1:
-        return g.factors
-    return None
+    sides = bipartition(g)
+    if sides is None:
+        return None
+    one = g.factors is not None and sum(f[2] == 2 for f in g.factors) == 1
+    factors = g.factors if one else None
+    a, b = sides
+    return _CoverInstance(b, g.adj, a, factors), _CoverInstance(a, g.adj, b, factors)
 
 
-def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchState):
-    """Closure proving "no dominating set of size k" on a bipartite graph.
+def _bipartite_gamma_refuter(halves, state: _SearchState):
+    """Closure proving gamma > k on a bipartite graph, from its _halves.
 
     A k-set splits i|j across the sides.  Side B is covered only by open
     neighborhoods from side A plus the j self-covered members, so when no
@@ -665,23 +670,20 @@ def _bipartite_gamma_refuter(g: Graph, sides: tuple[int, int], state: _SearchSta
     sets comes first: it is the likelier to fail, and a failure settles
     the split without the other.  Each max-coverage question (side,
     count, target) is searched once per closure, across splits and
-    probes.  Under _side_symmetry the searches fix orbits, and the swap
-    of the b = 2 factor's partite sets maps one side onto the other, so
-    both sides give the same answers and share them: the first question
-    of split i > k/2 is the first of split k - i, already answered.
+    probes.  When the halves carry factors the searches fix orbits, and
+    the swap of the b = 2 factor's partite sets maps one side onto the
+    other, so both sides share their answers: the first question of
+    split i > k/2 is the first of split k - i, already answered.
     """
-    factors = _side_symmetry(g)
-    halves = [([(v, g.adj[v]) for v in iter_bits(mine)], other,
-               other.bit_count()) for mine, other in (sides, sides[::-1])]
+    sizes = [inst.universe.bit_count() for inst in halves]
+    shared = halves[0].factors is not None
     memo: dict[tuple[int, int, int], bool] = {}
 
     def reaches(side: int, count: int, short: int) -> bool:
         # can `count` sets of this side cover all but `short` of the other
-        sets, universe, size = halves[side]
-        key = (side if factors is None else 0, count, size - short)
+        key = (0 if shared else side, count, sizes[side] - short)
         if key not in memo:
-            memo[key] = _max_cover_atleast(sets, universe, count, size - short,
-                                           state, factors)
+            memo[key] = _max_cover_atleast(halves[side], count, key[2], state)
         return memo[key]
 
     def refute(k: int) -> bool:
@@ -749,8 +751,8 @@ def gamma_exact(
     state = _SearchState(budget)
     full = g.full_mask()
     inst = _CoverInstance(full, [g.closed(v) for v in range(g.n)], full, g.factors)
-    sides = bipartition(g)
-    refuter = _bipartite_gamma_refuter(g, sides, state) if sides else None
+    halves = _halves(g)
+    refuter = _bipartite_gamma_refuter(halves, state) if halves else None
     return _solve_covers("gamma", "branch-and-bound", [(inst, refuter)], state, floor)
 
 
@@ -758,38 +760,36 @@ def gamma_total_exact(
     g: Graph, budget: Budget | None = None, *, floor: int = 0
 ) -> SolveResult:
     """Exact total domination number.  Errors on isolated vertices.  On
-    bipartite graphs the problem splits into two independent one-sided
-    covers, solved separately (method "reduction"); under _side_symmetry
-    the two are mirror images, so one is searched, with the factor
-    symmetry, and the other is its image.
+    bipartite graphs the problem splits into the two independent
+    one-sided covers of _halves, solved separately (method "reduction");
+    when they carry factors, the two are mirror images, so the cover of
+    side B is searched, with the factor symmetry, and that of side A is
+    its image.
 
     floor is a proven lower bound on gamma_t(g), as in gamma_exact; on a
     bipartite graph it reaches the second cover, less the size of the
-    first, or half of it, rounded up, the one cover searched under
-    _side_symmetry.
+    first, or half of it, rounded up, when the one cover is searched.
     """
     for v in range(g.n):
         if g.adj[v] == 0:
             raise NoTotalDominationError(f"vertex {v} is isolated")
     state = _SearchState(budget)
-    sides = bipartition(g)
-    if sides is None:
+    halves = _halves(g)
+    if halves is None:
         full = g.full_mask()
         return _solve_covers("gamma_total", "branch-and-bound",
                              [(_CoverInstance(full, g.adj, full, g.factors), None)],
                              state, floor)
-    mask_a, mask_b = sides
-    factors = _side_symmetry(g)
     # D-members on side A are the only open coverage side B can get
-    parts = [(_CoverInstance(mask_b, g.adj, mask_a, factors), None)]
-    if factors is None:
-        parts.append((_CoverInstance(mask_a, g.adj, mask_b), None))
+    parts = [(inst, None) for inst in halves]
+    if halves[0].factors is None:
         return _solve_covers("gamma_total", "reduction", parts, state, floor)
-    # the swap of the b = 2 factor's partite sets (residue c -> c ^ 1)
-    # maps side A onto side B and the half covering B onto the other
-    (stride, size, _), = [f for f in factors if f[2] == 2]
-    return _solve_covers("gamma_total", "reduction", parts, state, floor,
-                         lambda v: v + stride * (1 - 2 * (v // stride % size & 1)))
+    # the swap of the b = 2 factor's partite sets maps side A onto side B
+    # and the half covering B onto the other; on side A, of even residue c
+    # there, it is c -> c ^ 1 = c + 1: v -> v + stride (on X_n, v + 1)
+    (stride, _, _), = [f for f in halves[0].factors if f[2] == 2]
+    return _solve_covers("gamma_total", "reduction", parts[:1], state, floor,
+                         lambda v: v + stride)
 
 
 # ==== upper domination ====
@@ -812,8 +812,8 @@ def _later_mates(g: Graph, idx: int) -> int:
     idx under an automorphism that fixes every earlier decision, so
     gamma_upper_exact, having searched idx in, may leave them out with
     idx."""
-    orbit = _orbit_mask(g.factors, range(idx), idx)
-    return 0 if orbit is None else orbit >> idx + 1 << idx + 1
+    orbit = _stabilizer(g.factors, range(idx))
+    return 0 if orbit is None else orbit(idx) >> idx + 1 << idx + 1
 
 
 def _lex_generators(factors, n: int) -> list[list[tuple[int, int]]]:

@@ -59,7 +59,7 @@ def orbit_key(factors, fixed: Iterable[int]):
     """Key function whose equal values are vertices in one orbit of the
     pointwise stabilizer of `fixed` in the factor symmetry group, or
     None when that stabilizer is trivial (every orbit is one vertex); an
-    oracle for solvers._orbit_mask, which builds each orbit as a mask.
+    oracle for solvers._stabilizer, which gives each orbit as a mask.
 
     Per factor, each residue has an entry: the first member of `fixed`
     with that residue and the first in its partite set, -1 for none.

@@ -24,14 +24,15 @@ from domprod.cli import _enum_small_specs
 from domprod.graphs import Graph, iter_bits
 from domprod.solvers import (
     _bipartite_gamma_refuter,
+    _CoverInstance,
     _greedy_independent,
+    _halves,
     _join,
     _later_mates,
     _lex_generators,
     _max_cover_atleast,
-    _orbit_mask,
     _SearchState,
-    _side_symmetry,
+    _stabilizer,
     _unaddable,
     bipartition,
 )
@@ -145,6 +146,35 @@ def test_bipartition_matches_reference_coloring():
         assert bipartition(g) == want
         outcomes.add((want is None, any(a == 0 for a in adj)))
     assert len(outcomes) == 4  # bipartite or not, with or without isolated
+
+
+def test_halves_are_the_two_one_sided_covers():
+    # None exactly on an odd cycle; else side B covered by side A's rows,
+    # then A by B's, carrying the factors exactly when one factor has
+    # b = 2, and then x -> x + stride maps side A onto side B, which is
+    # what gamma_total_exact's mirror relies on
+    rng = random.Random(113)
+    graphs = [random_graph(rng, rng.randint(1, 14)) for _ in range(100)]
+    graphs += [random_bipartite_graph(rng, rng.randint(2, 14)) for _ in range(100)]
+    graphs += _orbit_graphs(48)
+    odd = split = mirrored = 0
+    for g in graphs:
+        halves = _halves(g)
+        if two_coloring(g) is None:
+            assert halves is None, g.adj
+            odd += 1
+            continue
+        a, b = bipartition(g)
+        assert [(h.universe, h.allowed, h.covers) for h in halves] == [
+            (b, a, g.adj), (a, b, g.adj)], g.adj
+        split += 1
+        one = g.factors is not None and sum(f[2] == 2 for f in g.factors) == 1
+        assert all(h.factors is (g.factors if one else None) for h in halves), g.factors
+        if one:
+            (stride, _, _), = [f for f in g.factors if f[2] == 2]
+            assert {v + stride for v in iter_bits(a)} == set(iter_bits(b)), g.factors
+            mirrored += 1
+    assert odd > 200 and split > 300 and mirrored > 100
 
 
 # ==== ORACLE ====
@@ -269,12 +299,12 @@ def test_solver_matches_oracle_on_small_specs():
         assert got.optimal and got.value == gamma_oracle(g, "gamma_total").value, desc
         assert is_total_dominating(g, got.witness)
         # a guarded bipartite split is rooted at vertex 0 on side 0
-        if _side_symmetry(g) is not None or got.method != "reduction":
+        if got.method != "reduction" or _halves(g)[0].factors is not None:
             assert 0 in got.witness, desc
         if sum(b == 2 for _, _, b in g.factors) >= 2:
             # two b = 2 factors make the product disconnected, so the
             # guard refuses it and both bipartite searches run unrooted
-            assert _side_symmetry(g) is None and got.method == "reduction", desc
+            assert got.method == "reduction" and _halves(g)[0].factors is None, desc
             reach, frontier = 0, 1
             while frontier:
                 reach |= frontier
@@ -487,12 +517,18 @@ def test_orbit_pruning_cuts_the_search():
 def test_node_counts_are_pinned():
     # exact counts, so a change that moves one fails here, not only in
     # CI's benchmark step; the first four sum to 387, the pinned
-    # search_nodes of perfbench's search-hard workload
+    # search_nodes of perfbench's search-hard workload.  The four after
+    # them take the bipartite paths: the gamma refuter with and without
+    # the factor symmetry, and the gamma_t split, mirrored and in two parts
     cases = [
         (gamma_upper_exact, "K[1,3]xK[1,3]xK[1,3]", 9, 287, is_minimal_dominating),
         (gamma_exact, "ucg:483", 4, 21, is_dominating),
         (gamma_exact, "K[1,2]xK[1,3]xK[1,5]xK[1,7]", 8, 67, is_dominating),
         (gamma_total_exact, "ucg:165", 5, 12, is_total_dominating),
+        (gamma_exact, "ucg:1260", 10, 116, is_dominating),
+        (gamma_total_exact, "ucg:1260", 10, 41, is_total_dominating),
+        (gamma_exact, "K[1,2]xK[1,2]xK[1,2]xK[2,3]", 16, 11_017, is_dominating),
+        (gamma_total_exact, "K[1,2]xK[1,2]xK[1,2]xK[2,3]", 16, 58, is_total_dominating),
         (gamma_upper_exact, "ucg:105", 35, 405, is_minimal_dominating),
         (gamma_upper_exact, "K[2,3]xK[1,3]xK[1,3]", 18, 1_739, is_minimal_dominating),
     ]
@@ -570,9 +606,9 @@ def test_orbit_key_matches_exact_stabilizer_orbits():
                 for x in range(g.n):
                     mates = {y for y in range(g.n) if keys[y] == keys[x]}
                     assert mates == orbit[x], (pairs, list(fixed), x)
+            stabilizer = _stabilizer(g.factors, fixed)
             for x in range(g.n):
-                mask = _orbit_mask(g.factors, fixed, x)
-                got = {x} if mask is None else set(iter_bits(mask))
+                got = {x} if stabilizer is None else set(iter_bits(stabilizer(x)))
                 assert got == orbit[x], (pairs, list(fixed), x)
             cases += 1
     assert cases > 450 and swapped > 500
@@ -582,10 +618,12 @@ def test_orbit_key_matches_exact_stabilizer_orbits():
         assert len(set(shapes)) == len(shapes), n
 
 
-def test_orbit_mask_matches_the_key_oracle():
-    # each mask is v's class under tests/helpers' orbit_key, and None
-    # exactly when the key reports a trivial stabilizer; the fixed sets
-    # are random samples and prefixes 0..idx-1, as the searches fix them
+def test_stabilizer_matches_the_key_oracle():
+    # one stabilizer per fixed set, asked for every vertex as a search
+    # node asks it for each refuted sibling: each mask is v's class under
+    # tests/helpers' orbit_key, and the stabilizer is None exactly when
+    # the key reports it trivial; the fixed sets are random samples and
+    # prefixes 0..idx-1, as the searches fix them
     rng = random.Random(107)
     graphs = _orbit_graphs(36) + [
         product_spec_graph(ProductSpec.from_pairs(pairs))
@@ -600,15 +638,15 @@ def test_orbit_mask_matches_the_key_oracle():
                       for _ in range(4)] + [range(rng.randrange(g.n))]
         for fixed in fixed_sets:
             key = orbit_key(g.factors, fixed)
-            for v in rng.sample(range(g.n), min(5, g.n)):
-                mask = _orbit_mask(g.factors, fixed, v)
-                if key is None:
-                    assert mask is None, (g.factors, list(fixed), v)
-                    trivial += 1
-                    continue
-                mine = key(v)
-                want = sum(1 << w for w in range(g.n) if key(w) == mine)
-                assert mask == want, (g.factors, list(fixed), v)
+            stabilizer = _stabilizer(g.factors, fixed)
+            if key is None:
+                assert stabilizer is None, (g.factors, list(fixed))
+                trivial += g.n  # one question per vertex, as masks counts
+                continue
+            keys = [key(w) for w in range(g.n)]
+            for v in range(g.n):
+                want = sum(1 << w for w in range(g.n) if keys[w] == keys[v])
+                assert stabilizer(v) == want, (g.factors, list(fixed), v)
                 masks += 1
                 shared += equal
     assert masks > 5_000 and trivial > 500 and shared > 500
@@ -663,21 +701,21 @@ def test_orbit_pruned_max_cover_matches_unpruned():
     # verdict of the search without symmetry, in no more nodes
     checked = 0
     for g in _orbit_graphs(36):
-        factors = _side_symmetry(g)
-        if factors is None:
+        halves = _halves(g)
+        if halves is None or halves[0].factors is None:
             continue
-        (stride, size, _), = [f for f in factors if f[2] == 2]
+        (stride, size, _), = [f for f in g.factors if f[2] == 2]
         side0 = sum(1 << v for v in range(g.n) if v // stride % size % 2 == 0)
         sides = bipartition(g)
         assert sides == (side0, g.full_mask() ^ side0)
-        for mine, other in (sides, sides[::-1]):
-            sets = [(v, g.adj[v]) for v in iter_bits(mine)]
-            for count in range(mine.bit_count() + 1):
-                for target in range(other.bit_count() + 2):
+        for inst in halves:
+            bare = _CoverInstance(inst.universe, inst.covers, inst.allowed)
+            for count in range(inst.allowed.bit_count() + 1):
+                for target in range(inst.universe.bit_count() + 2):
                     plain = _SearchState(Budget(max_nodes=10**9, time_limit=None))
                     pruned = _SearchState(Budget(max_nodes=10**9, time_limit=None))
-                    want = _max_cover_atleast(sets, other, count, target, plain)
-                    got = _max_cover_atleast(sets, other, count, target, pruned, factors)
+                    want = _max_cover_atleast(bare, count, target, plain)
+                    got = _max_cover_atleast(inst, count, target, pruned)
                     assert got == want, (g, count, target)
                     assert pruned.nodes <= plain.nodes, (g, count, target)
                     checked += 1
@@ -689,8 +727,8 @@ def _refute_side0_first(g, sides, k):
     first, by plain max-coverage searches: no memo and no symmetry."""
     def reaches(mine, other, count, short):
         state = _SearchState(Budget(max_nodes=10**9, time_limit=None))
-        return _max_cover_atleast([(v, g.adj[v]) for v in iter_bits(mine)], other,
-                                  count, other.bit_count() - short, state)
+        return _max_cover_atleast(_CoverInstance(other, g.adj, mine), count,
+                                  other.bit_count() - short, state)
 
     a, b = sides
     return not any(reaches(a, b, i, k - i) and reaches(b, a, k - i, i)
@@ -699,17 +737,18 @@ def _refute_side0_first(g, sides, k):
 
 def test_refuter_asking_fewer_sets_first_keeps_every_answer():
     # the refuter asks each split's question with fewer sets first, and
-    # under _side_symmetry shares answers between the sides; asked for
+    # with the factor symmetry shares answers between the sides; asked for
     # every k, largest first as the probes ask, it must answer as the
     # plain search that asks side 0 first
     rng = random.Random(127)
     graphs = [random_bipartite_graph(rng, rng.randint(2, 14)) for _ in range(80)]
-    graphs += [g for g in _orbit_graphs(48) if _side_symmetry(g) is not None]
+    graphs += [g for g in _orbit_graphs(48)
+               if _halves(g) is not None and _halves(g)[0].factors is not None]
     refuted = inconclusive = 0
     for g in graphs:
         sides = bipartition(g)
         refute = _bipartite_gamma_refuter(
-            g, sides, _SearchState(Budget(max_nodes=10**9, time_limit=None)))
+            _halves(g), _SearchState(Budget(max_nodes=10**9, time_limit=None)))
         for k in reversed(range(g.n + 1)):
             got = refute(k)
             assert got == _refute_side0_first(g, sides, k), (g.adj, k)
@@ -734,7 +773,9 @@ def test_max_cover_excludes_without_recursing():
     # each set skipped is a loop step, not a frame: 1,500 equal sets
     # would go past Python's default limit of 1,000 frames
     state = _SearchState(Budget(max_nodes=10**9, time_limit=None))
-    assert not _max_cover_atleast(enumerate([0b11] * 1500), (1 << 1500) - 1, 2, 3, state)
+    everything = (1 << 1500) - 1
+    inst = _CoverInstance(everything, [0b11] * 1500, everything)
+    assert not _max_cover_atleast(inst, 2, 3, state)
 
 
 def test_upper_search_on_a_long_path_returns_under_a_budget():
@@ -769,7 +810,7 @@ def test_orbit_pruning_matches_unpruned_search(monkeypatch):
 
     pruned = [solve_all(g, 30) for g in graphs]
     with monkeypatch.context() as m:
-        m.setattr(solvers, "_orbit_mask", lambda factors, fixed, v: None)
+        m.setattr(solvers, "_stabilizer", lambda factors, fixed: None)
         m.setattr(solvers, "_lex_generators", lambda factors, n: [])
         rooted = [solve_all(g, 30) for g in graphs]
     for desc, g, got_all, want_all in zip(descs, graphs, pruned, rooted):
@@ -815,7 +856,7 @@ def test_upper_symmetry_rules_keep_witnesses_without_an_incumbent(monkeypatch):
     graphs = [desc.build() for desc in descs]
     monkeypatch.setattr(solvers, "_greedy_independent", lambda g: 0)
     pruned = [gamma_upper_exact(g) for g in graphs]
-    monkeypatch.setattr(solvers, "_orbit_mask", lambda factors, fixed, v: None)
+    monkeypatch.setattr(solvers, "_stabilizer", lambda factors, fixed: None)
     monkeypatch.setattr(solvers, "_lex_generators", lambda factors, n: [])
     rooted = [gamma_upper_exact(g) for g in graphs]
     for desc, g, got, want in zip(descs, graphs, pruned, rooted):
