@@ -28,7 +28,8 @@ join any larger IN either, and IN itself always satisfies Ore.  A node
 is pruned when IN plus room for more members is no larger than the best
 set, or when some vertex can no longer be dominated.  Each node does
 only new work: it goes straight to its next undecided vertex, past the
-ones in OUT, and its frame carries the masks its children update (the
+ones in OUT (every vertex before it is in IN or OUT, so a frame needs
+no index), and its frame carries the masks its children update (the
 vertices with one and with two neighbors in IN, and those just moved to
 OUT), so the undominatable test looks only near the vertices just moved
 to OUT, and a joining vertex redoes only the members whose private
@@ -90,16 +91,17 @@ through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
     order (member = 1), and _lex_generators lists involutions that
     generate the group.  A node is pruned when one of them maps every
     completion to a larger set: walking its moved pairs (j, image),
-    j < image, in order while j < idx, every pair up to the first that
-    differs has both ends decided (below idx, or in OUT), and at that
-    pair the image is in IN and j is not.  The largest member of its
-    orbit passes this test against every group element, and it leaves
-    out every vertex in OUT: the filter moves only vertices in no
-    minimal dominating set of the subtree, and the orbit-mate rule
-    keeps the largest member of each orbit.  The in-first search meets
-    sets in decreasing order, so each set it records beats the best so
-    far and is met before any smaller member of its orbit: it is the
-    largest one.  So the test never drops a set the search records.
+    j < image, in order while j is below the node's first undecided
+    vertex idx, every pair up to the first that differs has both ends
+    decided (below idx, or in OUT), and at that pair the image is in IN
+    and j is not.  The largest member of its orbit passes this test
+    against every group element, and it leaves out every vertex in OUT:
+    the filter moves only vertices in no minimal dominating set of the
+    subtree, and the orbit-mate rule keeps the largest member of each
+    orbit.  The in-first search meets sets in decreasing order, so each
+    set it records beats the best so far and is met before any smaller
+    member of its orbit: it is the largest one.  So the test never drops
+    a set the search records.
 When exactly one factor has b = 2, the graph is connected and
 bipartite, the automorphisms that keep its two sides act transitively
 on each, the swap of that factor's two partite sets exchanges the
@@ -953,9 +955,9 @@ def gamma_upper_exact(
     members and the pairs of a social member and its private neighbor
     are disjoint), so the search stops at the first set of that size.
     That holds whenever g.factors is set: prod K[a_i,b_i] splits into
-    cliques of size b_1 = min b_i.  Any clique_size says the
-    same of a graph without factors; its value is not read, and the
-    claim is trusted unchecked.
+    cliques of size b_1 = min b_i.  Every structural fact (this cap, the
+    root at vertex 0, the lex-leader generators and the later orbit
+    mates) is read from g.factors alone; clique_size is not read.
     """
     n = g.n
     state = _SearchState(budget)
@@ -963,42 +965,38 @@ def gamma_upper_exact(
     closed = [g.closed(v) for v in range(n)]
     full = g.full_mask()
 
-    seed = _greedy_independent(g)
-    best_mask = seed
-    best_size = seed.bit_count()
-    halves = clique_size is not None or g.factors is not None
-    global_ub = n // 2 if halves else n
-    if best_size >= global_ub:
-        witness = tuple(iter_bits(best_mask))
-        return SolveResult("upper", best_size, witness, True, "reduction",
-                           lo=best_size, hi=best_size, nodes=0,
-                           elapsed=state.elapsed())
+    best_mask = _greedy_independent(g)
+    best_size = best_mask.bit_count()
+    cap = n if g.factors is None else n // 2
 
     # In/out search in index order for a minimal dominating set larger
-    # than best_size; it stops at the first one of global_ub.  OUT holds
+    # than best_size; it stops at the first one of cap.  OUT holds
     # every undecided vertex that cannot join IN, so IN always satisfies
-    # Ore's criterion.  A frame is (idx, in, out, once, twice, fresh):
-    # once and twice as in _unaddable, and fresh the vertices its parent
-    # moved to OUT.  A popped frame goes on to its first undecided
-    # vertex: the tests below read the same masks at every vertex of OUT
-    # it skips.  The "out" frame of a vertex sits under its "in" frame,
-    # so it is popped once that whole subtree is searched; its OUT holds
-    # the vertex's later orbit mates too.  Some maximum minimal
-    # dominating set of a graph with factors (vertex-transitive) contains 0.
-    if g.factors is None:
-        prefix, gens, later = (0, 0, 0, 0, 0, 0), [], lambda idx: 0
-    else:
-        kill, once, twice = _join(adj, closed, 0, 0, 0, 0, full & ~1)
-        prefix = (1, 1, kill, once, twice, kill)
-        gens, later = _lex_generators(g.factors, n), cache(partial(_later_mates, g))
-    stack = [prefix]
+    # Ore's criterion.  A frame is (in, out, once, twice, fresh): once
+    # and twice as in _unaddable, and fresh the vertices its parent
+    # moved to OUT.  Every vertex below the frame's first undecided
+    # vertex is in IN or OUT, so that vertex is the one to branch on:
+    # the tests below read the same masks at every vertex of OUT
+    # stepped over.  The "out" frame of a vertex sits under its "in"
+    # frame, so it is popped once that whole subtree is searched; its
+    # OUT holds the vertex's later orbit mates too.  Some maximum
+    # minimal dominating set of a graph with factors (vertex-transitive)
+    # contains 0.  A greedy set already at the cap leaves nothing to search.
+    stack, gens, later = [], [], lambda idx: 0
+    if best_size < cap:
+        if g.factors is None:
+            stack.append((0, 0, 0, 0, 0))
+        else:
+            kill, once, twice = _join(adj, closed, 0, 0, 0, 0, full & ~1)
+            stack.append((1, kill, once, twice, kill))
+            gens, later = _lex_generators(g.factors, n), cache(partial(_later_mates, g))
     optimal = True
     try:
         while stack:
-            idx, in_mask, out_mask, once, twice, fresh = stack.pop()
+            in_mask, out_mask, once, twice, fresh = stack.pop()
             state.tick()
             in_cnt = in_mask.bit_count()
-            undecided = full >> idx << idx & ~out_mask
+            undecided = full & ~(in_mask | out_mask)
             uncovered = full & ~(in_mask | once)
             if in_cnt + min(undecided.bit_count(), uncovered.bit_count()) <= best_size:
                 continue
@@ -1013,26 +1011,23 @@ def gamma_upper_exact(
             idx = (undecided & -undecided).bit_length() - 1 if undecided else n
             if _lex_higher(gens, idx, in_mask, out_mask):
                 continue
-            if idx == n:
+            if not undecided:
                 if not uncovered:
                     best_mask, best_size = in_mask, in_cnt
-                    if best_size >= global_ub:
+                    if best_size >= cap:
                         break
                 continue
             bit = 1 << idx
             dropped = bit | later(idx)
-            stack.append((idx + 1, in_mask, out_mask | dropped, once, twice,
-                          dropped & ~out_mask))
+            stack.append((in_mask, out_mask | dropped, once, twice, dropped & ~out_mask))
             kill, grown_once, grown_twice = _join(adj, closed, in_mask, once, twice,
                                                   idx, undecided & ~bit)
-            stack.append((idx + 1, in_mask | bit, out_mask | kill, grown_once,
-                          grown_twice, kill))
+            stack.append((in_mask | bit, out_mask | kill, grown_once, grown_twice, kill))
     except BudgetExhausted:  # keeps the best set found before the cut
         optimal = False
-    witness = tuple(iter_bits(best_mask))
-    hi = best_size if optimal else global_ub
     return SolveResult(
-        "upper", best_size, witness, optimal,
-        "branch-and-bound", lo=best_size, hi=hi,
+        "upper", best_size, tuple(iter_bits(best_mask)), optimal,
+        "branch-and-bound" if state.nodes else "reduction",
+        lo=best_size, hi=best_size if optimal else cap,
         nodes=state.nodes, elapsed=state.elapsed(),
     )

@@ -248,8 +248,6 @@ def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
         raise ValueError(f"need at least 4 factors, got {t}")
     if bs[0] != t:
         raise ValueError(f"construction needs n_1 = t, got n_1 = {bs[0]}, t = {t}")
-    if bs[1] < 3:
-        raise ValueError(f"need n_2 >= 3, got {bs[1]}")
     if bs[2] < t + 1:
         raise ValueError(f"need n_3 >= t+1 = {t + 1}, got n_3 = {bs[2]}")
     coords = [[r % b for b in bs] for r in range(t)]

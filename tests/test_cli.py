@@ -895,6 +895,15 @@ _PINNED = [
         "",
         "error: need at least 4 factors, got 2\n", EXIT_BAD_INPUT,
     ),
+    # input checks of scan and construct
+    (["scan", "M"], "", "error: scan needs --max\n", EXIT_BAD_INPUT),
+    (["scan", "M", "--min", "10", "--max", "5"], "", "error: bad range [10, 5]\n",
+     EXIT_BAD_INPUT),
+    (["construct", "diagonal", "ucg:30"], "",
+     "error: construction 'diagonal' needs a product spec\n", EXIT_BAD_INPUT),
+    (["construct", "consecutive", "1"], "", "error: need n >= 2, got 1\n", EXIT_BAD_INPUT),
+    (["construct", "diagonal", "K[1,5]xK[1,6]xK[1,7]", "--m", "-1"], "",
+     "error: m must be nonnegative, got -1\n", EXIT_BAD_INPUT),
     (
         ["jacobsthal", "100000007"],
         "",

@@ -77,6 +77,8 @@ def test_factor_validation():
         Factor(0, 3)
     with pytest.raises(ValueError):
         Factor(1, 1)
+    with pytest.raises(ValueError, match="at least one factor"):
+        ProductSpec(())
 
 
 def test_product_spec_graph_adjacency_rule():

@@ -103,6 +103,8 @@ def test_jacobsthal_edge_cases():
     assert jacobsthal_run(1) == JacobsthalRun(value=1, start=0, length=0)
     for p in (3, 5, 7, 11):
         assert jacobsthal(p) == 2
+    with pytest.raises(ValueError, match="n >= 1"):
+        jacobsthal(0)
 
 
 def test_unit_mask_of_a_prime_is_all_but_zero():
@@ -197,3 +199,5 @@ def test_crt_solve_random_roundtrip():
 def test_crt_solve_rejects_shared_factors():
     with pytest.raises(ValueError):
         crt_solve([(1, 6), (2, 4)])
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        crt_solve([(0, 0)])

@@ -908,16 +908,22 @@ def test_upper_reads_clique_size_from_factors():
         if got.method != "reduction":
             continue
         # only the n/2 cap lets a greedy set end the search unsearched;
-        # on a graph without factors the keyword is what turns it on
+        # the cap comes from factors alone, so on a graph without them
+        # the keyword changes nothing and the search runs
         bare = Graph(g.adj)
-        cut = gamma_upper_exact(bare, Budget(max_nodes=1, time_limit=None))
-        assert cut.method == "branch-and-bound" and cut.nodes > 0
-        capped_bare = gamma_upper_exact(bare, clique_size=b1)
-        assert (capped_bare.value, capped_bare.witness, capped_bare.method,
-                capped_bare.nodes) == (got.value, got.witness, "reduction", 0)
+        plain = gamma_upper_exact(bare)
+        assert plain.method == "branch-and-bound" and plain.nodes > 0
+        keyed = gamma_upper_exact(bare, clique_size=b1)
+        assert (keyed.value, keyed.witness, keyed.method, keyed.nodes) == (
+            plain.value, plain.witness, plain.method, plain.nodes), (g, b1)
         capped += 1
     assert capped > 0
     assert gamma_upper_exact(Graph([0])).value == 1
+    # a claimed clique size is not trusted: the path 1-0-4 plus the
+    # isolated 2 and 3 has Gamma = 4 ({1, 2, 3, 4}), above n/2
+    odd = Graph([18, 1, 0, 0, 1])
+    got = gamma_upper_exact(odd, clique_size=2)
+    assert got.optimal and got.value == 4 == gamma_oracle(odd, "upper").value
 
 
 def _ore_holds(g, members):
