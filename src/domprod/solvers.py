@@ -88,20 +88,26 @@ through 0, and gamma_upper_exact never leaves 0 out.  Beyond the root:
     the filter as without it, so the rule stays sound.
   - gamma_upper_exact keeps only the lex-leader of each orbit under the
     whole group: sets compare by their membership vectors in vertex
-    order (member = 1), and _lex_generators lists involutions that
-    generate the group.  A node is pruned when one of them maps every
-    completion to a larger set: walking its moved pairs (j, image),
-    j < image, in order while j is below the node's first undecided
-    vertex idx, every pair up to the first that differs has both ends
-    decided (below idx, or in OUT), and at that pair the image is in IN
-    and j is not.  The largest member of its orbit passes this test
-    against every group element, and it leaves out every vertex in OUT:
-    the filter moves only vertices in no minimal dominating set of the
-    subtree, and the orbit-mate rule keeps the largest member of each
-    orbit.  The in-first search meets sets in decreasing order, so each
-    set it records beats the best so far and is met before any smaller
-    member of its orbit: it is the largest one.  So the test never drops
-    a set the search records.
+    order (member = 1), and _lex_generators lists involutions of the
+    group: per factor, the swaps of two neighbouring partite sets and of
+    two neighbouring residues within one partite set, the swaps of two
+    neighbouring equal factors (these generate the group), and the
+    product of one partite swap over any set of factors having those two
+    partite sets (swaps in different factors commute, so it is an
+    involution, and it keeps partite sets together, so an automorphism;
+    checking more group elements prunes more).  A node is pruned when
+    one of them maps every completion to a larger set: walking its moved
+    pairs (j, image), j < image, in order while j is below the node's
+    first undecided vertex idx, every pair up to the first that differs
+    has both ends decided (below idx, or in OUT), and at that pair the
+    image is in IN and j is not.  The largest member of its orbit passes
+    this test against every group element, and it leaves out every
+    vertex in OUT: the filter moves only vertices in no minimal
+    dominating set of the subtree, and the orbit-mate rule keeps the
+    largest member of each orbit.  The in-first search meets sets in
+    decreasing order, so each set it records beats the best so far and
+    is met before any smaller member of its orbit: it is the largest
+    one.  So the test never drops a set the search records.
 When exactly one factor has b = 2, the graph is connected and
 bipartite, the automorphisms that keep its two sides act transitively
 on each, the swap of that factor's two partite sets exchanges the
@@ -126,8 +132,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import permutations
+from functools import cache, partial, reduce
+from itertools import combinations, permutations
 from math import prod
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -819,37 +825,48 @@ def _later_mates(g: Graph, idx: int) -> int:
 
 
 def _lex_generators(factors, n: int) -> list[list[tuple[int, int]]]:
-    """Involutions that generate the factor symmetry group, each as the
-    ascending list of the pairs (j, image of j) it moves, with j <
-    image: per factor, the swaps of two neighbouring partite sets and of
-    two neighbouring residues within one partite set; and the swaps of
-    two neighbouring factors with equal (size, b).  They move O(t*n)
-    vertices in all, and they are listed by their first moved j."""
+    """Involutions of the factor symmetry group, each as the ascending
+    list of the pairs (j, image of j) it moves, with j < image, listed
+    by their first moved j:
+      - for each two neighbouring partite sets p, p + 1 and each nonempty
+        set T of the factors having them (b > p + 1), the swap of the
+        two sets in every factor of T at once.  Swaps in different
+        factors commute and each is its own inverse, so their product
+        is an involution; it keeps partite sets together, so it is an
+        automorphism.  With t_p such factors there are 2^t_p - 1 of
+        them for each p;
+      - per factor, the swaps of two neighbouring residues within one
+        partite set;
+      - the swaps of two neighbouring factors with equal (size, b).
+    Those with |T| = 1 and the other two kinds generate the group; the
+    products over |T| >= 2 add no element to it, but the lex-leader
+    test checks each listed involution, so they prune more."""
     residues = [tuple(v // stride % size for stride, size, _ in factors) for v in range(n)]
     vertex = {c: v for v, c in enumerate(residues)}
-    gens = []
+
+    def permuting(i: int, image: list[int]) -> list[int]:  # image: of factor i's residues
+        return [vertex[c[:i] + (image[c[i]],) + c[i + 1:]] for c in residues]
+
+    maps = []  # each involution as the list of the images of 0..n-1
+    for p in range(max(b for _, _, b in factors) - 1):
+        swaps = [permuting(i, [r + 1 if r % b == p else r - 1 if r % b == p + 1 else r
+                               for r in range(size)])
+                 for i, (_, size, b) in enumerate(factors) if b > p + 1]
+        for t in range(1, len(swaps) + 1):
+            maps += [reduce(lambda f, g: [f[v] for v in g], chosen)
+                     for chosen in combinations(swaps, t)]
     last: dict[tuple[int, int], int] = {}  # (size, b) -> latest factor seen
     for i, (_, size, b) in enumerate(factors):
-        having = [[] for _ in range(size)]  # the vertices by residue in factor i
-        for v, c in enumerate(residues):
-            having[c[i]].append(v)
-        # each swap as the residue pairs (r, s) it exchanges
-        swaps = [[(r, r + 1) for r in range(p, size, b)] for p in range(b - 1)]
-        swaps += [[(r, r + b)] for r in range(size - b)]
-        for links in swaps:
-            pairs = []
-            for r, s in links:
-                for v in having[r]:
-                    c = residues[v]
-                    w = vertex[c[:i] + (s,) + c[i + 1:]]
-                    pairs.append((v, w) if v < w else (w, v))
-            gens.append(sorted(pairs))
+        for r in range(size - b):
+            image = list(range(size))
+            image[r], image[r + b] = r + b, r
+            maps.append(permuting(i, image))
         k = last.get((size, b))
         if k is not None:
-            images = (vertex[c[:k] + (c[i],) + c[k + 1:i] + (c[k],) + c[i + 1:]]
-                      for c in residues)
-            gens.append([(v, w) for v, w in enumerate(images) if v < w])
+            maps.append([vertex[c[:k] + (c[i],) + c[k + 1:i] + (c[k],) + c[i + 1:]]
+                         for c in residues])
         last[size, b] = i
+    gens = [[(v, w) for v, w in enumerate(images) if v < w] for images in maps]
     gens.sort(key=lambda pairs: pairs[0][0])
     return gens
 

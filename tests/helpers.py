@@ -98,6 +98,37 @@ def orbit_key(factors, fixed: Iterable[int]):
     return key
 
 
+def generating_involutions(factors, n: int) -> list[list[tuple[int, int]]]:
+    """A reference for solvers._lex_generators: only involutions that
+    generate the factor symmetry group, in its format (each the ascending
+    pairs (j, image of j) it moves, j < image, listed by first j): per
+    factor, the swaps of two neighbouring partite sets and of two
+    neighbouring residues within one partite set; and the swaps of two
+    neighbouring factors with equal (size, b).  _lex_generators also
+    lists products of one partite swap over several factors, which the
+    lex-leader test checks on top of these."""
+    residues = [tuple(v // stride % size for stride, size, _ in factors) for v in range(n)]
+    vertex = {c: v for v, c in enumerate(residues)}
+    images = []
+    last: dict[tuple[int, int], int] = {}  # (size, b) -> latest factor seen
+    for i, (_, size, b) in enumerate(factors):
+        swaps = [[r + 1 if r % b == p else r - 1 if r % b == p + 1 else r
+                  for r in range(size)] for p in range(b - 1)]
+        for r in range(size - b):
+            swaps.append(list(range(size)))
+            swaps[-1][r], swaps[-1][r + b] = r + b, r
+        for image in swaps:
+            images.append([vertex[c[:i] + (image[c[i]],) + c[i + 1:]] for c in residues])
+        k = last.get((size, b))
+        if k is not None:
+            images.append([vertex[c[:k] + (c[i],) + c[k + 1:i] + (c[k],) + c[i + 1:]]
+                           for c in residues])
+        last[size, b] = i
+    gens = [[(v, w) for v, w in enumerate(image) if v < w] for image in images]
+    gens.sort(key=lambda pairs: pairs[0][0])
+    return gens
+
+
 def random_graph(rng, n: int, p: float | None = None) -> Graph:
     if p is None:
         p = rng.uniform(0.1, 0.7)

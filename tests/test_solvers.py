@@ -42,6 +42,7 @@ from helpers import (
     OracleCapError,
     disjoint_union,
     gamma_oracle,
+    generating_involutions,
     minimality_by_deletion,
     multipartite,
     orbit_key,
@@ -480,6 +481,13 @@ def test_lex_generators_are_automorphisms():
             reach = grown
         assert reach == g.full_mask(), g
     assert gens_checked > 1_000
+    # the products of one partite swap over several factors are listed
+    # too: on K3^3, the swap of partite sets 0 and 1 in its last two
+    # factors at once
+    k3 = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 3))
+    swap = [1, 0, 2]
+    images = [v // 9 * 9 + swap[v // 3 % 3] * 3 + swap[v % 3] for v in range(27)]
+    assert [(v, w) for v, w in enumerate(images) if v < w] in _lex_generators(k3.factors, 27)
 
 
 def test_orbit_pruning_cuts_the_search():
@@ -492,7 +500,8 @@ def test_orbit_pruning_cuts_the_search():
     # lex-leader test it needs 4,818 on K3^3 and 16,763 on K3xK3xK4,
     # and with it 995 and 2,512.  The private-neighbour room bound takes
     # those to 313 and 468, and X_63 from 54 nodes to 6; going straight
-    # to the next undecided vertex takes K3^3 to 287
+    # to the next undecided vertex takes K3^3 to 287, and the products of
+    # one partite swap over several factors to 229
     got = gamma_exact(unitary_cayley(483))
     assert got.optimal and got.value == 4 and got.nodes < 1_000
     got = gamma_total_exact(unitary_cayley(165))
@@ -516,12 +525,12 @@ def test_orbit_pruning_cuts_the_search():
 
 def test_node_counts_are_pinned():
     # exact counts, so a change that moves one fails here, not only in
-    # CI's benchmark step; the first four sum to 387, the pinned
+    # CI's benchmark step; the first four sum to 329, the pinned
     # search_nodes of perfbench's search-hard workload.  The four after
     # them take the bipartite paths: the gamma refuter with and without
     # the factor symmetry, and the gamma_t split, mirrored and in two parts
     cases = [
-        (gamma_upper_exact, "K[1,3]xK[1,3]xK[1,3]", 9, 287, is_minimal_dominating),
+        (gamma_upper_exact, "K[1,3]xK[1,3]xK[1,3]", 9, 229, is_minimal_dominating),
         (gamma_exact, "ucg:483", 4, 21, is_dominating),
         (gamma_exact, "K[1,2]xK[1,3]xK[1,5]xK[1,7]", 8, 67, is_dominating),
         (gamma_total_exact, "ucg:165", 5, 12, is_total_dominating),
@@ -530,7 +539,7 @@ def test_node_counts_are_pinned():
         (gamma_exact, "K[1,2]xK[1,2]xK[1,2]xK[2,3]", 16, 11_017, is_dominating),
         (gamma_total_exact, "K[1,2]xK[1,2]xK[1,2]xK[2,3]", 16, 58, is_total_dominating),
         (gamma_upper_exact, "ucg:105", 35, 405, is_minimal_dominating),
-        (gamma_upper_exact, "K[2,3]xK[1,3]xK[1,3]", 18, 1_739, is_minimal_dominating),
+        (gamma_upper_exact, "K[2,3]xK[1,3]xK[1,3]", 18, 1_301, is_minimal_dominating),
     ]
     for solver, desc, value, nodes, check in cases:
         g = Descriptor.parse(desc).build()
@@ -542,11 +551,12 @@ def test_node_counts_are_pinned():
 def test_upper_settles_k3_4():
     # the paper's conjecture gives n/b_1 = 27; at [27, 40] after 2,000,000
     # nodes before the private-neighbour room bound, 326,986 with it,
-    # and 302,751 once a popped frame goes straight to its next
-    # undecided vertex
+    # 302,751 once a popped frame goes straight to its next undecided
+    # vertex, and 198,201 once the lex-leader test also checks the
+    # products of one partite swap over several factors
     g = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 4))
-    got = gamma_upper_exact(g, Budget(max_nodes=400_000, time_limit=None))
-    assert got.optimal and got.value == 27 and got.nodes < 400_000
+    got = gamma_upper_exact(g, Budget(max_nodes=250_000, time_limit=None))
+    assert got.optimal and got.value == 27 and got.nodes < 250_000
     assert is_minimal_dominating(g, got.witness)
 
 
@@ -842,6 +852,32 @@ def test_lex_leader_test_keeps_witnesses_on_larger_specs(monkeypatch):
     assert [r.value for r in got_all] == [18, 15]
 
 
+def test_partite_swap_products_only_cut_nodes(monkeypatch):
+    # the lex-leader test against the products of one partite swap over
+    # several factors must record the same sets as the test against
+    # generating_involutions, the generators alone, in no more nodes.
+    # From an empty incumbent the search records its sets itself, so a
+    # product that pruned too much would change the witness
+    descs = [Descriptor("spec", spec=ProductSpec.from_pairs(pairs))
+             for pairs in _enum_small_specs(30, 4)]
+    descs += [Descriptor.parse(d) for d in ("K[2,3]xK[1,3]xK[1,3]", "K[1,3]xK[1,3]xK[1,5]")]
+    graphs = [desc.build() for desc in descs]
+    monkeypatch.setattr(solvers, "_greedy_independent", lambda g: 0)
+    got_all = [gamma_upper_exact(g) for g in graphs]
+    monkeypatch.setattr(solvers, "_lex_generators", generating_involutions)
+    want_all = [gamma_upper_exact(g) for g in graphs]
+    fewer = set()
+    for desc, g, got, want in zip(descs, graphs, got_all, want_all):
+        assert got.optimal and want.optimal
+        assert (got.value, got.witness, got.method) == (
+            want.value, want.witness, want.method), desc
+        assert got.nodes <= want.nodes, desc
+        assert is_minimal_dominating(g, got.witness), desc
+        if got.nodes < want.nodes:
+            fewer.add(desc.canonical())
+    assert "K[1,3]xK[1,3]xK[1,3]" in fewer
+
+
 def test_upper_symmetry_rules_keep_witnesses_without_an_incumbent(monkeypatch):
     # On every graph of the parity tests above the greedy seed is already
     # a maximum set (n/b_1 of them), so Gamma records no set there, and a
@@ -865,7 +901,7 @@ def test_upper_symmetry_rules_keep_witnesses_without_an_incumbent(monkeypatch):
             want.value, want.witness, want.method), desc
         assert got.nodes <= want.nodes, desc
         assert is_minimal_dominating(g, got.witness), desc
-    # 14,028 nodes against 33,789: the reference search has the
+    # 6,232 nodes against 22,558: the reference search has the
     # private-neighbour room bound too
     total = sum(r.nodes for r in pruned)
     assert total * 2 < sum(r.nodes for r in rooted) and total < 15_000
