@@ -30,17 +30,17 @@ from .graphs import (
     Descriptor,
     DescriptorError,
     ProductSpec,
-    product_spec_graph,
+    ucg_product_spec,
     ucg_residues,
-    unitary_cayley,
 )
-from .numbertheory import factorize, jacobsthal, jacobsthal_run
+from .numbertheory import jacobsthal_run
 from .solvers import (
     DEFAULT_MAX_NODES,
     DEFAULT_TIME_LIMIT,
     Budget,
     SolveResult,
     gamma_exact,
+    gamma_upper_exact,
 )
 from .theorems import (
     InternalConsistencyError,
@@ -50,12 +50,10 @@ from .theorems import (
     consecutive_residue_set,
     cube_corner_set,
     diagonal_set,
-    gamma_bounds,
     m_family_witness,
     mt_witness,
     partite_column_set,
     solve,
-    squarefree_gamma_value,
     t_plus_two_set,
 )
 
@@ -320,28 +318,23 @@ def cmd_jacobsthal(args) -> int:
 # ==== reproduction suites ====
 
 
-def _suite_ucg(squarefree: bool, limit: int, budget: Budget):
-    """gamma(X_n) against its closed form for each n <= limit with at
-    most three prime factors: eq. (7) when n is squarefree, g(n) when
-    it is not."""
-    formula = squarefree_gamma_value if squarefree else jacobsthal
+def _suite_ucg(squarefree: bool, limit: int):
+    """X_n for each n <= limit with at most three prime factors:
+    squarefree n for eq. (7), the others for Theorem 4's g(n)."""
     for n in range(2, limit + 1):
-        fac = factorize(n)
-        if len(fac) <= 3 and all(e == 1 for _, e in fac) == squarefree:
-            yield f"ucg:{n}", formula(n), gamma_exact(unitary_cayley(n), budget)
+        spec = ucg_product_spec(n)  # omega = t, squarefree iff every a = 1
+        if spec.t <= 3 and all(f.a == 1 for f in spec.factors) == squarefree:
+            yield Descriptor("ucg", ucg_n=n), "gamma"
 
 
-def _suite_thm1(limit: int, budget: Budget):
-    shapes = []
+def _suite_thm1(limit: int):
+    """Products of two and of three complete graphs K_2..K_limit, each
+    pair followed by its triples."""
     for n1 in range(2, limit + 1):
         for n2 in range(n1, limit + 1):
-            shapes.append((n1, n2))
-            for n3 in range(n2, limit + 1):
-                shapes.append((n1, n2, n3))
-    for shape in shapes:
-        spec = ProductSpec.from_pairs([(1, b) for b in shape])
-        solved = gamma_exact(product_spec_graph(spec), budget)
-        yield spec.descriptor(), gamma_bounds(spec).lo, solved
+            for shape in [(n1, n2)] + [(n1, n2, n3) for n3 in range(n2, limit + 1)]:
+                spec = ProductSpec.from_pairs([(1, b) for b in shape])
+                yield Descriptor("spec", spec=spec), "gamma"
 
 
 def _enum_small_specs(max_vertices: int, max_t: int):
@@ -371,33 +364,39 @@ def _enum_small_specs(max_vertices: int, max_t: int):
     yield from extend([], 0, max_vertices)
 
 
-def _suite_upperdom(limit: int, budget: Budget):
+def _suite_upperdom(limit: int):
     for pairs in _enum_small_specs(limit, 3):
-        spec = ProductSpec.from_pairs(pairs)
-        check = conjecture_check(spec, budget)
-        yield spec.descriptor(), check.conjectured, check.exact
+        yield Descriptor("spec", spec=ProductSpec.from_pairs(pairs)), "upper"
 
 
+# each suite streams (descriptor, quantity) pairs; every row compares
+# the lower side of the bound report that solve trusts with a plain search
 _SUITES = {
     "eq7": (partial(_suite_ucg, True), 500),
     "thm1": (_suite_thm1, 5),
     "thm4": (partial(_suite_ucg, False), 200),
     "upperdom-small": (_suite_upperdom, 27),
 }
+_PLAIN_SEARCH = {"gamma": gamma_exact, "upper": gamma_upper_exact}
 
 
 def cmd_reproduce(args) -> int:
-    runner, default_max = _SUITES[args.suite]
+    stream, default_max = _SUITES[args.suite]
     limit = args.max if args.max is not None else default_max
+    if limit < 2:  # every suite would be empty: a vacuous pass
+        raise DescriptorError(f"reproduce needs --max >= 2, got {limit}")
     budget = _budget(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(["descriptor", "formula", "solver", "match"])
     mismatches = []
-    for desc, formula, solved in runner(limit, budget):
+    for desc, quantity in stream(limit):
+        canonical = desc.canonical()
+        formula = bound_report(desc, quantity).lo
+        solved = _PLAIN_SEARCH[quantity](desc.build(), budget)
         ok = solved.optimal and solved.value == formula
-        writer.writerow([desc, formula, solved.value, "yes" if ok else "NO"])
+        writer.writerow([canonical, formula, solved.value, "yes" if ok else "NO"])
         if not ok:
-            mismatches.append((desc, formula, solved.value, solved.optimal))
+            mismatches.append((canonical, formula, solved.value, solved.optimal))
     if mismatches:
         for desc, formula, value, optimal in mismatches:
             note = "" if optimal else " (budget exhausted)"

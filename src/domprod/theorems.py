@@ -25,9 +25,11 @@ X_n is the product form ucg_product_spec(n) under the CRT, so its
 constructions are the consecutive run and the product form's own, each
 carried to residues by graphs.ucg_residues and checked on X_n.  The
 CLI's scan takes this path too: it asks solve for each n.  The
-formula-vs-search cross-checks (conjecture_check and the CLI's
-reproduce suites) call the plain solvers, so that they compare a
-formula with a search and not with itself.
+cross-checks call the plain solvers, so that they compare the theorem
+layer with a search and not with itself: each row of the CLI's
+reproduce suites sets bound_report's lo, the side solve trusts,
+against a plain search, and conjecture_check sets n/b_1 against the
+Gamma search.
 """
 
 from __future__ import annotations
@@ -293,19 +295,6 @@ def partite_column_set(spec: ProductSpec) -> ConstructionResult:
 
 
 # ==== piecewise formulas and single-theorem bounds ====
-
-
-def squarefree_gamma_value(n: int) -> int:
-    """gamma(X_n) for squarefree n with at most 3 prime factors (eq. 7):
-    1 for a prime, 2 when p_1 = 2 and omega = 2, 3 when p_1 > 2 and
-    omega = 2, and 4 when omega = 3: by the CRT, the complete-product
-    value that gamma_bounds gives the product form ucg_product_spec(n)."""
-    spec = ucg_product_spec(n)  # omega = t, squarefree iff every a = 1
-    if any(f.a > 1 for f in spec.factors):
-        raise ValueError(f"{n} is not squarefree")
-    if spec.t > 3:
-        raise ValueError(f"need 1 <= omega <= 3, got omega({n}) = {spec.t}")
-    return gamma_bounds(spec).lo
 
 
 def repeated_factor_lower(n: int) -> int:
@@ -596,6 +585,8 @@ def solve(
     provenance.  Every construction checks its own set from its members'
     rows (certifies); a result outside the proven interval means two
     implemented results disagree and raises InternalConsistencyError.
+    The time limit and elapsed cover the whole call: the search gets the
+    time that the report, the constructions and the build left.
     """
     desc = Descriptor.parse(descriptor) if isinstance(descriptor, str) else descriptor
     start = time.monotonic()
@@ -622,7 +613,12 @@ def solve(
             quantity, size, built.vertex_set, True, "theorem", lo=size, hi=size,
             elapsed=time.monotonic() - start, provenance=tuple(provenance),
         )
-    result = _SEARCHES[quantity](desc.build(), budget, floor=report.lo)
+    graph = desc.build()
+    budget = budget or Budget()
+    if budget.time_limit is not None:  # the search gets what the setup left
+        budget = Budget(budget.max_nodes, budget.time_limit - (time.monotonic() - start))
+    result = _SEARCHES[quantity](graph, budget, floor=report.lo)
+    result.elapsed = time.monotonic() - start
     if result.hi < report.lo or result.lo > report.hi:
         raise InternalConsistencyError(
             f"{quantity}({desc.canonical()}) searched to [{result.lo}, {result.hi}], "

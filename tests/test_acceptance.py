@@ -28,7 +28,6 @@ from domprod import (
     jacobsthal,
     product_spec_graph,
     radical,
-    squarefree_gamma_value,
     t_plus_two_set,
     ucg_gamma_bounds,
     unitary_cayley,
@@ -71,9 +70,11 @@ def test_squarefree_gamma_formula_full_range():
     for n in range(2, 501):
         if not is_squarefree(n) or len(factorize(n)) > 3:
             continue
+        report = ucg_gamma_bounds(n)  # eq. (7), the side solve trusts
+        assert report.exact, n
         got = gamma_exact(unitary_cayley(n), BIG)
         assert got.optimal, n
-        assert got.value == squarefree_gamma_value(n), n
+        assert got.value == report.lo, n
         checked += 1
     assert checked > 300
 

@@ -6,14 +6,19 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations_with_replacement
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from domprod import (
     Descriptor,
+    ProductSpec,
+    bound_report,
     certifies,
     cli,
+    factorize,
     gamma_exact,
     gamma_total_exact,
     is_dominating,
@@ -484,8 +489,43 @@ def test_reproduce_upperdom_small(capsys):
     assert ["K[6,2]", "6", "6", "yes"] in rows
 
 
+def _ucg_domain(limit, squarefree):
+    return [f"ucg:{n}" for n in range(2, limit + 1)
+            if len(factorize(n)) <= 3 and (radical(n) == n) == squarefree]
+
+
+def _complete_products(limit):
+    return {ProductSpec.from_pairs([(1, b) for b in shape]).descriptor()
+            for t in (2, 3) for shape in combinations_with_replacement(range(2, limit + 1), t)}
+
+
+_SUITE_DOMAINS = [
+    ("eq7", 60, "gamma", _ucg_domain(60, True)),
+    ("thm4", 60, "gamma", _ucg_domain(60, False)),
+    ("thm1", 4, "gamma", _complete_products(4)),
+    ("upperdom-small", 12, "upper",
+     [ProductSpec.from_pairs(p).descriptor() for p in cli._enum_small_specs(12, 3)]),
+]
+
+
+@pytest.mark.parametrize("suite, limit, quantity, domain", _SUITE_DOMAINS,
+                         ids=[case[0] for case in _SUITE_DOMAINS])
+def test_reproduce_suite_domains(capsys, suite, limit, quantity, domain):
+    # the descriptor column is the suite's domain, enumerated here apart
+    # from its stream (thm1's order is its own, so it is compared as a
+    # set), and every row's formula is a proven value: its report is exact
+    code, out, _ = run(capsys, "reproduce", suite, "--max", str(limit))
+    assert code == EXIT_OK
+    column = [r[0] for r in _csv_rows(out)]
+    if isinstance(domain, set):
+        assert len(column) == len(domain) and set(column) == domain
+    else:
+        assert column == domain
+    assert all(bound_report(Descriptor.parse(d), quantity).exact for d in column)
+
+
 def test_reproduce_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "squarefree_gamma_value", lambda n: 99)
+    monkeypatch.setattr(cli, "bound_report", lambda desc, quantity: SimpleNamespace(lo=99))
     code, out, err = run(capsys, "reproduce", "eq7", "--max", "6")
     assert code == EXIT_MISMATCH
     assert any(r[3] == "NO" for r in _csv_rows(out))
@@ -895,9 +935,11 @@ _PINNED = [
         "",
         "error: need at least 4 factors, got 2\n", EXIT_BAD_INPUT,
     ),
-    # input checks of scan and construct
+    # input checks of scan, reproduce and construct
     (["scan", "M"], "", "error: scan needs --max\n", EXIT_BAD_INPUT),
     (["scan", "M", "--min", "10", "--max", "5"], "", "error: bad range [10, 5]\n",
+     EXIT_BAD_INPUT),
+    (["reproduce", "eq7", "--max", "1"], "", "error: reproduce needs --max >= 2, got 1\n",
      EXIT_BAD_INPUT),
     (["construct", "diagonal", "ucg:30"], "",
      "error: construction 'diagonal' needs a product spec\n", EXIT_BAD_INPUT),

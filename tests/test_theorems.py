@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -27,7 +28,6 @@ from domprod import (
     product_spec_graph,
     repeated_factor_lower,
     solve,
-    squarefree_gamma_value,
     t_plus_two_set,
     ucg_gamma_bounds,
     ucg_product_spec,
@@ -50,14 +50,11 @@ def spec_of(*bs):
 
 
 def test_squarefree_gamma_value():
-    assert squarefree_gamma_value(7) == 1
-    assert squarefree_gamma_value(6) == 2
-    assert squarefree_gamma_value(15) == 3
-    assert squarefree_gamma_value(30) == 4
-    with pytest.raises(ValueError):
-        squarefree_gamma_value(12)  # not squarefree
-    with pytest.raises(ValueError):
-        squarefree_gamma_value(210)  # four prime factors
+    # eq. (7): 1, 2, 3, 4 on a prime, 2p, pq (odd) and three primes
+    for n, want in ((7, 1), (6, 2), (15, 3), (30, 4)):
+        r = ucg_gamma_bounds(n)
+        assert r.exact and r.lo == want, n
+        assert ("squarefree-small-omega", f"lo {want}") in r.provenance, n
 
 
 def test_gamma_bounds_complete_product():
@@ -101,7 +98,7 @@ def test_repeated_factor_lower():
         repeated_factor_lower(2 * 2 * 3 * 5 * 7)  # omega = 4
 
 
-@pytest.mark.parametrize("formula", [squarefree_gamma_value, repeated_factor_lower])
+@pytest.mark.parametrize("formula", [repeated_factor_lower])
 def test_ucg_formulas_need_n_at_least_2(formula):
     # X_1 has no product form: the check is ucg_product_spec's
     with pytest.raises(ValueError, match="n >= 2"):
@@ -438,6 +435,16 @@ def test_solve_reports_open_intervals():
     for quantity in ("gamma_t", "bogus"):
         with pytest.raises(ValueError, match="unknown quantity"):
             solve(Descriptor("ucg", ucg_n=30), quantity)
+
+
+def test_solve_elapsed_covers_the_whole_call():
+    # the report and the build of 15,625 vertices run before the search
+    # does; elapsed counts them, as the time limit does
+    start = time.monotonic()
+    got = solve("x".join(["K[1,5]"] * 6), "gamma", Budget(max_nodes=1))
+    wall = time.monotonic() - start
+    assert not got.optimal and got.method == "branch-and-bound"
+    assert wall >= got.elapsed >= wall - 0.01
 
 
 def test_solve_rejects_a_search_below_the_proven_side(monkeypatch):
