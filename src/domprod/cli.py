@@ -383,13 +383,14 @@ _PLAIN_SEARCH = {"gamma": gamma_exact, "upper": gamma_upper_exact}
 def cmd_reproduce(args) -> int:
     stream, default_max = _SUITES[args.suite]
     limit = args.max if args.max is not None else default_max
-    if limit < 2:  # every suite would be empty: a vacuous pass
-        raise DescriptorError(f"reproduce needs --max >= 2, got {limit}")
     budget = _budget(args)
     writer = csv.writer(sys.stdout)
-    writer.writerow(["descriptor", "formula", "solver", "match"])
+    rows = 0
     mismatches = []
     for desc, quantity in stream(limit):
+        if not rows:
+            writer.writerow(["descriptor", "formula", "solver", "match"])
+        rows += 1
         canonical = desc.canonical()
         formula = bound_report(desc, quantity).lo
         solved = _PLAIN_SEARCH[quantity](desc.build(), budget)
@@ -397,6 +398,8 @@ def cmd_reproduce(args) -> int:
         writer.writerow([canonical, formula, solved.value, "yes" if ok else "NO"])
         if not ok:
             mismatches.append((canonical, formula, solved.value, solved.optimal))
+    if not rows:  # an empty suite checks nothing: refuse it, not pass it
+        raise DescriptorError(f"reproduce {args.suite} has no rows at --max {limit}")
     if mismatches:
         for desc, formula, value, optimal in mismatches:
             note = "" if optimal else " (budget exhausted)"

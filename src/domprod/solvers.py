@@ -9,6 +9,9 @@ gamma_exact and gamma_total_exact treat the problem as minimum set cover
 (universe = vertices, sets = closed / open neighborhoods) and run a
 descending sequence of decision searches: a greedy incumbent first, then
 "is there a cover one smaller?" until a search completes with no cover.
+The incumbent, and each cover a search finds, is first shrunk by local
+exchanges (_exchange: drop a redundant member, or replace two members
+by one position), so the searches skip the sizes the exchanges reach.
 A cover instance is the graph's adjacency itself: set positions are
 vertex ids, a mask says which vertices may be chosen, and because
 closed and open adjacency are symmetric, the sets containing element e
@@ -418,6 +421,61 @@ def _greedy_cover(inst: _CoverInstance, state: _SearchState) -> list[int]:
     return chosen
 
 
+def _exchange(inst: _CoverInstance, chosen: list[int], state: _SearchState) -> list[int]:
+    """A cover no larger than `chosen`, improved by local moves until
+    none applies: drop a member that alone covers nothing, or replace
+    two members a, b by one position c that covers everything only a
+    and b cover.  With `one` and `two` the elements covered exactly once
+    and exactly twice, that is need = (a | b) & one | a & b & two, and
+    since covers is symmetric, the positions covering need are the
+    allowed ones in covers[e] for every e in need.  Each move shrinks
+    the cover and restarts the sweep, so there are at most len(chosen)
+    sweeps of O(len(chosen)^2) pair tests.  With inst.factors the root
+    (the first allowed position) stays.  Past the deadline it returns
+    what it has; it reads the clock once per outer member and counts no
+    nodes."""
+    covers, universe, allowed = inst.covers, inst.universe, inst.allowed
+    root = -1 if inst.factors is None else inst.positions[0]
+    chosen = list(chosen)
+    moved = True
+    while moved:
+        moved = False
+        rows = [covers[v] & universe for v in chosen]
+        once = twice = thrice = 0
+        for row in rows:
+            thrice |= twice & row
+            twice |= once & row
+            once |= row
+        one, two = once & ~twice, twice & ~thrice
+        alone = [row & one for row in rows]  # what only that member covers
+        for x, a in enumerate(chosen):
+            if state.expired():
+                return chosen
+            if a == root:
+                continue
+            if not alone[x]:
+                del chosen[x]
+                moved = True
+                break
+            for y in range(x + 1, len(chosen)):
+                if chosen[y] == root:
+                    continue
+                need = alone[x] | alone[y] | rows[x] & rows[y] & two
+                c = allowed
+                while need and c:
+                    low = need & -need
+                    c &= covers[low.bit_length() - 1]
+                    need ^= low
+                if c:
+                    chosen[x] = (c & -c).bit_length() - 1
+                    del chosen[y]
+                    moved = True
+                    break
+            if moved:
+                break
+    return chosen
+
+
 def _exists_cover(inst: _CoverInstance, k: int, state: _SearchState) -> list[int] | None:
     """Find set positions (at most k) covering the universe, or prove
     none exist.  Exact decision search.  With inst.factors some minimum
@@ -588,7 +646,10 @@ def _max_cover_atleast(
 def _min_cover(
     inst: _CoverInstance, state: _SearchState, refuter, floor: int
 ) -> tuple[list[int], int]:
-    """Minimum cover by descending decision probes.
+    """Minimum cover by descending decision probes, from the greedy
+    cover.  The greedy cover and each cover a probe finds go through
+    _exchange first, so the next probe asks for one less than the
+    exchanged size.
 
     Returns (best set positions, proven lower bound); the search
     finished exactly when the bound meets the cover's size.  The
@@ -596,7 +657,7 @@ def _min_cover(
     just falls through to the exact search.  floor is a lower bound the
     caller has proven: it joins the counting bound, where probes stop.
     """
-    best = _greedy_cover(inst, state)
+    best = _exchange(inst, _greedy_cover(inst, state), state)
     maxgain = max(inst.covers[i].bit_count() for i in inst.positions)
     lb = max(-(-inst.universe.bit_count() // maxgain), floor)
     if state.expired():  # the greedy pass used up the time limit
@@ -611,7 +672,7 @@ def _min_cover(
             if found is None:
                 lb = len(best)
                 break
-            best = found
+            best = _exchange(inst, found, state)
     except BudgetExhausted:
         pass
     return best, lb

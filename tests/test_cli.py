@@ -939,8 +939,14 @@ _PINNED = [
     (["scan", "M"], "", "error: scan needs --max\n", EXIT_BAD_INPUT),
     (["scan", "M", "--min", "10", "--max", "5"], "", "error: bad range [10, 5]\n",
      EXIT_BAD_INPUT),
-    (["reproduce", "eq7", "--max", "1"], "", "error: reproduce needs --max >= 2, got 1\n",
+    # an empty suite is refused: below 2 every suite is empty, and thm4's
+    # smallest n with a repeated prime factor is 4
+    (["reproduce", "eq7", "--max", "1"], "", "error: reproduce eq7 has no rows at --max 1\n",
      EXIT_BAD_INPUT),
+    (["reproduce", "thm4", "--max", "2"], "",
+     "error: reproduce thm4 has no rows at --max 2\n", EXIT_BAD_INPUT),
+    (["reproduce", "thm4", "--max", "3"], "",
+     "error: reproduce thm4 has no rows at --max 3\n", EXIT_BAD_INPUT),
     (["construct", "diagonal", "ucg:30"], "",
      "error: construction 'diagonal' needs a product spec\n", EXIT_BAD_INPUT),
     (["construct", "consecutive", "1"], "", "error: need n >= 2, got 1\n", EXIT_BAD_INPUT),

@@ -1,6 +1,8 @@
 import random
 import time
-from itertools import permutations, product
+from functools import reduce
+from itertools import combinations, permutations, product
+from operator import or_
 
 import pytest
 
@@ -25,6 +27,8 @@ from domprod.graphs import Graph, iter_bits
 from domprod.solvers import (
     _bipartite_gamma_refuter,
     _CoverInstance,
+    _exchange,
+    _greedy_cover,
     _greedy_independent,
     _halves,
     _join,
@@ -525,14 +529,16 @@ def test_orbit_pruning_cuts_the_search():
 
 def test_node_counts_are_pinned():
     # exact counts, so a change that moves one fails here, not only in
-    # CI's benchmark step; the first four sum to 329, the pinned
+    # CI's benchmark step; the first four sum to 291, the pinned
     # search_nodes of perfbench's search-hard workload.  The four after
     # them take the bipartite paths: the gamma refuter with and without
-    # the factor symmetry, and the gamma_t split, mirrored and in two parts
+    # the factor symmetry, and the gamma_t split, mirrored and in two parts.
+    # The last two are gamma searches whose exchanged incumbents skip
+    # probes: 29 and 56 nodes from the plain greedy cover
     cases = [
         (gamma_upper_exact, "K[1,3]xK[1,3]xK[1,3]", 9, 229, is_minimal_dominating),
         (gamma_exact, "ucg:483", 4, 21, is_dominating),
-        (gamma_exact, "K[1,2]xK[1,3]xK[1,5]xK[1,7]", 8, 67, is_dominating),
+        (gamma_exact, "K[1,2]xK[1,3]xK[1,5]xK[1,7]", 8, 29, is_dominating),
         (gamma_total_exact, "ucg:165", 5, 12, is_total_dominating),
         (gamma_exact, "ucg:1260", 10, 116, is_dominating),
         (gamma_total_exact, "ucg:1260", 10, 41, is_total_dominating),
@@ -540,6 +546,8 @@ def test_node_counts_are_pinned():
         (gamma_total_exact, "K[1,2]xK[1,2]xK[1,2]xK[2,3]", 16, 58, is_total_dominating),
         (gamma_upper_exact, "ucg:105", 35, 405, is_minimal_dominating),
         (gamma_upper_exact, "K[2,3]xK[1,3]xK[1,3]", 18, 1_301, is_minimal_dominating),
+        (gamma_exact, "ucg:462", 8, 13, is_dominating),
+        (gamma_exact, "K[1,2]xK[1,3]xK[1,4]xK[1,7]", 8, 8, is_dominating),
     ]
     for solver, desc, value, nodes, check in cases:
         g = Descriptor.parse(desc).build()
@@ -777,6 +785,55 @@ def test_gamma_on_even_x_n_is_decided_by_the_refuter():
     for n in (630, 840, 990, 1260):
         got = gamma_exact(unitary_cayley(n), Budget(max_nodes=2_000))
         assert got.optimal and got.value == 10, n
+
+
+def test_exchange_keeps_a_cover():
+    # on the greedy cover and on the cover by every allowed position, the
+    # exchange leaves a cover, no larger, that admits no drop and no
+    # 2-for-1 move (checked here by brute force), and keeps the root
+    def covered(inst, chosen):
+        return reduce(or_, (inst.covers[v] for v in chosen), 0) & inst.universe
+
+    rng = random.Random(311)
+    instances = []
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(1, 14))
+        full = g.full_mask()
+        instances.append(_CoverInstance(full, [g.closed(v) for v in range(g.n)], full))
+        if all(g.adj):
+            instances.append(_CoverInstance(full, g.adj, full))
+    for pairs in _enum_small_specs(20, 4):
+        g = product_spec_graph(ProductSpec.from_pairs(pairs))
+        full = g.full_mask()
+        instances.append(
+            _CoverInstance(full, [g.closed(v) for v in range(g.n)], full, g.factors))
+        instances.append(_CoverInstance(full, g.adj, full, g.factors))
+        instances.extend(_halves(g) or ())
+    rooted = 0
+    for inst in instances:
+        state = _SearchState(Budget(max_nodes=10**9, time_limit=None))
+        for start in (_greedy_cover(inst, state), list(iter_bits(inst.allowed))):
+            got = _exchange(inst, start, state)
+            assert covered(inst, got) == inst.universe
+            assert len(got) <= len(start) and len(set(got)) == len(got)
+            assert all(inst.allowed >> v & 1 for v in got)
+            root = inst.positions[0] if inst.factors is not None else -1
+            rooted += root in got
+            assert root < 0 or root in got
+            movable = [v for v in got if v != root]
+            for v in movable:
+                assert covered(inst, [u for u in got if u != v]) != inst.universe
+            for a, b in combinations(movable, 2):
+                rest = covered(inst, [u for u in got if u not in (a, b)])
+                assert all(rest | inst.covers[c] & inst.universe != inst.universe
+                           for c in iter_bits(inst.allowed))
+    assert len(instances) > 250 and rooted > 250
+    # past the deadline the cover comes back as it was
+    inst = instances[-1]
+    expired = _SearchState(Budget(time_limit=0.0))
+    time.sleep(0.001)
+    everything = list(iter_bits(inst.allowed))
+    assert _exchange(inst, everything, expired) == everything
 
 
 def test_max_cover_excludes_without_recursing():
@@ -1062,8 +1119,8 @@ def test_budget_exhaustion_degrades_gracefully():
 
 
 def test_budget_time_limit():
-    # Gamma(K3^4) takes 302,751 nodes (some 4 s), so a 10 ms limit
-    # always cuts it; K3^3 (287 nodes) can finish within it
+    # Gamma(K3^4) takes 198,201 nodes (some 3 s), so a 10 ms limit
+    # always cuts it; K3^3 (229 nodes) can finish within it
     g = product_spec_graph(ProductSpec.from_pairs([(1, 3)] * 4))
     r = gamma_upper_exact(g, Budget(max_nodes=10**12, time_limit=0.01))
     assert not r.optimal
