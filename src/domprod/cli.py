@@ -31,7 +31,6 @@ from .graphs import (
     DescriptorError,
     ProductSpec,
     ucg_product_spec,
-    ucg_residues,
 )
 from .numbertheory import jacobsthal_run
 from .solvers import (
@@ -218,12 +217,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_conjecture(args) -> int:
     desc = Descriptor.parse(args.descriptor)
-    check = conjecture_check(desc.product_form, _budget(args))
-    result = check.exact
-    if desc.kind == "ucg":
-        # the search ran on the product form; name its vertices as the
-        # residues mod n they are under the CRT
-        result = dataclasses.replace(result, witness=ucg_residues(desc.ucg_n, result.witness))
+    spec = desc.product_form
+    check = conjecture_check(spec, _budget(args))
+    # the search ran on the product form; name its vertices in desc's own
+    # numbering (on ucg:n, the residues mod n they are under the CRT)
+    witness = tuple(sorted(desc.number(spec.coords(v)) for v in check.exact.witness))
+    result = dataclasses.replace(check.exact, witness=witness)
     record = _solve_record(
         desc.canonical(), result, conjectured=check.conjectured, agrees=check.agrees
     )

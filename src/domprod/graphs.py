@@ -9,7 +9,7 @@ Descriptor.rows only the rows asked for.  A vertex of a product is
 numbered row-major in the spec's factor order: ProductSpec.coords(v)
 gives its tuple of per-factor residues, and ProductSpec.index maps the
 tuple back.  A vertex of a single factor or of a unitary Cayley graph
-is its own residue.
+is its own residue; Descriptor.number finds it from product-form coords.
 
 The descriptor mini-language used by the CLI and the result cache lives
 here too: `K[a,b]` for one factor, `x`-separated products, and `ucg:<n>`
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .numbertheory import CapExceededError, crt_solve, factorize, periodic_mask, unit_mask
@@ -268,19 +269,6 @@ def ucg_product_spec(n: int) -> ProductSpec:
     )
 
 
-def ucg_residues(n: int, vertices) -> tuple[int, ...]:
-    """The residues mod n of vertices of ucg_product_spec(n), sorted.
-
-    This is the one map from the product form to X_n: by the CRT, vertex
-    v is the residue x with x = coords(v)[i] (mod p_i^e_i) for every
-    factor, and it keeps adjacency, so a dominating, total dominating or
-    minimal dominating set of the product form is one of X_n.
-    """
-    spec = ucg_product_spec(n)
-    moduli = [f.size for f in spec.factors]
-    return tuple(sorted(crt_solve(zip(spec.coords(v), moduli)).residue for v in vertices))
-
-
 # ==== descriptor mini-language ====
 
 _FACTOR_RE = re.compile(r"^[Kk]\[(\d+),(\d+)\]$")
@@ -323,10 +311,20 @@ class Descriptor:
             return f"ucg:{self.ucg_n}"
         return self.spec.canonical().descriptor()
 
-    @property
+    @cached_property
     def product_form(self) -> ProductSpec:
         """The product spec in canonical order; X_n's is ucg_product_spec(n)."""
         return self.spec.canonical() if self.kind == "spec" else ucg_product_spec(self.ucg_n)
+
+    def number(self, coords) -> int:
+        """The vertex of build() with residues coords in the factors of
+        product_form, the one map from coordinates to vertices: its index
+        on a product, and on ucg:n the residue x = coords[i] (mod p_i^e_i),
+        since by the CRT that is an isomorphism of the product form."""
+        spec = self.product_form
+        if self.kind == "spec":
+            return spec.index(coords)
+        return crt_solve(zip(coords, (f.size for f in spec.factors))).residue
 
     @property
     def n_vertices(self) -> int:

@@ -234,9 +234,9 @@ def _certifies(quantity: str, n: int, d: Iterable[int], rows) -> bool:
     everything, and dominates iff once | d is.  It is minimal iff, in
     addition, every member is lonely or has a neighbour outside d |
     twice (Ore's criterion: that neighbour's only neighbour in d is the
-    member), which a second pass over the rows decides.  This is the
-    reference the searches are tested against, so it shares no code
-    with them.
+    member); a second pass over the rows decides it unless once misses
+    d, when every member is lonely.  This is the reference the searches
+    are tested against, so it shares no code with them.
     """
     dm = 0
     for v in d:
@@ -255,7 +255,7 @@ def _certifies(quantity: str, n: int, d: Iterable[int], rows) -> bool:
     if once | dm != full:
         return False
     private = ~(dm | twice)
-    return quantity == "gamma" or all(
+    return quantity == "gamma" or once & dm == 0 or all(
         row & dm == 0 or row & private for row in rows(iter_bits(dm))
     )
 

@@ -23,7 +23,7 @@ floor (gamma_exact, gamma_total_exact; a Gamma search has its
 incumbent as its lower side and the n/2 cap as its upper side).
 X_n is the product form ucg_product_spec(n) under the CRT, so its
 constructions are the consecutive run and the product form's own, each
-carried to residues by graphs.ucg_residues and checked on X_n.  The
+numbered in residues by Descriptor.number and checked once, on X_n.  The
 CLI's scan takes this path too: it asks solve for each n.  The
 cross-checks call the plain solvers, so that they compare the theorem
 layer with a search and not with itself: each row of the CLI's
@@ -46,7 +46,6 @@ from .graphs import (
     ProductSpec,
     product_spec_graph,
     ucg_product_spec,
-    ucg_residues,
 )
 from .numbertheory import crt_solve, is_prime, jacobsthal, primes_from
 from .solvers import (
@@ -206,25 +205,33 @@ def consecutive_residue_set(n: int) -> ConstructionResult:
     return ConstructionResult(f"ucg:{n}", dset, _KIND["gamma_total"], verified)
 
 
-def _checked(spec: ProductSpec, coords, quantity: str, name: str) -> ConstructionResult:
-    """Number the coordinate tuples of a construction's vertices, sorted,
-    and check the set for `quantity` on the product (spec is in canonical
-    order); a construction that fails it is a bug, not an input error."""
-    desc = Descriptor("spec", spec=spec)
+def _target(spec: ProductSpec | Descriptor) -> tuple[Descriptor, ProductSpec]:
+    """A construction's target (a spec in canonical order, or ucg:n) and
+    the product form that its coordinates refer to."""
+    if isinstance(spec, Descriptor):
+        return spec, spec.product_form
+    return Descriptor("spec", spec=spec), spec
+
+
+def _checked(desc: Descriptor, coords, quantity: str, name: str) -> ConstructionResult:
+    """Number a construction's coordinate tuples in desc (Descriptor.number),
+    sorted, and check the set for `quantity` on desc's graph once; a
+    construction that fails it is a bug, not an input error."""
     desc.n_vertices  # the cap, before numbering the set
-    dset = tuple(sorted(spec.index(c) for c in coords))
+    dset = tuple(sorted(desc.number(c) for c in coords))
     if not certifies(desc, quantity, dset):
         raise InternalConsistencyError(f"{name} failed its checker")
-    return ConstructionResult(spec.descriptor(), dset, _KIND[quantity], True)
+    return ConstructionResult(desc.canonical(), dset, _KIND[quantity], True)
 
 
-def diagonal_set(spec: ProductSpec, m: int = 0) -> ConstructionResult:
+def diagonal_set(spec: ProductSpec | Descriptor, m: int = 0) -> ConstructionResult:
     """Total dominating set {(r mod n_1, ..., r mod n_t) : 0 <= r <= t+m}
     of prod K_{n_i}, of size t+m+1.
 
     Needs (t+m)/(m+1) < n_1 and t+m < n_2; violations raise with the
     failed inequality named.
     """
+    desc, spec = _target(spec)
     bs = _require_all_single(spec)
     t = spec.t
     if t < 3:
@@ -238,12 +245,13 @@ def diagonal_set(spec: ProductSpec, m: int = 0) -> ConstructionResult:
     if t + m >= bs[1]:
         raise ValueError(f"hypothesis t+m < n_2 fails: {t}+{m} >= {bs[1]}")
     coords = [[r % b for b in bs] for r in range(t + m + 1)]
-    return _checked(spec, coords, "gamma_total", "diagonal set")
+    return _checked(desc, coords, "gamma_total", "diagonal set")
 
 
-def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
+def t_plus_two_set(spec: ProductSpec | Descriptor) -> ConstructionResult:
     """Dominating set of size t+2 for prod K_{n_i} when n_1 = t: the t
     diagonal vertices plus (0,1,t,...,t) and (1,0,t,...,t)."""
+    desc, spec = _target(spec)
     bs = _require_all_single(spec)
     t = spec.t
     if t < 4:
@@ -255,43 +263,46 @@ def t_plus_two_set(spec: ProductSpec) -> ConstructionResult:
     coords = [[r % b for b in bs] for r in range(t)]
     coords.append([0, 1] + [t] * (t - 2))
     coords.append([1, 0] + [t] * (t - 2))
-    return _checked(spec, coords, "gamma", "t+2 construction")
+    return _checked(desc, coords, "gamma", "t+2 construction")
 
 
 _CORNERS3 = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 _CUBE_CORNERS = tuple((x,) + corner for x in (0, 1) for corner in _CORNERS3)
 
 
-def cube_corner_set(spec: ProductSpec) -> ConstructionResult:
+def cube_corner_set(spec: ProductSpec | Descriptor) -> ConstructionResult:
     """The 8-vertex dominating set _CUBE_CORNERS = {0,1} x _CORNERS3 of
     K_2 x K_{n_2} x K_{n_3} x K_{n_4}."""
+    desc, spec = _target(spec)
     bs = _require_all_single(spec)
     if spec.t != 4:
         raise ValueError(f"need exactly 4 factors, got {spec.t}")
     if bs[0] != 2:
         raise ValueError(f"need n_1 = 2, got {bs[0]}")
-    return _checked(spec, _CUBE_CORNERS, "gamma", "cube-corner set")
+    return _checked(desc, _CUBE_CORNERS, "gamma", "cube-corner set")
 
 
-def _four_corner_set(spec: ProductSpec) -> ConstructionResult:
+def _four_corner_set(spec: ProductSpec | Descriptor) -> ConstructionResult:
     """The 4-vertex dominating set _CORNERS3 of K_{n_1} x K_{n_2} x K_{n_3}:
     a vertex that is no corner has at most two coordinates in {0, 1},
     and some corner differs from it in every coordinate."""
+    desc, spec = _target(spec)
     _require_all_single(spec)
     if spec.t != 3:
         raise ValueError(f"need exactly 3 factors, got {spec.t}")
-    return _checked(spec, _CORNERS3, "gamma", "four-corner set")
+    return _checked(desc, _CORNERS3, "gamma", "four-corner set")
 
 
-def partite_column_set(spec: ProductSpec) -> ConstructionResult:
+def partite_column_set(spec: ProductSpec | Descriptor) -> ConstructionResult:
     """All vertices whose first coordinate lies in one partite set of the
     first factor: a minimal dominating set of size n/b_1 (every member is
     lonely)."""
+    desc, spec = _target(spec)
     if not spec.canonical_order:
         raise ValueError("needs canonical factor order (b_1 minimal)")
     first, *rest = spec.factors
     coords = product(range(0, first.size, first.b), *(range(f.size) for f in rest))
-    return _checked(spec, coords, "upper", "partite column")
+    return _checked(desc, coords, "upper", "partite column")
 
 
 # ==== piecewise formulas and single-theorem bounds ====
@@ -508,48 +519,34 @@ def bound_report(desc: Descriptor, quantity: str) -> BoundReport:
     return _compose("gamma_total", [(gamma.lo, tag) for tag, _ in _side(gamma, "lo")], his)
 
 
-def _lifted(n: int, built: ConstructionResult, quantity: str) -> ConstructionResult:
-    """A construction on the product form of X_n, carried to residues by
-    the CRT (ucg_residues) and checked on X_n itself."""
-    dset = ucg_residues(n, built.vertex_set)
-    verified = _ucg_certified(
-        n, dset, quantity, f"set from {built.descriptor} failed its checker on X_{n}"
-    )
-    return ConstructionResult(f"ucg:{n}", dset, built.kind, verified)
-
-
 def _constructions(desc: Descriptor, quantity: str):
     """(tag, size, build) for each construction of a `quantity` set that
     may apply to desc; build() raises ValueError when a hypothesis fails.
 
     On ucg:n the consecutive run comes first, then the product form's
-    constructions, each lifted to residues and checked on X_n.
+    constructions, each numbered in residues and checked on X_n.
     """
     spec = desc.product_form
     diag = _diagonal_upper(tuple(f.b for f in spec.factors))
     # the diagonal is total dominating, so it dominates too
     diagonal = [] if diag is None else [
-        ("diagonal-total", diag[0], lambda: diagonal_set(spec, diag[1]))
+        ("diagonal-total", diag[0], lambda: diagonal_set(desc, diag[1]))
     ]
     table = {
         "gamma": [
-            ("cube-corner", 8, lambda: cube_corner_set(spec)),
-            ("t-plus-two", spec.t + 2, lambda: t_plus_two_set(spec)),
+            ("cube-corner", 8, lambda: cube_corner_set(desc)),
+            ("t-plus-two", spec.t + 2, lambda: t_plus_two_set(desc)),
             *diagonal,
-            ("four-corner", 4, lambda: _four_corner_set(spec)),
+            ("four-corner", 4, lambda: _four_corner_set(desc)),
         ],
         "gamma_total": diagonal,
         "upper": [("partite-column", spec.n_vertices // spec.factors[0].b,
-                   lambda: partite_column_set(spec))],
+                   lambda: partite_column_set(desc))],
     }[quantity]
-    if desc.kind == "spec":
+    if desc.kind == "spec" or quantity == "upper":
         return table
     n = desc.ucg_n
-    lifted = [(tag, size, lambda build=build: _lifted(n, build(), quantity))
-              for tag, size, build in table]
-    if quantity == "upper":
-        return lifted
-    return [("consecutive-run", jacobsthal(n), lambda: consecutive_residue_set(n))] + lifted
+    return [("consecutive-run", jacobsthal(n), lambda: consecutive_residue_set(n))] + table
 
 
 def _side(report: BoundReport, side: str) -> tuple[tuple[str, str], ...]:
@@ -578,7 +575,7 @@ def solve(
     decides it: method "theorem", nodes 0, and the provenance of both
     sides, the report's and the construction's.  On ucg:n the
     constructions are the consecutive run and the product form's, each
-    carried to residues by the CRT (graphs.ucg_residues).  Otherwise one
+    numbered in residues by the CRT (Descriptor.number).  Otherwise one
     search runs with the report's lo as its floor, and a budget-cut
     result whose side the search did not prove (lo for gamma and
     gamma_total, hi for upper) equals the report's carries that side's
@@ -716,8 +713,8 @@ def m_family_witness(family: int, p1: int, p2: int) -> MWitness:
     n = prod(moduli)
     if not _noncoprime_run(n, x, run_length):
         raise InternalConsistencyError("coprime-free run check failed")
-    spec = ucg_product_spec(n)  # its factors are K_m for m in moduli, in that order
-    dset = ucg_residues(n, [spec.index(corner) for corner in corners])
+    desc = Descriptor("ucg", ucg_n=n)  # its product form is K_m for m in moduli, in order
+    dset = tuple(sorted(desc.number(corner) for corner in corners))
     verified = _ucg_certified(n, dset, "gamma", "lifted corner set is not dominating")
     if not len(dset) < run_length + 1:
         raise InternalConsistencyError("certificate does not separate gamma from g")

@@ -19,7 +19,7 @@ from domprod import (
 )
 from domprod import graphs
 from domprod.cli import _enum_small_specs
-from domprod.graphs import _layout, iter_bits, ucg_residues
+from domprod.graphs import _layout, iter_bits
 from domprod.numbertheory import periodic_mask
 
 from helpers import (
@@ -306,15 +306,23 @@ def test_crt_isomorphism_is_edge_exact(n):
             assert g.adj[u] >> v & 1 == h.adj[crt[u]] >> crt[v] & 1
 
 
-def test_ucg_residues_inverts_the_crt_map():
-    # the one map from the product form to residues; sorted, like a witness
+def test_descriptor_number_inverts_the_crt_map():
+    # the one map from product-form coordinates to vertices: on ucg:n the
+    # residue x whose residues mod each p^e are the coordinates, on a
+    # product the index in canonical factor order
     for n in (2, 6, 8, 12, 30, 45, 60, 210, 1001):
-        spec = ucg_product_spec(n)
-        vertex = [spec.index(tuple(x % f.size for f in spec.factors)) for x in range(n)]
-        assert all(ucg_residues(n, [vertex[x]]) == (x,) for x in range(n)), n
-        assert ucg_residues(n, vertex[::-1]) == tuple(range(n))
+        desc = Descriptor("ucg", ucg_n=n)
+        spec = desc.product_form
+        assert spec == ucg_product_spec(n)
+        assert all(desc.number(tuple(x % f.size for f in spec.factors)) == x
+                   for x in range(n)), n
+        assert sorted(desc.number(spec.coords(v)) for v in range(n)) == list(range(n))
+    desc = Descriptor.parse("K[2,3]xK[1,2]")
+    assert desc.product_form == ProductSpec.from_pairs([(1, 2), (2, 3)])
+    assert [desc.number(desc.product_form.coords(v)) for v in range(12)] == list(range(12))
+    # a vertex outside the product form has no coordinates
     with pytest.raises(ValueError):
-        ucg_residues(30, [30])
+        ucg_product_spec(30).coords(30)
 
 
 # ==== CLIQUE PARTITIONS ====

@@ -105,12 +105,26 @@ def test_minimal_dominating_rejects_redundant_member():
 
 
 def test_minimality_matches_deletion_rule_500_pairs():
-    rng = random.Random(41)
+    # random sets, and independent ones: a seeded greedy maximal
+    # independent set (dominating, every member lonely) and a random
+    # subset of it, which may not dominate, so a checker that calls an
+    # independent set minimal without the domination test fails
+    rng, pick = random.Random(41), random.Random(43)
+    undominated = 0
     for _ in range(500):
         n = rng.randint(1, 12)
         g = random_graph(rng, n)
         d = tuple(v for v in range(n) if rng.random() < 0.45)
         assert is_minimal_dominating(g, d) == minimality_by_deletion(g, d)
+        independent = 0
+        for v in pick.sample(range(n), n):
+            if not g.adj[v] & independent:
+                independent |= 1 << v
+        for sub in (independent, independent & pick.getrandbits(n)):
+            d = tuple(iter_bits(sub))
+            assert is_minimal_dominating(g, d) == minimality_by_deletion(g, d), (g.adj, d)
+            undominated += not is_dominating(g, d)
+    assert undominated > 100
 
 
 # ==== BIPARTITION ====

@@ -34,9 +34,8 @@ from domprod import (
     unitary_cayley,
     upper_bounds,
 )
-from domprod import numbertheory
+from domprod import numbertheory, theorems
 from domprod.cli import _enum_small_specs
-from domprod.graphs import ucg_residues
 from domprod.theorems import InternalConsistencyError, _compose, _constructions
 
 from helpers import random_spec, shrink_to_minimal
@@ -388,24 +387,46 @@ def test_solve_on_ucg_lifts_the_product_form_constructions():
     assert got.method == "reduction" and got.value == 6 and got.optimal
 
 
+@pytest.mark.parametrize("descriptor, quantity, tag", [
+    ("ucg:105", "gamma", "four-corner"),
+    ("ucg:210", "gamma", "cube-corner"),
+    ("ucg:105", "upper", "partite-column"),
+])
+def test_theorem_answer_on_x_n_is_checked_once(monkeypatch, descriptor, quantity, tag):
+    # a product-form construction is numbered in residues and checked on
+    # X_n alone, not first on its product form as well
+    calls = []
+
+    def counting(desc, *args):
+        calls.append(desc.canonical())
+        return certifies(desc, *args)
+
+    monkeypatch.setattr(theorems, "certifies", counting)
+    got = solve(descriptor, quantity)
+    assert got.method == "theorem" and tag in dict(got.provenance)
+    assert calls == [descriptor]
+
+
 def test_lifted_constructions_certify_on_x_n():
-    # every product-form set that ucg_residues carries to residues must
-    # pass certifies on X_n itself, for every squarefree n <= 2000 with
-    # at least three prime factors
+    # every product-form construction that _constructions numbers in
+    # residues must pass certifies on X_n itself, for every squarefree
+    # n <= 2000 with at least three prime factors
     lifted = Counter()
     for n in range(2, 2001):
         fac = factorize(n)
         if len(fac) < 3 or any(e > 1 for _, e in fac):
             continue
         desc = Descriptor("ucg", ucg_n=n)
-        spec_desc = Descriptor("spec", spec=ucg_product_spec(n))
         for quantity in ("gamma", "gamma_total", "upper"):
-            for tag, size, build in _constructions(spec_desc, quantity):
+            for tag, size, build in _constructions(desc, quantity):
+                if tag == "consecutive-run":  # built on X_n, not its product form
+                    continue
                 try:
                     built = build()
                 except ValueError:
                     continue
-                dset = ucg_residues(n, built.vertex_set)
+                dset = built.vertex_set
+                assert built.descriptor == f"ucg:{n}" and built.verified, (n, tag)
                 assert len(dset) == size and certifies(desc, quantity, dset), (n, tag)
                 lifted[quantity, tag] += 1
     # 348 such n: each has a partite column, the 302 with three prime
